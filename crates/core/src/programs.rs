@@ -29,8 +29,14 @@ pub fn decode_note(tag: u64) -> Option<u64> {
 /// Encode a completed round of `team` as a note tag: team id in bits 48+,
 /// marker in bits 32–47, round below. [`TeamId::GLOBAL`] encodes exactly
 /// as [`note_tag`].
+///
+/// # Panics
+/// Panics if `team` exceeds [`TeamId::MAX`]: its id would alias another's.
 pub fn note_team_tag(team: TeamId, round: u64) -> u64 {
-    debug_assert!(team.0 < 1 << 16, "team id too large for the note encoding");
+    assert!(
+        team <= TeamId::MAX,
+        "team id too large for the note encoding"
+    );
     ((team.0 as u64) << 48) | note_tag(round)
 }
 
@@ -298,5 +304,12 @@ mod tests {
             assert_eq!(decode_note(tag), Some(round));
         }
         assert_eq!(decode_team_note(12345), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "team id too large")]
+    fn team_note_rejects_ids_past_16_bits() {
+        // Team 65536 would encode as team 0 and alias the world's rounds.
+        note_team_tag(TeamId(TeamId::MAX.0 + 1), 0);
     }
 }

@@ -14,19 +14,27 @@
 //!   breaks ties), so no behaviour ever depends on hash iteration order or
 //!   heap internals.
 //! * **Genericity.** The engine is generic over the *world* type `W` and the
-//!   *event* type `E`; the GM stack instantiates it with its cluster state
-//!   and a typed event enum. The default event type [`Boxed`] is a boxed
-//!   `FnOnce(&mut W, &mut Scheduler<W>)` closure, which keeps cold paths and
-//!   tests free to capture whatever context they need; typed events live in
-//!   an allocation-free slab (see [`scheduler`]).
+//!   *event* type `E`, usually a small enum implementing [`Event`] with one
+//!   variant per kind of event. The GM stack instantiates it with its cluster state and
+//!   its `ClusterEvent` enum. Events live in an allocation-free slab (see
+//!   [`scheduler`]).
 //! * **Guard rails.** [`Simulation::run`] enforces an event budget so a bug
 //!   that produces an event livelock fails a test instead of hanging it.
 //!
 //! ```
-//! use gmsim_des::{Simulation, SimTime};
+//! use gmsim_des::{Event, Scheduler, SimTime, Simulation};
 //!
-//! let mut sim: Simulation<u64> = Simulation::new(0);
-//! sim.scheduler_mut().schedule_fn(SimTime::from_us(5), |w: &mut u64, _s| *w += 1);
+//! /// The one kind of event this world knows: add to the counter.
+//! struct Add(u64);
+//!
+//! impl Event<u64> for Add {
+//!     fn fire(self, world: &mut u64, _sched: &mut Scheduler<u64, Add>) {
+//!         *world += self.0;
+//!     }
+//! }
+//!
+//! let mut sim: Simulation<u64, Add> = Simulation::new(0);
+//! sim.scheduler_mut().schedule(SimTime::from_us(5), Add(1));
 //! sim.run();
 //! assert_eq!(*sim.world(), 1);
 //! assert_eq!(sim.now(), SimTime::from_us(5));
@@ -45,7 +53,7 @@ pub mod trace;
 
 pub use metrics::{Counter, MetricSet};
 pub use rng::SimRng;
-pub use scheduler::{Boxed, BoxedFn, Event, RunOutcome, Scheduler, Simulation};
+pub use scheduler::{Event, RunOutcome, Scheduler, Simulation};
 pub use stats::{Histogram, Summary};
 pub use time::SimTime;
 pub use trace::{ComponentId, TracePayload, TraceRecord, Tracer, Unit};

@@ -12,9 +12,7 @@
 //! an internal freelist and the ordering layer holds plain `(time, seq,
 //! slot)` index records — steady-state scheduling performs **zero heap
 //! allocations** once the slab and queues have grown to the high-water
-//! mark. The default event type [`Boxed`] wraps `Box<dyn FnOnce>` closures,
-//! which keeps `schedule_fn` ergonomics for cold paths and tests (one
-//! allocation per event, as before).
+//! mark.
 //!
 //! # Ordering layer: timer wheel + far heap
 //!
@@ -40,33 +38,12 @@ use std::marker::PhantomData;
 
 /// A schedulable event acting on world `W`.
 ///
-/// `fire` consumes the event by value — typed events are moved out of the
-/// slab, never boxed. `from_boxed` absorbs a closure so that
-/// [`Scheduler::schedule_fn`] works with any event type; typed events keep a
-/// closure variant for cold-path use.
+/// `fire` consumes the event by value — events are moved out of the slab,
+/// never boxed. Implement it on a small enum with one variant per kind of
+/// event the world reacts to.
 pub trait Event<W>: Sized {
     /// Consume the event, mutating the world and possibly scheduling more.
     fn fire(self, world: &mut W, sched: &mut Scheduler<W, Self>);
-
-    /// Wrap a boxed closure as an event (cold path / tests).
-    fn from_boxed(f: BoxedFn<W, Self>) -> Self;
-}
-
-/// A boxed event closure: what [`Scheduler::schedule_fn`] wraps and
-/// [`Event::from_boxed`] absorbs.
-pub type BoxedFn<W, E> = Box<dyn FnOnce(&mut W, &mut Scheduler<W, E>) + Send>;
-
-/// The default event type: a boxed closure. One heap allocation per event —
-/// fine for tests and setup, replaced by typed enums on hot paths.
-pub struct Boxed<W>(BoxedFn<W, Boxed<W>>);
-
-impl<W> Event<W> for Boxed<W> {
-    fn fire(self, world: &mut W, sched: &mut Scheduler<W>) {
-        (self.0)(world, sched)
-    }
-    fn from_boxed(f: Box<dyn FnOnce(&mut W, &mut Scheduler<W>) + Send>) -> Self {
-        Boxed(f)
-    }
 }
 
 /// Freelist sentinel: no next slot.
@@ -148,7 +125,7 @@ enum Slot<E> {
 /// Ordering is split into a near-future timer wheel and a far-future binary
 /// heap (see the module docs); both are indexed by `(at, seq)` so the pop
 /// order is identical to a single global priority queue.
-pub struct Scheduler<W, E: Event<W> = Boxed<W>> {
+pub struct Scheduler<W, E: Event<W>> {
     /// Near-future band: bucket `b` of an event at time `t` is
     /// `t >> BUCKET_SHIFT`; `wheel[b & SLOT_MASK]` is the head slab slot of
     /// an intrusive chain (or [`NIL`]) kept **sorted ascending by
@@ -439,26 +416,7 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         }
     }
 
-    /// Schedule a closure at absolute time `at`.
-    #[inline]
-    pub fn schedule_fn<F>(&mut self, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W, E>) + Send + 'static,
-    {
-        self.schedule(at, E::from_boxed(Box::new(f)));
-    }
-
-    /// Schedule a closure `delay` after the current time.
-    #[inline]
-    pub fn schedule_in<F>(&mut self, delay: SimTime, f: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W, E>) + Send + 'static,
-    {
-        let at = self.now + delay;
-        self.schedule_fn(at, f);
-    }
-
-    /// Schedule a typed event `delay` after the current time.
+    /// Schedule `event` `delay` after the current time.
     #[inline]
     pub fn schedule_after(&mut self, delay: SimTime, event: E) {
         let at = self.now + delay;
@@ -517,7 +475,7 @@ pub enum RunOutcome {
 }
 
 /// A world plus a scheduler, with guarded run loops.
-pub struct Simulation<W, E: Event<W> = Boxed<W>> {
+pub struct Simulation<W, E: Event<W>> {
     world: W,
     sched: Scheduler<W, E>,
     /// Upper bound on the total number of fired events (livelock guard).
@@ -621,13 +579,49 @@ impl<W, E: Event<W>> Simulation<W, E> {
 mod tests {
     use super::*;
 
+    /// Test events over a log of values.
+    enum Ev {
+        /// Append a value.
+        Push(u32),
+        /// Append `left`, then reschedule with `left - 1` one `period`
+        /// later, down to zero.
+        Chain { left: u32, period: SimTime },
+        /// Schedule `Push(v)` at absolute time `at`.
+        PushAt { at: SimTime, v: u32 },
+    }
+
+    type Log = Vec<u32>;
+
+    impl Event<Log> for Ev {
+        fn fire(self, world: &mut Log, sched: &mut Scheduler<Log, Ev>) {
+            match self {
+                Ev::Push(v) => world.push(v),
+                Ev::Chain { left, period } => {
+                    world.push(left);
+                    if left > 0 {
+                        let next = Ev::Chain {
+                            left: left - 1,
+                            period,
+                        };
+                        sched.schedule_after(period, next);
+                    }
+                }
+                Ev::PushAt { at, v } => sched.schedule(at, Ev::Push(v)),
+            }
+        }
+    }
+
+    fn sim() -> Simulation<Log, Ev> {
+        Simulation::new(Vec::new())
+    }
+
     #[test]
     fn events_fire_in_time_order() {
-        let mut sim: Simulation<Vec<u32>> = Simulation::new(Vec::new());
+        let mut sim = sim();
         let s = sim.scheduler_mut();
-        s.schedule_fn(SimTime::from_us(30), |w: &mut Vec<u32>, _| w.push(3));
-        s.schedule_fn(SimTime::from_us(10), |w: &mut Vec<u32>, _| w.push(1));
-        s.schedule_fn(SimTime::from_us(20), |w: &mut Vec<u32>, _| w.push(2));
+        s.schedule(SimTime::from_us(30), Ev::Push(3));
+        s.schedule(SimTime::from_us(10), Ev::Push(1));
+        s.schedule(SimTime::from_us(20), Ev::Push(2));
         assert_eq!(sim.run(), RunOutcome::Quiescent);
         assert_eq!(sim.world(), &[1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_us(30));
@@ -635,11 +629,10 @@ mod tests {
 
     #[test]
     fn ties_fire_fifo() {
-        let mut sim: Simulation<Vec<u32>> = Simulation::new(Vec::new());
+        let mut sim = sim();
         let t = SimTime::from_us(5);
         for i in 0..100 {
-            sim.scheduler_mut()
-                .schedule_fn(t, move |w: &mut Vec<u32>, _| w.push(i));
+            sim.scheduler_mut().schedule(t, Ev::Push(i));
         }
         sim.run();
         assert_eq!(*sim.world(), (0..100).collect::<Vec<_>>());
@@ -647,112 +640,83 @@ mod tests {
 
     #[test]
     fn events_can_schedule_events() {
-        let mut sim = Simulation::new(0u64);
-        fn tick(w: &mut u64, s: &mut Scheduler<u64>) {
-            *w += 1;
-            if *w < 10 {
-                s.schedule_in(SimTime::from_us(1), tick);
-            }
-        }
-        sim.scheduler_mut().schedule_fn(SimTime::ZERO, tick);
+        let mut sim = sim();
+        let period = SimTime::from_us(1);
+        sim.scheduler_mut()
+            .schedule(SimTime::ZERO, Ev::Chain { left: 9, period });
         assert_eq!(sim.run(), RunOutcome::Quiescent);
-        assert_eq!(*sim.world(), 10);
+        assert_eq!(*sim.world(), (0..10).rev().collect::<Vec<_>>());
         assert_eq!(sim.now(), SimTime::from_us(9));
     }
 
     #[test]
     fn horizon_stops_clock() {
-        let mut sim: Simulation<u64> = Simulation::new(0);
+        let mut sim = sim();
         sim.scheduler_mut()
-            .schedule_fn(SimTime::from_us(10), |w: &mut u64, _| *w = 1);
+            .schedule(SimTime::from_us(10), Ev::Push(1));
         sim.scheduler_mut()
-            .schedule_fn(SimTime::from_us(100), |w: &mut u64, _| *w = 2);
+            .schedule(SimTime::from_us(100), Ev::Push(2));
         assert_eq!(
             sim.run_until(SimTime::from_us(50)),
             RunOutcome::HorizonReached
         );
-        assert_eq!(*sim.world(), 1);
+        assert_eq!(*sim.world(), [1]);
         assert_eq!(sim.now(), SimTime::from_us(10));
         // The remaining event still fires on a later run.
         assert_eq!(sim.run(), RunOutcome::Quiescent);
-        assert_eq!(*sim.world(), 2);
+        assert_eq!(*sim.world(), [1, 2]);
     }
 
     #[test]
     fn budget_catches_livelock() {
-        let mut sim = Simulation::new(0u64).with_budget(1_000);
-        fn forever(_: &mut u64, s: &mut Scheduler<u64>) {
-            s.schedule_in(SimTime::from_ns(1), forever);
-        }
-        sim.scheduler_mut().schedule_fn(SimTime::ZERO, forever);
+        let mut sim = sim().with_budget(1_000);
+        let period = SimTime::from_ns(1);
+        sim.scheduler_mut().schedule(
+            SimTime::ZERO,
+            Ev::Chain {
+                left: u32::MAX,
+                period,
+            },
+        );
         assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
     }
 
     #[test]
     fn run_while_predicate() {
-        let mut sim: Simulation<u64> = Simulation::new(0);
-        for i in 0..20u64 {
+        let mut sim = sim();
+        for i in 0..20 {
             sim.scheduler_mut()
-                .schedule_fn(SimTime::from_us(i), |w: &mut u64, _| *w += 1);
+                .schedule(SimTime::from_us(i as u64), Ev::Push(i));
         }
-        sim.run_while(|w| *w < 5);
-        assert_eq!(*sim.world(), 5);
+        sim.run_while(|w| w.len() < 5);
+        assert_eq!(*sim.world(), [0, 1, 2, 3, 4]);
     }
 
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_the_past_panics() {
-        let mut sim: Simulation<()> = Simulation::new(());
+        let mut sim = sim();
+        let at = SimTime::from_us(5);
         sim.scheduler_mut()
-            .schedule_fn(SimTime::from_us(10), |_, s: &mut Scheduler<()>| {
-                s.schedule_fn(SimTime::from_us(5), |_, _| {});
-            });
+            .schedule(SimTime::from_us(10), Ev::PushAt { at, v: 0 });
         sim.run();
     }
 
     #[test]
     fn step_returns_false_when_empty() {
-        let mut sim: Simulation<()> = Simulation::new(());
+        let mut sim = sim();
         assert!(!sim.step());
         assert_eq!(sim.events_fired(), 0);
     }
 
-    /// A minimal typed event for exercising the slab path directly.
-    enum Typed {
-        Push(u32),
-        Chain { left: u32 },
-    }
-
-    impl Event<Vec<u32>> for Typed {
-        fn fire(self, world: &mut Vec<u32>, sched: &mut Scheduler<Vec<u32>, Typed>) {
-            match self {
-                Typed::Push(v) => world.push(v),
-                Typed::Chain { left } => {
-                    world.push(left);
-                    if left > 0 {
-                        sched.schedule_after(SimTime::from_ns(5), Typed::Chain { left: left - 1 });
-                    }
-                }
-            }
-        }
-        fn from_boxed(
-            f: Box<dyn FnOnce(&mut Vec<u32>, &mut Scheduler<Vec<u32>, Typed>) + Send>,
-        ) -> Self {
-            // Tests only need a marker; real typed events keep a closure
-            // variant. Run it immediately-on-fire via Chain-free encoding is
-            // impossible here, so panic loudly if exercised.
-            let _ = f;
-            unreachable!("typed test event does not absorb closures")
-        }
-    }
-
     #[test]
-    fn typed_events_fire_in_order_and_reuse_slots() {
-        let mut sim: Simulation<Vec<u32>, Typed> = Simulation::new(Vec::new());
+    fn events_fire_in_order_and_reuse_slots() {
+        let mut sim = sim();
         let s = sim.scheduler_mut();
-        s.schedule(SimTime::from_us(2), Typed::Push(20));
-        s.schedule(SimTime::from_us(1), Typed::Push(10));
-        s.schedule(SimTime::from_us(3), Typed::Chain { left: 3 });
+        s.schedule(SimTime::from_us(2), Ev::Push(20));
+        s.schedule(SimTime::from_us(1), Ev::Push(10));
+        let period = SimTime::from_ns(5);
+        s.schedule(SimTime::from_us(3), Ev::Chain { left: 3, period });
         assert_eq!(sim.run(), RunOutcome::Quiescent);
         assert_eq!(*sim.world(), [10, 20, 3, 2, 1, 0]);
         // The chain reuses freed slots: capacity stays at the high-water
@@ -766,14 +730,12 @@ mod tests {
         // Events beyond the wheel window land in the far heap; they must
         // still interleave correctly with near-future events.
         let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
-        let mut sim: Simulation<Vec<u32>> = Simulation::new(Vec::new());
+        let mut sim = sim();
         let s = sim.scheduler_mut();
-        s.schedule_fn(window * 3, |w: &mut Vec<u32>, _| w.push(4));
-        s.schedule_fn(SimTime::from_ns(50), |w: &mut Vec<u32>, _| w.push(1));
-        s.schedule_fn(window * 2, |w: &mut Vec<u32>, _| w.push(3));
-        s.schedule_fn(window - SimTime::from_ns(1), |w: &mut Vec<u32>, _| {
-            w.push(2)
-        });
+        s.schedule(window * 3, Ev::Push(4));
+        s.schedule(SimTime::from_ns(50), Ev::Push(1));
+        s.schedule(window * 2, Ev::Push(3));
+        s.schedule(window - SimTime::from_ns(1), Ev::Push(2));
         assert_eq!(sim.run(), RunOutcome::Quiescent);
         assert_eq!(*sim.world(), [1, 2, 3, 4]);
     }
@@ -785,22 +747,14 @@ mod tests {
         // enough that T is wheel-resident. FIFO by seq must still hold.
         let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
         let t = window * 2;
-        let mut sim: Simulation<Vec<u32>> = Simulation::new(Vec::new());
+        let mut sim = sim();
         let s = sim.scheduler_mut();
-        s.schedule_fn(t, |w: &mut Vec<u32>, _| w.push(1));
-        let t2 = t;
-        s.schedule_fn(
-            t + t / 2, // make sure draining continues past t
-            |w: &mut Vec<u32>, _| w.push(3),
-        );
-        s.schedule_fn(
-            window + window / 2,
-            move |_, s: &mut Scheduler<Vec<u32>>| {
-                // Now `t` is within the window: this lands in the wheel while
-                // its tie partner sits in the far heap.
-                s.schedule_fn(t2, |w: &mut Vec<u32>, _| w.push(2));
-            },
-        );
+        s.schedule(t, Ev::Push(1));
+        // Make sure draining continues past t.
+        s.schedule(t + t / 2, Ev::Push(3));
+        // Once `t` is within the window, its tie partner lands in the wheel
+        // while the first sits in the far heap.
+        s.schedule(window + window / 2, Ev::PushAt { at: t, v: 2 });
         assert_eq!(sim.run(), RunOutcome::Quiescent);
         assert_eq!(*sim.world(), [1, 2, 3]);
     }
@@ -808,42 +762,32 @@ mod tests {
     #[test]
     fn long_horizon_chain_wraps_the_wheel_many_times() {
         // A self-rescheduling chain whose period forces thousands of bucket
-        // advances and several full wheel wraps.
-        let mut sim = Simulation::new(0u64);
-        fn tick(w: &mut u64, s: &mut Scheduler<u64>) {
-            *w += 1;
-            if *w < 5_000 {
-                // ~37 buckets per step, ~11 wraps over the whole run.
-                s.schedule_in(SimTime::from_ns(2_401), tick);
-            }
-        }
-        sim.scheduler_mut().schedule_fn(SimTime::ZERO, tick);
+        // advances and several full wheel wraps: ~37 buckets per step, ~11
+        // wraps over the whole run.
+        let mut sim = sim();
+        let period = SimTime::from_ns(2_401);
+        sim.scheduler_mut().schedule(
+            SimTime::ZERO,
+            Ev::Chain {
+                left: 4_999,
+                period,
+            },
+        );
         assert_eq!(sim.run(), RunOutcome::Quiescent);
-        assert_eq!(*sim.world(), 5_000);
+        assert_eq!(sim.world().len(), 5_000);
         assert_eq!(sim.now(), SimTime::from_ns(2_401 * 4_999));
     }
 
     #[test]
     fn pending_counts_both_bands() {
         let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
-        let mut sim: Simulation<()> = Simulation::new(());
+        let mut sim = sim();
         let s = sim.scheduler_mut();
-        s.schedule_fn(SimTime::from_ns(10), |_, _| {});
-        s.schedule_fn(window * 5, |_, _| {});
+        s.schedule(SimTime::from_ns(10), Ev::Push(0));
+        s.schedule(window * 5, Ev::Push(1));
         assert_eq!(s.pending(), 2);
         assert_eq!(s.peek_next_at(), Some(SimTime::from_ns(10)));
         sim.run();
         assert_eq!(sim.scheduler_mut().pending(), 0);
-    }
-
-    #[test]
-    fn typed_ties_fire_fifo_through_slab_reuse() {
-        let mut sim: Simulation<Vec<u32>, Typed> = Simulation::new(Vec::new());
-        let t = SimTime::from_us(5);
-        for i in 0..50 {
-            sim.scheduler_mut().schedule(t, Typed::Push(i));
-        }
-        sim.run();
-        assert_eq!(*sim.world(), (0..50).collect::<Vec<_>>());
     }
 }

@@ -1,8 +1,40 @@
 //! Randomized property tests for the DES engine: event ordering, statistics
-//! merging, RNG determinism, and typed-slab/boxed-closure equivalence.
+//! merging, RNG determinism, and FIFO ties across slab slot reuse.
 
 use gmsim_des::check::forall;
-use gmsim_des::{BoxedFn, Event, Scheduler, SimRng, SimTime, Simulation, Summary};
+use gmsim_des::{Event, Scheduler, SimRng, SimTime, Simulation, Summary};
+
+/// Trace of fired events: `(fire time in ns, item index)`.
+type Trace = Vec<(u64, usize)>;
+
+/// Index offset that marks a follow-up in a [`Trace`].
+const FOLLOWUP: usize = 1_000_000;
+
+/// Note the fire; optionally chain one follow-up `followup` ns later.
+struct Note {
+    idx: usize,
+    followup: Option<u64>,
+}
+
+impl Event<Trace> for Note {
+    fn fire(self, world: &mut Trace, sched: &mut Scheduler<Trace, Note>) {
+        world.push((sched.now().as_ns(), self.idx));
+        if let Some(delay) = self.followup {
+            let next = Note {
+                idx: self.idx + FOLLOWUP,
+                followup: None,
+            };
+            sched.schedule_after(SimTime::from_ns(delay), next);
+        }
+    }
+}
+
+fn note(idx: usize) -> Note {
+    Note {
+        idx,
+        followup: None,
+    }
+}
 
 /// Events fire in nondecreasing time order, with FIFO order at equal
 /// timestamps, for arbitrary schedules.
@@ -10,12 +42,9 @@ use gmsim_des::{BoxedFn, Event, Scheduler, SimRng, SimTime, Simulation, Summary}
 fn fire_order_is_total() {
     forall(128, 0xDE5_0001, |g| {
         let times = g.vec_of(1, 200, |g| g.u64_in(0, 999));
-        let mut sim: Simulation<Vec<(u64, usize)>> = Simulation::new(Vec::new());
+        let mut sim: Simulation<Trace, Note> = Simulation::new(Vec::new());
         for (i, &t) in times.iter().enumerate() {
-            sim.scheduler_mut()
-                .schedule_fn(SimTime::from_ns(t), move |w: &mut Vec<(u64, usize)>, _| {
-                    w.push((t, i))
-                });
+            sim.scheduler_mut().schedule(SimTime::from_ns(t), note(i));
         }
         sim.run();
         let fired = sim.world();
@@ -30,27 +59,30 @@ fn fire_order_is_total() {
 }
 
 /// Nested scheduling preserves ordering too: every event schedules a
-/// follow-up; the clock never runs backwards.
+/// follow-up, which fires exactly its delay later; the clock never runs
+/// backwards.
 #[test]
 fn nested_scheduling_never_goes_backwards() {
     forall(128, 0xDE5_0002, |g| {
         let seeds = g.vec_of(1, 50, |g| (g.u64_in(0, 499), g.u64_in(1, 99)));
-        let mut sim: Simulation<Vec<u64>> = Simulation::new(Vec::new());
-        for &(start, delay) in &seeds {
-            sim.scheduler_mut()
-                .schedule_fn(SimTime::from_ns(start), move |_: &mut Vec<u64>, s| {
-                    let now = s.now();
-                    s.schedule_in(SimTime::from_ns(delay), move |w: &mut Vec<u64>, s2| {
-                        assert!(s2.now() >= now);
-                        w.push(s2.now().as_ns());
-                    });
-                });
+        let mut sim: Simulation<Trace, Note> = Simulation::new(Vec::new());
+        for (i, &(start, delay)) in seeds.iter().enumerate() {
+            let first = Note {
+                idx: i,
+                followup: Some(delay),
+            };
+            sim.scheduler_mut().schedule(SimTime::from_ns(start), first);
         }
         sim.run();
         let fired = sim.world();
-        assert_eq!(fired.len(), seeds.len());
+        assert_eq!(fired.len(), 2 * seeds.len());
         for w in fired.windows(2) {
-            assert!(w[0] <= w[1]);
+            assert!(w[0].0 <= w[1].0);
+        }
+        for &(t, idx) in fired {
+            if let Some(i) = idx.checked_sub(FOLLOWUP) {
+                assert_eq!(t, seeds[i].0 + seeds[i].1, "follow-up {i} mistimed");
+            }
         }
     });
 }
@@ -107,17 +139,16 @@ fn horizon_is_respected() {
     forall(128, 0xDE5_0005, |g| {
         let times = g.vec_of(1, 100, |g| g.u64_in(0, 999));
         let horizon = g.u64_in(0, 999);
-        let mut sim: Simulation<usize> = Simulation::new(0);
-        for &t in &times {
-            sim.scheduler_mut()
-                .schedule_fn(SimTime::from_ns(t), |w: &mut usize, _| *w += 1);
+        let mut sim: Simulation<Trace, Note> = Simulation::new(Vec::new());
+        for (i, &t) in times.iter().enumerate() {
+            sim.scheduler_mut().schedule(SimTime::from_ns(t), note(i));
         }
         sim.run_until(SimTime::from_ns(horizon));
         let before = times.iter().filter(|&&t| t <= horizon).count();
-        assert_eq!(*sim.world(), before);
+        assert_eq!(sim.world().len(), before);
         assert!(sim.now() <= SimTime::from_ns(horizon));
         sim.run();
-        assert_eq!(*sim.world(), times.len());
+        assert_eq!(sim.world().len(), times.len());
     });
 }
 
@@ -125,19 +156,28 @@ fn horizon_is_respected() {
 /// counts and final clocks even under a complex random workload.
 #[test]
 fn replay_is_bit_identical() {
-    fn run(seed: u64) -> (u64, SimTime, u64) {
-        let mut sim = Simulation::new(SimRng::new(seed));
-        fn step(w: &mut SimRng, s: &mut Scheduler<SimRng>) {
-            let jump = w.ns_between(1, 10_000);
-            if w.chance(0.9) {
-                s.schedule_in(SimTime::from_ns(jump), step);
-            }
-            if w.chance(0.3) {
-                s.schedule_in(SimTime::from_ns(jump * 2), |_, _| {});
+    /// A random walk: each step may schedule another step and an idle event.
+    enum Walk {
+        Step,
+        Idle,
+    }
+    impl Event<SimRng> for Walk {
+        fn fire(self, w: &mut SimRng, s: &mut Scheduler<SimRng, Walk>) {
+            if let Walk::Step = self {
+                let jump = w.ns_between(1, 10_000);
+                if w.chance(0.9) {
+                    s.schedule_after(SimTime::from_ns(jump), Walk::Step);
+                }
+                if w.chance(0.3) {
+                    s.schedule_after(SimTime::from_ns(jump * 2), Walk::Idle);
+                }
             }
         }
+    }
+    fn run(seed: u64) -> (u64, SimTime, u64) {
+        let mut sim: Simulation<SimRng, Walk> = Simulation::new(SimRng::new(seed));
         for _ in 0..10 {
-            sim.scheduler_mut().schedule_fn(SimTime::ZERO, step);
+            sim.scheduler_mut().schedule(SimTime::ZERO, Walk::Step);
         }
         sim.run();
         let events = sim.events_fired();
@@ -149,113 +189,19 @@ fn replay_is_bit_identical() {
     assert_ne!(run(1234), run(4321));
 }
 
-/// Trace of fired events: `(fire time in ns, item index)`.
-type Trace = Vec<(u64, usize)>;
-
-/// A typed event mirroring the boxed-closure workload below: note the fire,
-/// optionally chain a follow-up. The `Call` variant absorbs closures so the
-/// typed scheduler still supports `schedule_fn` (mirroring `ClusterEvent`).
-enum TypedEv {
-    Note { idx: usize, followup: Option<u64> },
-    Call(BoxedFn<Trace, TypedEv>),
-}
-
-impl Event<Trace> for TypedEv {
-    fn fire(self, world: &mut Trace, sched: &mut Scheduler<Trace, TypedEv>) {
-        match self {
-            TypedEv::Note { idx, followup } => {
-                world.push((sched.now().as_ns(), idx));
-                if let Some(delay) = followup {
-                    sched.schedule_after(
-                        SimTime::from_ns(delay),
-                        TypedEv::Note {
-                            idx: idx + 1_000_000,
-                            followup: None,
-                        },
-                    );
-                }
-            }
-            TypedEv::Call(f) => f(world, sched),
-        }
-    }
-    fn from_boxed(f: BoxedFn<Trace, TypedEv>) -> Self {
-        TypedEv::Call(f)
-    }
-}
-
-/// The typed slab path and the boxed-closure path produce bit-identical
-/// traces for arbitrary workloads with chained follow-ups, including when
-/// typed and closure events are mixed in one queue. This is the property the
-/// `ClusterEvent` port of the GM stack relies on: retiming nothing, only
-/// changing event representation.
-#[test]
-fn typed_path_matches_boxed_path() {
-    forall(128, 0xDE5_0006, |g| {
-        // Workload: (start time, follow-up delay or 0, schedule via closure?)
-        let items: Vec<(u64, u64, bool)> = g.vec_of(1, 120, |g| {
-            (g.u64_in(0, 99), g.u64_in(0, 19), g.u64_in(0, 3) == 0)
-        });
-
-        // Boxed run: everything through schedule_fn.
-        let mut boxed: Simulation<Trace> = Simulation::new(Vec::new());
-        for (i, &(t, d, _)) in items.iter().enumerate() {
-            boxed
-                .scheduler_mut()
-                .schedule_fn(SimTime::from_ns(t), move |w: &mut Trace, s| {
-                    w.push((s.now().as_ns(), i));
-                    if d > 0 {
-                        s.schedule_in(SimTime::from_ns(d), move |w: &mut Trace, s2| {
-                            w.push((s2.now().as_ns(), i + 1_000_000));
-                        });
-                    }
-                });
-        }
-        boxed.run();
-
-        // Typed run: the same workload as slab events, except items flagged
-        // `via_closure`, which go through the Call/from_boxed seam.
-        let mut typed: Simulation<Trace, TypedEv> = Simulation::new(Vec::new());
-        for (i, &(t, d, via_closure)) in items.iter().enumerate() {
-            let followup = (d > 0).then_some(d);
-            if via_closure {
-                typed
-                    .scheduler_mut()
-                    .schedule_fn(SimTime::from_ns(t), move |w: &mut Trace, s| {
-                        TypedEv::Note { idx: i, followup }.fire(w, s)
-                    });
-            } else {
-                typed
-                    .scheduler_mut()
-                    .schedule(SimTime::from_ns(t), TypedEv::Note { idx: i, followup });
-            }
-        }
-        typed.run();
-
-        assert_eq!(typed.events_fired(), boxed.events_fired());
-        assert_eq!(typed.now(), boxed.now());
-        assert_eq!(typed.world(), boxed.world(), "fire traces diverged");
-    });
-}
-
 /// FIFO tie-break at equal timestamps survives slab slot reuse: events
 /// scheduled after earlier events have fired (and freed slots back onto the
 /// freelist) still fire strictly after same-time events scheduled earlier.
 #[test]
-fn typed_fifo_ties_survive_slot_reuse() {
+fn fifo_ties_survive_slot_reuse() {
     forall(128, 0xDE5_0007, |g| {
         let wave1: Vec<u64> = g.vec_of(1, 60, |g| g.u64_in(0, 9));
         let wave2: Vec<u64> = g.vec_of(1, 60, |g| g.u64_in(5, 14));
         let steps = g.usize_in(1, wave1.len());
 
-        let mut sim: Simulation<Trace, TypedEv> = Simulation::new(Vec::new());
+        let mut sim: Simulation<Trace, Note> = Simulation::new(Vec::new());
         for (i, &t) in wave1.iter().enumerate() {
-            sim.scheduler_mut().schedule(
-                SimTime::from_ns(t),
-                TypedEv::Note {
-                    idx: i,
-                    followup: None,
-                },
-            );
+            sim.scheduler_mut().schedule(SimTime::from_ns(t), note(i));
         }
         // Fire part of wave 1 so its slots return to the freelist, then
         // schedule wave 2 into the recycled slots (indices continue upward,
@@ -266,13 +212,8 @@ fn typed_fifo_ties_survive_slot_reuse() {
         let now = sim.now().as_ns();
         for (j, &t) in wave2.iter().enumerate() {
             let at = now.max(t); // never schedule into the past
-            sim.scheduler_mut().schedule(
-                SimTime::from_ns(at),
-                TypedEv::Note {
-                    idx: wave1.len() + j,
-                    followup: None,
-                },
-            );
+            sim.scheduler_mut()
+                .schedule(SimTime::from_ns(at), note(wave1.len() + j));
         }
         sim.run();
 

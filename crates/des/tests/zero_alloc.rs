@@ -11,7 +11,7 @@
 //! concurrent allocation — a sibling test, or the libtest harness's own
 //! bookkeeping threads — would make the exact-zero assertion flaky.
 
-use gmsim_des::{BoxedFn, Event, Scheduler, SimTime, Simulation};
+use gmsim_des::{Event, Scheduler, SimTime, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,9 +54,6 @@ impl Event<u64> for Tick {
         if *world < TOTAL {
             sched.schedule_after(SimTime::from_ns(10 + lane), Tick::Fire { lane });
         }
-    }
-    fn from_boxed(_: BoxedFn<u64, Tick>) -> Self {
-        unreachable!("zero-alloc test never schedules closures")
     }
 }
 

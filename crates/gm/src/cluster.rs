@@ -15,7 +15,7 @@ use crate::mcp::{Mcp, McpCore, McpOutput, TimerKind};
 use crate::packet::Packet;
 use crate::token::SendToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
-use gmsim_des::{BoxedFn, Event, Scheduler, SimTime, Simulation};
+use gmsim_des::{Event, Scheduler, SimTime, Simulation};
 use gmsim_myrinet::fault::Fate;
 use gmsim_myrinet::{Fabric, FaultPlan, Topology, TopologyBuilder};
 
@@ -185,10 +185,9 @@ pub type ClusterSim = Simulation<Cluster, ClusterEvent>;
 pub(crate) type ClusterSched = Scheduler<Cluster, ClusterEvent>;
 
 /// A typed scheduler event on the cluster — the allocation-free encoding of
-/// everything the steady-state hot path schedules. Each variant corresponds
-/// 1:1 to one of the closures the glue used to box; the [`ClusterEvent::Call`]
-/// variant keeps `schedule_fn` working for cold paths (program installation,
-/// tests).
+/// everything the cluster schedules, hot path and program installation
+/// alike, so every event runs under both the serial and the parallel
+/// engine.
 pub enum ClusterEvent {
     /// The SEND machine's wire-injection instant arrived for this packet.
     Transmit(Packet),
@@ -255,52 +254,34 @@ pub enum ClusterEvent {
         /// The program itself.
         program: Box<dyn HostProgram>,
     },
-    /// A boxed closure (cold path: tests). Unsupported in parallel runs.
-    Call(BoxedFn<Cluster, ClusterEvent>),
 }
 
 impl Event<Cluster> for ClusterEvent {
     fn fire(self, cl: &mut Cluster, s: &mut ClusterSched) {
-        match self {
-            // Closures see the whole world — they cannot run inside a
-            // partitioned engine, so they are dispatched here, outside the
-            // engine-generic path.
-            ClusterEvent::Call(f) => f(cl, s),
-            ev => {
-                let Cluster {
-                    nodes,
-                    fabric,
-                    tracer,
-                    notes,
-                    mcp_scratch,
-                    action_scratch,
-                    ..
-                } = cl;
-                let mut ctx = NodeCtx {
-                    nodes,
-                    base: 0,
-                    tracer,
-                    notes,
-                    mcp_scratch,
-                    action_scratch,
-                };
-                let mut sink = SerialSink { fabric, sched: s };
-                fire_ev(ev, &mut ctx, &mut sink);
-            }
-        }
-    }
-
-    fn from_boxed(f: BoxedFn<Cluster, ClusterEvent>) -> Self {
-        ClusterEvent::Call(f)
+        let Cluster {
+            nodes,
+            fabric,
+            tracer,
+            notes,
+            mcp_scratch,
+            action_scratch,
+            ..
+        } = cl;
+        let mut ctx = NodeCtx {
+            nodes,
+            base: 0,
+            tracer,
+            notes,
+            mcp_scratch,
+            action_scratch,
+        };
+        let mut sink = SerialSink { fabric, sched: s };
+        fire_ev(self, &mut ctx, &mut sink);
     }
 }
 
 /// Fire one typed event against the engine-agnostic world slice. This is
 /// the single dispatch point both execution engines monomorphize.
-///
-/// # Panics
-/// Panics on [`ClusterEvent::Call`] — closures need the whole [`Cluster`]
-/// and are handled by the serial engine before reaching here.
 pub(crate) fn fire_ev<S: EventSink>(ev: ClusterEvent, ctx: &mut NodeCtx, sink: &mut S) {
     match ev {
         ClusterEvent::Transmit(pkt) => transmit_now(pkt, ctx, sink),
@@ -348,9 +329,6 @@ pub(crate) fn fire_ev<S: EventSink>(ev: ClusterEvent, ctx: &mut NodeCtx, sink: &
             );
             *slot = Some(program);
             start_program(node, port, ctx, sink);
-        }
-        ClusterEvent::Call(_) => {
-            panic!("boxed Call events cannot run inside a partitioned engine")
         }
     }
 }

@@ -43,6 +43,10 @@ pub struct TeamId(pub u32);
 impl TeamId {
     /// The default whole-cluster communicator (id 0).
     pub const GLOBAL: TeamId = TeamId(0);
+
+    /// The largest id the 16-bit team field of note and message tags
+    /// carries; larger ids would alias.
+    pub const MAX: TeamId = TeamId(u16::MAX as u32);
 }
 
 impl NodeId {

@@ -35,9 +35,13 @@ fn user_tag(tag: u32) -> u64 {
 /// Internal host-barrier tag: team id in bits 48+, round number and the
 /// schedule step's packet kind below, so cross-communicator, cross-round
 /// and cross-phase messages never alias. World barriers ([`TeamId::GLOBAL`])
-/// produce exactly the pre-team tags.
+/// produce exactly the pre-team tags. Panics on a team id above
+/// [`TeamId::MAX`], which would alias another team's tags.
 fn hbar_tag(team: TeamId, round: u64, kind: u8) -> u64 {
-    debug_assert!(team.0 < 1 << 16, "team id too large for the tag encoding");
+    assert!(
+        team <= TeamId::MAX,
+        "team id too large for the tag encoding"
+    );
     HBAR_TAG | (u64::from(team.0) << 48) | (round << 8) | u64::from(kind)
 }
 
@@ -451,7 +455,15 @@ impl MpiProcess {
                         .iter()
                         .position(|&r| r == self.rank)
                         .expect("own rank always shares its own color");
-                    let team = Team::subset(TeamId(base + color), &self.group, &members);
+                    let id = base
+                        .checked_add(color)
+                        .filter(|&id| id <= TeamId::MAX.0)
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "comm_split team id {base} + {color} exceeds the 16-bit team field"
+                            )
+                        });
+                    let team = Team::subset(TeamId(id), &self.group, &members);
                     self.stats.comms_created += 1;
                     self.comm = Some(Comm { team, rank });
                 }
@@ -619,6 +631,38 @@ mod tests {
             hbar_key(hbar_tag(TeamId(1), 3, 1)),
             hbar_key(hbar_tag(TeamId(2), 3, 1))
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "team id too large")]
+    fn hbar_tag_rejects_ids_past_16_bits() {
+        hbar_tag(TeamId(TeamId::MAX.0 + 1), 0, 1);
+    }
+
+    /// Run a `comm_split(base, colors)` on rank 1 of a 2-rank world.
+    fn split_on_rank_1(base: u32, colors: Vec<u32>) {
+        let program = script().comm_split(base, colors).barrier().build();
+        let group = BarrierGroup::one_per_node(2, 1);
+        let mut p = MpiProcess::new(group, 1, MpiConfig::nic_based(), program);
+        let mut ctx = HostCtx::new(SimTime::ZERO, gmsim_gm::NodeId(1), gmsim_gm::PortId(1));
+        p.step(&mut ctx);
+    }
+
+    #[test]
+    fn comm_split_accepts_the_largest_team_id() {
+        split_on_rank_1(TeamId::MAX.0 - 1, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16-bit team field")]
+    fn comm_split_rejects_team_ids_past_16_bits() {
+        split_on_rank_1(TeamId::MAX.0, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16-bit team field")]
+    fn comm_split_rejects_overflowing_team_ids() {
+        split_on_rank_1(u32::MAX, vec![0, 1]);
     }
 
     #[test]

@@ -90,8 +90,7 @@ pub struct Fabric {
     /// Reusable per-send scratch: links the head has entered, with entry
     /// times (kept across sends so the hot path never allocates).
     entered: Vec<(LinkId, SimTime)>,
-    /// Reusable per-send scratch for the route's links (computed route
-    /// tables derive them on the fly; dense tables copy a handful of ids).
+    /// Reusable per-send scratch for the route's links.
     route_scratch: Vec<LinkId>,
 }
 
@@ -222,22 +221,6 @@ impl Fabric {
             fate: verdict.fate,
             dup_arrival,
         }
-    }
-
-    /// Earliest time the first link out of `src` toward `dst` is free —
-    /// used by the NIC send machine to model transmit-channel occupancy.
-    pub fn first_link_free(&self, src: NicId, dst: NicId) -> SimTime {
-        let route = self.topology.route(src, dst);
-        if route.is_empty() {
-            return SimTime::ZERO;
-        }
-        self.busy[route.links()[0].0]
-    }
-
-    /// Split the fabric into (topology, everything mutable). Used by the
-    /// parallel engine, which commits deferred sends at window barriers.
-    pub fn topology_owned(self) -> Topology {
-        self.topology
     }
 }
 

@@ -13,8 +13,9 @@
 //!   cut-through path (not per hop),
 //! * **contention** — every directed link tracks `busy_until`; a worm whose
 //!   head reaches a busy output waits for it,
-//! * **topology** — single 8- or 16-port switches (the paper's two testbeds)
-//!   and multi-switch chains for scaling studies, and
+//! * **topology** — single 8- or 16-port switches (the paper's two testbeds),
+//!   two- and three-level Clos fabrics and fat trees, whose source routes
+//!   are computed from their regular layout, and hand-built graphs, and
 //! * **faults** — per-link drop/corrupt injection to exercise the GM
 //!   reliability layer.
 //!

@@ -1,9 +1,11 @@
 //! Identifiers and source routes.
 //!
 //! Myrinet is source-routed: the sender knows the whole path and encodes it
-//! as one byte per switch hop. We mirror that: a [`Route`] is the ordered
-//! list of directed links a worm traverses, computed once at topology build
-//! time by breadth-first search and then looked up O(1) per send.
+//! as one byte per switch hop. We mirror that: a route is the ordered list
+//! of directed links a worm traverses. The standard fabrics compute it from
+//! their regular layout at send time; a hand-built graph stores one
+//! [`Route`] per NIC pair, found by breadth-first search when it is built
+//! (see `topology`).
 
 use std::fmt;
 
@@ -46,8 +48,8 @@ pub enum Vertex {
     Switch(SwitchId),
 }
 
-/// A precomputed source route: the directed links from source NIC to
-/// destination NIC, in traversal order.
+/// A source route: the directed links from source NIC to destination NIC,
+/// in traversal order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     links: Box<[LinkId]>,

@@ -3,16 +3,20 @@
 //! A topology is a graph of NICs and switches joined by full-duplex cables.
 //! Builders cover the paper's two physical testbeds — a single 16-port
 //! switch for the LANai 4.3 cluster and a single 8-port switch for the
-//! LANai 7.2 cluster — plus multi-switch chains used by the scaling study,
-//! two- and three-level Clos fabrics with configurable oversubscription
-//! ([`TopologyBuilder::clos_oversub`]), and k-ary fat trees
-//! ([`TopologyBuilder::fat_tree`]).
+//! LANai 7.2 cluster — plus two- and three-level Clos fabrics with
+//! configurable oversubscription ([`TopologyBuilder::clos_oversub`]),
+//! k-ary fat trees ([`TopologyBuilder::fat_tree`]) and the multi-switch
+//! chains of the scaling study.
 //!
-//! Routes (shortest paths, BFS with deterministic tie-breaking by vertex
-//! index) are computed once at `build()`. Fabrics with multiple equal-cost
-//! paths additionally carry a [`RoutePolicy`]: static BFS routes, Myrinet
-//! style `(src + dst)` dispersal, or adaptive least-loaded uplink selection
-//! driven by the contention model's per-link busy horizons.
+//! Myrinet is source-routed, and every fabric [`FabricSpec::build`] makes is
+//! a regular layout (pods × leaves × hosts, with uplinks per leaf and cores
+//! per plane), so its routes are computed from the layout when asked for:
+//! no table, no search. The [`RoutePolicy`] picks the uplink at each stage —
+//! the first one (static), `(src + dst)` dispersal, or the least-busy one
+//! under the contention model's per-link busy horizons (adaptive). Only
+//! hand-built graphs ([`TopologyBuilder::build`], switch chains) store
+//! routes: all-pairs shortest paths, found once by breadth-first search
+//! with deterministic tie-breaking by link order.
 
 use crate::packet::wire_size;
 use crate::route::{LinkId, NicId, Route, SwitchId, Vertex};
@@ -53,135 +57,203 @@ pub struct DirectedLink {
     pub spec: LinkSpec,
 }
 
-/// How NIC-to-NIC routes are stored or derived.
-///
-/// Up to two Clos levels (≤1024 hosts) the all-pairs table is materialised
-/// (`Dense`); a three-level Clos at 4096 hosts would need ~17M boxed routes
-/// (gigabytes), so its routes are *computed* from the regular link-id layout
-/// the [`TopologyBuilder::clos3`] builder lays down.
+/// How NIC-to-NIC routes are found.
 #[derive(Debug, Clone)]
-enum RouteTable {
-    /// `routes[src * nics + dst]`; the self route is empty.
-    Dense(Vec<Route>),
-    /// Routes derived on demand from the three-level Clos layout.
-    Clos3(Clos3Spec),
+enum Routes {
+    /// Computed from the regular layout a standard builder laid down.
+    Layout(Layout),
+    /// A hand-built graph's all-pairs BFS routes, `table[src * nics + dst]`
+    /// (the self route is empty).
+    Bfs(Vec<Route>),
 }
 
-/// Link-id layout of a [`TopologyBuilder::clos3`] fabric, from which any
-/// route can be computed without a stored table. See `clos3` for the
-/// construction order the formulas mirror.
+/// The regular layout every standard builder lays down, from which any
+/// route is computed instead of stored: `pods` pods of `leaves` leaf
+/// switches with `hosts` NICs each, every leaf cabled to the `uplinks`
+/// aggregation switches of its pod, and aggregation switch `a` of every pod
+/// cabled to the `cores` core switches of plane `a`. A crossbar is one leaf
+/// with no uplinks; a two-level Clos is one pod with no cores (its spines
+/// are the pod's aggregation switches).
+///
+/// [`Layout::build`] fixes the numbering the link formulas mirror.
+/// Switches: leaves, then aggregation switches, then cores (plane-major).
+/// Cables: leaf↔agg (pod-, leaf-, agg-major), then agg↔core (pod-, agg-,
+/// core-major), then NIC↔leaf, leaf by leaf. Each cable is two directed
+/// links, the upward one first.
 #[derive(Debug, Clone, Copy)]
-struct Clos3Spec {
+struct Layout {
     pods: usize,
-    /// Leaf switches per pod (= aggregation switches per pod).
+    /// Leaf switches per pod.
     leaves: usize,
-    /// Hosts per leaf (= core switches per plane).
+    /// Hosts per leaf.
     hosts: usize,
-    /// First link id of the agg↔core cables.
-    base_ac: usize,
-    /// First link id of the NIC↔leaf cables.
-    base_nic: usize,
+    /// Aggregation switches per pod (= uplinks per leaf).
+    uplinks: usize,
+    /// Core switches per plane (= uplinks per aggregation switch).
+    cores: usize,
 }
 
-impl Clos3Spec {
-    fn hosts_per_pod(&self) -> usize {
-        self.leaves * self.hosts
+impl Layout {
+    /// `hosts` NICs on one crossbar.
+    fn crossbar(hosts: usize) -> Layout {
+        Layout {
+            pods: 1,
+            leaves: 1,
+            hosts,
+            uplinks: 0,
+            cores: 0,
+        }
     }
 
-    /// NIC→leaf link of `nic`.
-    fn nic_up(&self, nic: usize) -> LinkId {
-        LinkId(self.base_nic + 2 * nic)
+    /// A two-level Clos: every leaf cabled to every spine.
+    fn clos(leaves: usize, hosts: usize, spines: usize) -> Layout {
+        assert!(leaves >= 1 && hosts >= 1 && spines >= 1);
+        Layout {
+            pods: 1,
+            leaves,
+            hosts,
+            uplinks: spines,
+            cores: 0,
+        }
     }
 
-    /// Leaf→NIC link of `nic`.
-    fn nic_down(&self, nic: usize) -> LinkId {
-        LinkId(self.base_nic + 2 * nic + 1)
+    /// A three-level Clos of `k`-wide pods: `k` leaves × `k` hosts and `k`
+    /// aggregation switches per pod, `k` cores per plane. `clos3` uses
+    /// `k = 8` with a free pod count; a fat tree of radix `r` uses
+    /// `k = r/2` with `pods = r`.
+    fn three_level(pods: usize, k: usize) -> Layout {
+        assert!(pods >= 1 && k >= 1);
+        Layout {
+            pods,
+            leaves: k,
+            hosts: k,
+            uplinks: k,
+            cores: k,
+        }
     }
 
-    /// Leaf(p, l)→agg(p, a) link.
+    /// Lay the switches and cables down in the documented order.
+    fn build(self, policy: RoutePolicy) -> Topology {
+        let leaves = self.pods * self.leaves;
+        let aggs = self.pods * self.uplinks;
+        let mut b = TopologyBuilder::new();
+        b.switch_latency = vec![
+            TopologyBuilder::DEFAULT_SWITCH_LATENCY;
+            leaves + aggs + self.uplinks * self.cores
+        ];
+        // The link id one past the last NIC's is the link count.
+        b.links.reserve(self.nic_up(leaves * self.hosts).0);
+        let leaf = |p: usize, l: usize| Vertex::Switch(SwitchId(p * self.leaves + l));
+        let agg = |p: usize, a: usize| Vertex::Switch(SwitchId(leaves + p * self.uplinks + a));
+        let core =
+            |a: usize, c: usize| Vertex::Switch(SwitchId(leaves + aggs + a * self.cores + c));
+        let cable = LinkSpec::MYRINET_1280;
+        for p in 0..self.pods {
+            for l in 0..self.leaves {
+                for a in 0..self.uplinks {
+                    b.connect(leaf(p, l), agg(p, a), cable);
+                }
+            }
+        }
+        for p in 0..self.pods {
+            for a in 0..self.uplinks {
+                for c in 0..self.cores {
+                    b.connect(agg(p, a), core(a, c), cable);
+                }
+            }
+        }
+        for p in 0..self.pods {
+            for l in 0..self.leaves {
+                for _ in 0..self.hosts {
+                    let n = b.add_nic();
+                    b.connect(Vertex::Nic(n), leaf(p, l), cable);
+                }
+            }
+        }
+        Topology {
+            nics: b.nics,
+            switch_latency: b.switch_latency,
+            links: b.links,
+            routes: Routes::Layout(self),
+            policy,
+        }
+    }
+
+    /// Leaf(p, l)→agg(p, a) link; agg→leaf is the next id.
     fn leaf_up(&self, p: usize, l: usize, a: usize) -> LinkId {
-        LinkId(2 * ((p * self.leaves + l) * self.leaves + a))
+        LinkId(2 * ((p * self.leaves + l) * self.uplinks + a))
     }
 
-    /// Agg(p, a)→leaf(p, l) link.
-    fn leaf_down(&self, p: usize, l: usize, a: usize) -> LinkId {
-        LinkId(2 * ((p * self.leaves + l) * self.leaves + a) + 1)
-    }
-
-    /// Agg(p, a)→core(a, c) link.
+    /// Agg(p, a)→core(a, c) link; core→agg is the next id.
     fn agg_up(&self, p: usize, a: usize, c: usize) -> LinkId {
-        LinkId(self.base_ac + 2 * ((p * self.leaves + a) * self.hosts + c))
+        let leaf_cables = self.pods * self.leaves * self.uplinks;
+        LinkId(2 * (leaf_cables + (p * self.uplinks + a) * self.cores + c))
     }
 
-    /// Core(a, c)→agg(p, a) link.
-    fn agg_down(&self, p: usize, a: usize, c: usize) -> LinkId {
-        LinkId(self.base_ac + 2 * ((p * self.leaves + a) * self.hosts + c) + 1)
+    /// NIC→leaf link of `nic`; leaf→NIC is the next id.
+    fn nic_up(&self, nic: usize) -> LinkId {
+        let switch_cables = self.pods * self.uplinks * (self.leaves + self.cores);
+        LinkId(2 * (switch_cables + nic))
     }
 
-    /// Append the dispersed source route for `src → dst` to `out`.
-    fn route_into(&self, src: usize, dst: usize, out: &mut Vec<LinkId>) {
-        debug_assert!(src.max(dst) < self.pods * self.hosts_per_pod());
+    /// Append the `src → dst` route to `out`, choosing the uplink at each
+    /// stage by `policy` (see [`RoutePolicy`]). Only `Adaptive` reads
+    /// `busy`.
+    fn route_into(
+        &self,
+        src: usize,
+        dst: usize,
+        policy: RoutePolicy,
+        busy: &[SimTime],
+        out: &mut Vec<LinkId>,
+    ) {
         if src == dst {
             return;
         }
+        let down = |up: LinkId| LinkId(up.0 + 1);
         out.push(self.nic_up(src));
         let (ls, ld) = (src / self.hosts, dst / self.hosts);
         if ls != ld {
-            let (ps, pd) = (src / self.hosts_per_pod(), dst / self.hosts_per_pod());
-            // Same dispersal rule as the two-level Clos: spread pairs over
-            // the aggregation/core stages by (src + dst).
-            let a = (src + dst) % self.leaves;
-            if ps == pd {
-                out.push(self.leaf_up(ps, ls % self.leaves, a));
-                out.push(self.leaf_down(pd, ld % self.leaves, a));
-            } else {
-                let c = ((src + dst) / self.leaves) % self.hosts;
-                out.push(self.leaf_up(ps, ls % self.leaves, a));
+            let (ps, pd) = (ls / self.leaves, ld / self.leaves);
+            let (ls, ld) = (ls % self.leaves, ld % self.leaves);
+            let a = pick(policy, self.uplinks, src + dst, busy, |a| {
+                self.leaf_up(ps, ls, a)
+            });
+            out.push(self.leaf_up(ps, ls, a));
+            if ps != pd {
+                let c = pick(policy, self.cores, (src + dst) / self.uplinks, busy, |c| {
+                    self.agg_up(ps, a, c)
+                });
                 out.push(self.agg_up(ps, a, c));
-                out.push(self.agg_down(pd, a, c));
-                out.push(self.leaf_down(pd, ld % self.leaves, a));
+                out.push(down(self.agg_up(pd, a, c)));
             }
+            out.push(down(self.leaf_up(pd, ld, a)));
         }
-        out.push(self.nic_down(dst));
+        out.push(down(self.nic_up(dst)));
     }
+}
 
-    /// Append the adaptive source route for `src → dst` to `out`, picking
-    /// the aggregation switch (and, cross-pod, the core) with the smallest
-    /// busy horizon on its uplink. Ties break toward the lowest index, so
-    /// selection is a pure function of `busy` and the pair.
-    fn adaptive_route_into(&self, src: usize, dst: usize, busy: &[SimTime], out: &mut Vec<LinkId>) {
-        debug_assert!(src.max(dst) < self.pods * self.hosts_per_pod());
-        if src == dst {
-            return;
-        }
-        out.push(self.nic_up(src));
-        let (ls, ld) = (src / self.hosts, dst / self.hosts);
-        if ls != ld {
-            let (ps, pd) = (src / self.hosts_per_pod(), dst / self.hosts_per_pod());
-            let lsrc = ls % self.leaves;
-            let mut a = 0;
-            for cand in 1..self.leaves {
-                if busy[self.leaf_up(ps, lsrc, cand).0] < busy[self.leaf_up(ps, lsrc, a).0] {
-                    a = cand;
-                }
-            }
-            if ps == pd {
-                out.push(self.leaf_up(ps, lsrc, a));
-                out.push(self.leaf_down(pd, ld % self.leaves, a));
+/// The uplink index among `n` candidates (`up(i)` is candidate `i`):
+/// index 0 for `StaticBfs`, `spread % n` for `Dispersed`, and for
+/// `Adaptive` the one with the smallest busy horizon, ties to the lowest
+/// index, so selection is a pure function of `busy` and the pair.
+fn pick(
+    policy: RoutePolicy,
+    n: usize,
+    spread: usize,
+    busy: &[SimTime],
+    up: impl Fn(usize) -> LinkId,
+) -> usize {
+    match policy {
+        RoutePolicy::StaticBfs => 0,
+        RoutePolicy::Dispersed => spread % n,
+        RoutePolicy::Adaptive => (1..n).fold(0, |best, i| {
+            if busy[up(i).0] < busy[up(best).0] {
+                i
             } else {
-                let mut c = 0;
-                for cand in 1..self.hosts {
-                    if busy[self.agg_up(ps, a, cand).0] < busy[self.agg_up(ps, a, c).0] {
-                        c = cand;
-                    }
-                }
-                out.push(self.leaf_up(ps, lsrc, a));
-                out.push(self.agg_up(ps, a, c));
-                out.push(self.agg_down(pd, a, c));
-                out.push(self.leaf_down(pd, ld % self.leaves, a));
+                best
             }
-        }
-        out.push(self.nic_down(dst));
+        }),
     }
 }
 
@@ -190,9 +262,10 @@ impl Clos3Spec {
 /// path per pair (one crossbar, switch chains) the policy is irrelevant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutePolicy {
-    /// The raw BFS shortest paths with deterministic tie-breaking: every
-    /// pair sharing a (source leaf, destination leaf) funnels through the
-    /// same first-listed spine — the worst-case hotspot baseline.
+    /// The first uplink at every stage — exactly the paths breadth-first
+    /// search with tie-breaking by link order finds: every pair sharing a
+    /// (source leaf, destination leaf) funnels through the same
+    /// first-listed spine — the worst-case hotspot baseline.
     StaticBfs,
     /// `(src + dst) % spines` dispersal, the way Myrinet's route dispersal
     /// spread pairwise traffic across the bisection. The default.
@@ -205,66 +278,6 @@ pub enum RoutePolicy {
     /// same committed global order, and the choice is a pure function of
     /// the busy horizons at that point (ties break to the lowest index).
     Adaptive,
-}
-
-/// Link-id layout of a two-level [`TopologyBuilder::clos`] fabric, used by
-/// [`RoutePolicy::Adaptive`] to enumerate the candidate spine uplinks of a
-/// pair without consulting the stored route table.
-#[derive(Debug, Clone, Copy)]
-struct Clos2Spec {
-    hosts_per_leaf: usize,
-    spines: usize,
-    /// First link id of the NIC↔leaf cables (the leaf↔spine cables come
-    /// first in construction order).
-    base_nic: usize,
-}
-
-impl Clos2Spec {
-    fn nic_up(&self, nic: usize) -> LinkId {
-        LinkId(self.base_nic + 2 * nic)
-    }
-
-    fn nic_down(&self, nic: usize) -> LinkId {
-        LinkId(self.base_nic + 2 * nic + 1)
-    }
-
-    fn leaf_to_spine(&self, leaf: usize, spine: usize) -> LinkId {
-        LinkId(2 * (leaf * self.spines + spine))
-    }
-
-    fn spine_to_leaf(&self, leaf: usize, spine: usize) -> LinkId {
-        LinkId(2 * (leaf * self.spines + spine) + 1)
-    }
-
-    /// Append the adaptive route for `src → dst`: the spine whose
-    /// `leaf → spine` uplink has the smallest busy horizon, ties to the
-    /// lowest spine index.
-    fn adaptive_route_into(&self, src: usize, dst: usize, busy: &[SimTime], out: &mut Vec<LinkId>) {
-        if src == dst {
-            return;
-        }
-        let (ls, ld) = (src / self.hosts_per_leaf, dst / self.hosts_per_leaf);
-        out.push(self.nic_up(src));
-        if ls != ld {
-            let mut best = 0;
-            for s in 1..self.spines {
-                if busy[self.leaf_to_spine(ls, s).0] < busy[self.leaf_to_spine(ls, best).0] {
-                    best = s;
-                }
-            }
-            out.push(self.leaf_to_spine(ls, best));
-            out.push(self.spine_to_leaf(ld, best));
-        }
-        out.push(self.nic_down(dst));
-    }
-}
-
-/// The regular-layout spec backing adaptive route selection, when the
-/// fabric has one.
-#[derive(Debug, Clone, Copy)]
-enum AdaptiveSpec {
-    Clos2(Clos2Spec),
-    Clos3(Clos3Spec),
 }
 
 /// Typed error from [`TopologyBuilder::try_build`]: some ordered NIC pair
@@ -384,7 +397,8 @@ impl FabricSpec {
     }
 
     /// Resolve to a concrete topology for `hosts` attached hosts under
-    /// `policy`.
+    /// `policy`. Routes are computed from the fabric's layout; nothing is
+    /// searched or tabulated.
     ///
     /// # Panics
     /// Panics if the fabric cannot attach `hosts` hosts (see
@@ -395,28 +409,41 @@ impl FabricSpec {
             "fabric {self:?} holds {} hosts, {hosts} requested",
             self.host_capacity(hosts),
         );
-        match *self {
-            FabricSpec::Auto => TopologyBuilder::for_cluster_policy(hosts, policy),
+        let leaf = TopologyBuilder::CLOS_LEAF_HOSTS;
+        let layout = match *self {
+            FabricSpec::Auto if hosts <= TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS => {
+                Layout::crossbar(hosts)
+            }
+            FabricSpec::Auto if hosts <= TopologyBuilder::MAX_TWO_LEVEL_HOSTS => {
+                Layout::clos(hosts.div_ceil(leaf), leaf, leaf)
+            }
+            FabricSpec::Auto => Layout::three_level(hosts.div_ceil(leaf * leaf), leaf),
             FabricSpec::Clos {
                 leaves,
                 hosts_per_leaf,
                 spines,
-            } => TopologyBuilder::clos_policy(leaves, hosts_per_leaf, spines, policy),
-            FabricSpec::FatTree { k } => TopologyBuilder::fat_tree_policy(k, policy),
-        }
+            } => Layout::clos(leaves, hosts_per_leaf, spines),
+            FabricSpec::FatTree { k } => {
+                assert!(
+                    k >= 2 && k.is_multiple_of(2),
+                    "fat tree radix must be even, got {k}"
+                );
+                Layout::three_level(k, k / 2)
+            }
+        };
+        layout.build(policy)
     }
 }
 
 /// A finished topology: vertices, directed links, and NIC-to-NIC routes
-/// (stored or computed — see `RouteTable`).
+/// (computed from a layout, or stored for hand-built graphs).
 #[derive(Debug, Clone)]
 pub struct Topology {
     nics: usize,
     switch_latency: Vec<SimTime>,
     links: Vec<DirectedLink>,
-    table: RouteTable,
+    routes: Routes,
     policy: RoutePolicy,
-    adaptive: Option<AdaptiveSpec>,
 }
 
 /// Which logical process each NIC belongs to, for the parallel DES engine.
@@ -457,8 +484,8 @@ impl Topology {
         self.switch_latency[s.0]
     }
 
-    /// The route from `src` to `dst` (owned; computed topologies derive it
-    /// on the fly). Hot paths should use [`Topology::route_links_into`].
+    /// The route from `src` to `dst`, owned. Hot paths should use
+    /// [`Topology::route_links_into`].
     ///
     /// # Panics
     /// Panics if either NIC is out of range.
@@ -469,19 +496,17 @@ impl Topology {
     }
 
     /// Append the links of the `src → dst` route to `out` (cleared first).
-    /// Zero allocations once `out` has grown to the longest route.
+    /// Zero allocations once `out` has grown to the longest route. With no
+    /// load to react to, an adaptive fabric reports its dispersed route.
     ///
     /// # Panics
     /// Panics if either NIC is out of range.
     pub fn route_links_into(&self, src: NicId, dst: NicId, out: &mut Vec<LinkId>) {
-        assert!(src.0 < self.nics && dst.0 < self.nics, "NIC out of range");
-        out.clear();
-        match &self.table {
-            RouteTable::Dense(routes) => {
-                out.extend_from_slice(routes[src.0 * self.nics + dst.0].links());
-            }
-            RouteTable::Clos3(spec) => spec.route_into(src.0, dst.0, out),
-        }
+        let policy = match self.policy {
+            RoutePolicy::Adaptive => RoutePolicy::Dispersed,
+            p => p,
+        };
+        self.route_with(src, dst, policy, &[], out);
     }
 
     /// The route policy this topology was built with.
@@ -496,9 +521,9 @@ impl Topology {
     /// function of `(src, dst, busy)`, so two engines that invoke sends in
     /// the same committed order pick the same routes — the determinism
     /// argument the parallel engine's bit-identity rests on (DESIGN.md
-    /// §18). Adaptive routes always have the same link count as their
-    /// dispersed counterparts, so the conservative lookahead from
-    /// [`Topology::min_delivery_latency`] is unaffected.
+    /// §18). Every policy picks among equal-length routes, so the
+    /// conservative lookahead from [`Topology::min_delivery_latency`] is
+    /// unaffected.
     ///
     /// # Panics
     /// Panics if either NIC is out of range.
@@ -509,18 +534,22 @@ impl Topology {
         busy: &[SimTime],
         out: &mut Vec<LinkId>,
     ) {
-        match &self.adaptive {
-            Some(AdaptiveSpec::Clos2(spec)) => {
-                assert!(src.0 < self.nics && dst.0 < self.nics, "NIC out of range");
-                out.clear();
-                spec.adaptive_route_into(src.0, dst.0, busy, out);
-            }
-            Some(AdaptiveSpec::Clos3(spec)) => {
-                assert!(src.0 < self.nics && dst.0 < self.nics, "NIC out of range");
-                out.clear();
-                spec.adaptive_route_into(src.0, dst.0, busy, out);
-            }
-            None => self.route_links_into(src, dst, out),
+        self.route_with(src, dst, self.policy, busy, out);
+    }
+
+    fn route_with(
+        &self,
+        src: NicId,
+        dst: NicId,
+        policy: RoutePolicy,
+        busy: &[SimTime],
+        out: &mut Vec<LinkId>,
+    ) {
+        assert!(src.0 < self.nics && dst.0 < self.nics, "NIC out of range");
+        out.clear();
+        match &self.routes {
+            Routes::Layout(layout) => layout.route_into(src.0, dst.0, policy, busy, out),
+            Routes::Bfs(table) => out.extend_from_slice(table[src.0 * self.nics + dst.0].links()),
         }
     }
 
@@ -533,24 +562,6 @@ impl Topology {
             }
         }
         total
-    }
-
-    /// True when every NIC can reach every other NIC.
-    pub fn fully_connected(&self) -> bool {
-        match &self.table {
-            RouteTable::Dense(routes) => {
-                for s in 0..self.nics {
-                    for d in 0..self.nics {
-                        if s != d && routes[s * self.nics + d].is_empty() {
-                            return false;
-                        }
-                    }
-                }
-                true
-            }
-            // Every pair has a formula route by construction.
-            RouteTable::Clos3(_) => true,
-        }
     }
 
     /// The switch a NIC's first outgoing cable lands on, or `None` for an
@@ -622,41 +633,35 @@ impl Topology {
     /// unstalled delivery latency over all ordered NIC pairs, for the
     /// smallest (zero-payload) packet. Any packet injected at `t` arrives
     /// no earlier than `t + min_delivery_latency()`; stalls, faults and
-    /// real payloads only push arrival later. `None` when some pair is
-    /// unreachable, [`SimTime::ZERO`] when a zero-latency link makes
-    /// conservative windows impossible (callers must fall back to a merged
-    /// LP).
+    /// real payloads only push arrival later. `None` with fewer than two
+    /// NICs, [`SimTime::ZERO`] when a zero-latency link makes conservative
+    /// windows impossible (callers must fall back to a merged LP).
     pub fn min_delivery_latency(&self) -> Option<SimTime> {
-        match &self.table {
-            RouteTable::Dense(routes) => {
-                let mut min: Option<SimTime> = None;
-                for s in 0..self.nics {
-                    for d in 0..self.nics {
-                        if s == d {
-                            continue;
-                        }
-                        let links = routes[s * self.nics + d].links();
-                        if links.is_empty() {
-                            return None;
-                        }
-                        let lat = self.delivery_latency(links, 0);
-                        min = Some(min.map_or(lat, |m: SimTime| m.min(lat)));
-                    }
-                }
-                min
-            }
-            RouteTable::Clos3(spec) => {
-                // Same-leaf is minimal: longer routes add the same NIC links
-                // plus extra (uniform-spec) hops and fall-throughs.
+        if self.nics < 2 {
+            return None;
+        }
+        match &self.routes {
+            // NICs 0 and 1 are a nearest pair: they share a leaf if any
+            // leaf holds two hosts, else a pod if any pod holds two leaves.
+            // Every cable and switch of a layout is alike, so no longer
+            // route is faster.
+            Routes::Layout(layout) => {
                 let mut links = Vec::new();
-                spec.route_into(0, 1, &mut links);
+                layout.route_into(0, 1, RoutePolicy::StaticBfs, &[], &mut links);
                 Some(self.delivery_latency(&links, 0))
             }
+            Routes::Bfs(table) => table
+                .iter()
+                .filter(|r| !r.is_empty())
+                .map(|r| self.delivery_latency(r.links(), 0))
+                .min(),
         }
     }
 }
 
-/// Incremental topology builder.
+/// Incremental builder for hand-built graphs, whose routes are found by
+/// breadth-first search; also the home of the standard fabric builders,
+/// which lay down a regular layout and compute their routes instead.
 pub struct TopologyBuilder {
     nics: usize,
     switch_latency: Vec<SimTime>,
@@ -709,7 +714,9 @@ impl TopologyBuilder {
         });
     }
 
-    /// Finish: computes all-pairs NIC-to-NIC shortest routes.
+    /// Finish a hand-built graph: computes all-pairs NIC-to-NIC shortest
+    /// routes by breadth-first search and stores them (policy
+    /// [`RoutePolicy::StaticBfs`]).
     ///
     /// # Panics
     /// Panics when some ordered NIC pair has no path — use
@@ -800,9 +807,8 @@ impl TopologyBuilder {
             nics,
             switch_latency: self.switch_latency,
             links: self.links,
-            table: RouteTable::Dense(routes),
+            routes: Routes::Bfs(routes),
             policy: RoutePolicy::StaticBfs,
-            adaptive: None,
         })
     }
 
@@ -831,35 +837,17 @@ impl TopologyBuilder {
         Self::for_cluster_policy(hosts, RoutePolicy::Dispersed)
     }
 
-    /// [`TopologyBuilder::for_cluster`] with an explicit [`RoutePolicy`].
-    /// On a single crossbar (≤ 16 hosts) every pair has exactly one path,
-    /// so the policy is accepted but has no effect.
+    /// [`TopologyBuilder::for_cluster`] with an explicit [`RoutePolicy`]
+    /// ([`FabricSpec::Auto`]). On a single crossbar (≤ 16 hosts) every pair
+    /// has exactly one path, so the policy is recorded but has no effect.
     pub fn for_cluster_policy(hosts: usize, policy: RoutePolicy) -> Topology {
-        if hosts <= Self::MAX_SINGLE_SWITCH_HOSTS {
-            Self::single_switch(hosts)
-        } else if hosts <= Self::MAX_TWO_LEVEL_HOSTS {
-            Self::clos_policy(
-                hosts.div_ceil(Self::CLOS_LEAF_HOSTS),
-                Self::CLOS_LEAF_HOSTS,
-                Self::CLOS_LEAF_HOSTS,
-                policy,
-            )
-        } else {
-            let pod_hosts = Self::CLOS_LEAF_HOSTS * Self::CLOS_LEAF_HOSTS;
-            Self::clos3_policy(hosts.div_ceil(pod_hosts), policy)
-        }
+        FabricSpec::Auto.build(hosts, policy)
     }
 
     /// The paper's testbed shape: `hosts` NICs on one crossbar switch
     /// (16-port for the LANai 4.3 cluster, 8-port for the 7.2 cluster).
     pub fn single_switch(hosts: usize) -> Topology {
-        let mut b = TopologyBuilder::new();
-        let sw = b.add_switch(Self::DEFAULT_SWITCH_LATENCY);
-        for _ in 0..hosts {
-            let n = b.add_nic();
-            b.connect(Vertex::Nic(n), Vertex::Switch(sw), LinkSpec::MYRINET_1280);
-        }
-        b.build()
+        Layout::crossbar(hosts).build(RoutePolicy::StaticBfs)
     }
 
     /// A two-level Clos network, how real Myrinet installations scaled
@@ -896,70 +884,7 @@ impl TopologyBuilder {
         spines: usize,
         policy: RoutePolicy,
     ) -> Topology {
-        assert!(leaves >= 1 && hosts_per_leaf >= 1 && spines >= 1);
-        let mut b = TopologyBuilder::new();
-        let leaf_sw: Vec<SwitchId> = (0..leaves)
-            .map(|_| b.add_switch(Self::DEFAULT_SWITCH_LATENCY))
-            .collect();
-        let spine_sw: Vec<SwitchId> = (0..spines)
-            .map(|_| b.add_switch(Self::DEFAULT_SWITCH_LATENCY))
-            .collect();
-        for &l in &leaf_sw {
-            for &s in &spine_sw {
-                b.connect(Vertex::Switch(l), Vertex::Switch(s), LinkSpec::MYRINET_1280);
-            }
-        }
-        for &l in &leaf_sw {
-            for _ in 0..hosts_per_leaf {
-                let n = b.add_nic();
-                b.connect(Vertex::Nic(n), Vertex::Switch(l), LinkSpec::MYRINET_1280);
-            }
-        }
-        // Build once for the link table (BFS routes), then — unless the
-        // policy is StaticBfs — replace the routes with dispersed ones.
-        let mut topo = b.build();
-        let spec = Clos2Spec {
-            hosts_per_leaf,
-            spines,
-            base_nic: 2 * leaves * spines,
-        };
-        topo.policy = policy;
-        if policy == RoutePolicy::Adaptive {
-            topo.adaptive = Some(AdaptiveSpec::Clos2(spec));
-        }
-        if policy == RoutePolicy::StaticBfs {
-            return topo;
-        }
-        use std::collections::HashMap;
-        let mut link_of: HashMap<(Vertex, Vertex), LinkId> = HashMap::new();
-        for i in 0..topo.link_count() {
-            let l = topo.links[i];
-            link_of.insert((l.from, l.to), LinkId(i));
-        }
-        let nics = topo.nic_count();
-        let leaf_of = |nic: usize| leaf_sw[nic / hosts_per_leaf];
-        let mut routes = Vec::with_capacity(nics * nics);
-        for src in 0..nics {
-            for dst in 0..nics {
-                if src == dst {
-                    routes.push(Route::new(vec![]));
-                    continue;
-                }
-                let (la, lb) = (leaf_of(src), leaf_of(dst));
-                let up = link_of[&(Vertex::Nic(NicId(src)), Vertex::Switch(la))];
-                let down = link_of[&(Vertex::Switch(lb), Vertex::Nic(NicId(dst)))];
-                if la == lb {
-                    routes.push(Route::new(vec![up, down]));
-                } else {
-                    let spine = spine_sw[(src + dst) % spines];
-                    let to_spine = link_of[&(Vertex::Switch(la), Vertex::Switch(spine))];
-                    let from_spine = link_of[&(Vertex::Switch(spine), Vertex::Switch(lb))];
-                    routes.push(Route::new(vec![up, to_spine, from_spine, down]));
-                }
-            }
-        }
-        topo.table = RouteTable::Dense(routes);
-        topo
+        Layout::clos(leaves, hosts_per_leaf, spines).build(policy)
     }
 
     /// A three-level Clos: `pods` pods of 8 leaf switches × 8 hosts (64
@@ -968,24 +893,13 @@ impl TopologyBuilder {
     /// core switches of *plane* `a`. Same-pod routes disperse over the
     /// aggregation stage by `(src + dst) % 8`; cross-pod routes
     /// additionally disperse over the plane's cores. 64 pods = 4096 hosts.
-    ///
-    /// Routes are computed from the link-id layout rather than stored: the
-    /// all-pairs table at 4096 hosts would be ~17M routes. The layout is
-    /// pinned by the construction order below and mirrored by
-    /// `Clos3Spec`'s formulas; `clos3_routes_chain_and_disperse` in the
-    /// test suite cross-checks computed routes against the actual link
-    /// table.
     pub fn clos3(pods: usize) -> Topology {
         Self::clos3_policy(pods, RoutePolicy::Dispersed)
     }
 
     /// [`TopologyBuilder::clos3`] with an explicit [`RoutePolicy`].
-    ///
-    /// `StaticBfs` needs the all-pairs table materialised, which is only
-    /// feasible up to [`Self::MAX_TWO_LEVEL_HOSTS`] hosts; larger fabrics
-    /// fall back to dispersed routes.
     pub fn clos3_policy(pods: usize, policy: RoutePolicy) -> Topology {
-        Self::three_level(pods, Self::CLOS_LEAF_HOSTS, policy)
+        Layout::three_level(pods, Self::CLOS_LEAF_HOSTS).build(policy)
     }
 
     /// A k-ary fat tree (`k` even, ≥ 2): `k` pods of `k/2` edge switches
@@ -1001,112 +915,23 @@ impl TopologyBuilder {
 
     /// [`TopologyBuilder::fat_tree`] with an explicit [`RoutePolicy`].
     pub fn fat_tree_policy(k: usize, policy: RoutePolicy) -> Topology {
-        assert!(
-            k >= 2 && k.is_multiple_of(2),
-            "fat tree radix must be even, got {k}"
-        );
-        Self::three_level(k, k / 2, policy)
-    }
-
-    /// Shared construction for three-level fabrics: `pods` pods of `k`
-    /// leaf (edge) switches × `k` hosts, `k` aggregation switches per pod,
-    /// and `k²` cores (plane-major). `clos3` uses `k = 8` with a free pod
-    /// count; a fat tree uses `k = radix/2` with `pods = radix`.
-    fn three_level(pods: usize, k: usize, policy: RoutePolicy) -> Topology {
-        assert!(pods >= 1 && k >= 1);
-        #[allow(non_snake_case)]
-        let K = k;
-        let mut b = TopologyBuilder::new();
-        // Switches: leaves, then aggs, then cores (plane-major).
-        let leaf: Vec<SwitchId> = (0..pods * K)
-            .map(|_| b.add_switch(Self::DEFAULT_SWITCH_LATENCY))
-            .collect();
-        let agg: Vec<SwitchId> = (0..pods * K)
-            .map(|_| b.add_switch(Self::DEFAULT_SWITCH_LATENCY))
-            .collect();
-        let core: Vec<SwitchId> = (0..K * K)
-            .map(|_| b.add_switch(Self::DEFAULT_SWITCH_LATENCY))
-            .collect();
-        // Cables: leaf↔agg (pod-, then leaf-, then agg-major) ...
-        for p in 0..pods {
-            for l in 0..K {
-                for a in 0..K {
-                    b.connect(
-                        Vertex::Switch(leaf[p * K + l]),
-                        Vertex::Switch(agg[p * K + a]),
-                        LinkSpec::MYRINET_1280,
-                    );
-                }
-            }
-        }
-        let base_ac = b.links.len();
-        // ... then agg↔core (pod-, agg-, core-major; agg a only reaches
-        // plane a) ...
-        for p in 0..pods {
-            for a in 0..K {
-                for c in 0..K {
-                    b.connect(
-                        Vertex::Switch(agg[p * K + a]),
-                        Vertex::Switch(core[a * K + c]),
-                        LinkSpec::MYRINET_1280,
-                    );
-                }
-            }
-        }
-        let base_nic = b.links.len();
-        // ... then NIC↔leaf, leaf by leaf.
-        for p in 0..pods {
-            for l in 0..K {
-                for _ in 0..K {
-                    let n = b.add_nic();
-                    b.connect(
-                        Vertex::Nic(n),
-                        Vertex::Switch(leaf[p * K + l]),
-                        LinkSpec::MYRINET_1280,
-                    );
-                }
-            }
-        }
-        let spec = Clos3Spec {
-            pods,
-            leaves: K,
-            hosts: K,
-            base_ac,
-            base_nic,
-        };
-        if policy == RoutePolicy::StaticBfs && b.nics <= Self::MAX_TWO_LEVEL_HOSTS {
-            let mut t = b.build();
-            t.policy = RoutePolicy::StaticBfs;
-            return t;
-        }
-        Topology {
-            nics: b.nics,
-            switch_latency: b.switch_latency,
-            links: b.links,
-            table: RouteTable::Clos3(spec),
-            policy: if policy == RoutePolicy::StaticBfs {
-                // Too large to materialise the all-pairs BFS table.
-                RoutePolicy::Dispersed
-            } else {
-                policy
-            },
-            adaptive: (policy == RoutePolicy::Adaptive).then_some(AdaptiveSpec::Clos3(spec)),
-        }
+        FabricSpec::FatTree { k }.build(k * k * k / 4, policy)
     }
 
     /// A chain of switches with `hosts_per_switch` NICs each — used by the
     /// scaling study to grow beyond one crossbar. Switch i is cabled to
-    /// switch i+1.
+    /// switch i+1. Not a regular layout: routes come from
+    /// [`TopologyBuilder::build`].
     pub fn switch_chain(switches: usize, hosts_per_switch: usize) -> Topology {
         assert!(switches >= 1);
         let mut b = TopologyBuilder::new();
         let sws: Vec<SwitchId> = (0..switches)
             .map(|_| b.add_switch(Self::DEFAULT_SWITCH_LATENCY))
             .collect();
-        for w in windows2(&sws) {
+        for w in sws.windows(2) {
             b.connect(
-                Vertex::Switch(w.0),
-                Vertex::Switch(w.1),
+                Vertex::Switch(w[0]),
+                Vertex::Switch(w[1]),
                 LinkSpec::MYRINET_1280,
             );
         }
@@ -1120,10 +945,6 @@ impl TopologyBuilder {
     }
 }
 
-fn windows2(s: &[SwitchId]) -> impl Iterator<Item = (SwitchId, SwitchId)> + '_ {
-    s.windows(2).map(|w| (w[0], w[1]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1133,7 +954,6 @@ mod tests {
         let t = TopologyBuilder::single_switch(8);
         assert_eq!(t.nic_count(), 8);
         assert_eq!(t.switch_count(), 1);
-        assert!(t.fully_connected());
         for s in 0..8 {
             for d in 0..8 {
                 let r = t.route(NicId(s), NicId(d));
@@ -1158,7 +978,6 @@ mod tests {
     #[test]
     fn chain_routes_cross_intermediate_switches() {
         let t = TopologyBuilder::switch_chain(3, 2); // nics 0,1 on sw0; 2,3 on sw1; 4,5 on sw2
-        assert!(t.fully_connected());
         let same_switch = t.route(NicId(0), NicId(1));
         assert_eq!(same_switch.switch_hops(), 1);
         let far = t.route(NicId(0), NicId(5));
@@ -1220,7 +1039,6 @@ mod tests {
     fn clos_routes_are_two_or_four_links() {
         let t = TopologyBuilder::clos(4, 4, 4);
         assert_eq!(t.nic_count(), 16);
-        assert!(t.fully_connected());
         for s in 0..16 {
             for d in 0..16 {
                 if s == d {
@@ -1255,34 +1073,12 @@ mod tests {
     }
 
     #[test]
-    fn clos_route_endpoints_are_consistent() {
-        let t = TopologyBuilder::clos(3, 2, 2);
-        for s in 0..6 {
-            for d in 0..6 {
-                if s == d {
-                    continue;
-                }
-                let r = t.route(NicId(s), NicId(d));
-                let first = t.link(r.links()[0]);
-                let last = t.link(*r.links().last().unwrap());
-                assert_eq!(first.from, Vertex::Nic(NicId(s)));
-                assert_eq!(last.to, Vertex::Nic(NicId(d)));
-                // consecutive links chain
-                for w in r.links().windows(2) {
-                    assert_eq!(t.link(w[0]).to, t.link(w[1]).from);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn clos3_routes_chain_and_disperse() {
         // Small three-level Clos: 4 pods = 256 hosts. Computed routes must
         // be real paths through the link table (endpoints match, links
         // chain) with the expected lengths.
         let t = TopologyBuilder::clos3(4);
         assert_eq!(t.nic_count(), 256);
-        assert!(t.fully_connected());
         let pairs = [
             (0usize, 1usize, 2usize), // same leaf: nic-leaf-nic
             (0, 9, 4),                // same pod, different leaf
@@ -1310,28 +1106,6 @@ mod tests {
             uplinks.insert(t.route(NicId(0), NicId(d)).links()[1]);
         }
         assert!(uplinks.len() >= 4, "only {} uplinks", uplinks.len());
-    }
-
-    #[test]
-    fn clos3_routes_exhaustive_validity_sample() {
-        // Denser sweep on a 2-pod fabric: every pair is a valid chained
-        // path and is symmetric in length.
-        let t = TopologyBuilder::clos3(2);
-        let n = t.nic_count();
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let r = t.route(NicId(s), NicId(d));
-                assert_eq!(t.link(r.links()[0]).from, Vertex::Nic(NicId(s)));
-                assert_eq!(t.link(*r.links().last().unwrap()).to, Vertex::Nic(NicId(d)));
-                for w in r.links().windows(2) {
-                    assert_eq!(t.link(w[0]).to, t.link(w[1]).from);
-                }
-                assert_eq!(r.len(), t.route(NicId(d), NicId(s)).len());
-            }
-        }
     }
 
     #[test]
@@ -1381,21 +1155,20 @@ mod tests {
     }
 
     #[test]
-    fn min_delivery_latency_none_when_disconnected() {
-        // `try_build` refuses disconnected fabrics, so a Dense table with
-        // empty cross-routes can only arise from a bug; pin the defensive
-        // `None` (the parallel engine falls back to a merged LP on it) by
-        // constructing the degenerate table directly.
-        let t = Topology {
-            nics: 2,
-            switch_latency: vec![],
-            links: vec![],
-            table: RouteTable::Dense(vec![Route::new(vec![]); 4]),
-            policy: RoutePolicy::StaticBfs,
-            adaptive: None,
-        };
-        assert_eq!(t.min_delivery_latency(), None);
-        assert!(!t.fully_connected());
+    fn min_delivery_latency_none_below_two_nics() {
+        assert_eq!(
+            TopologyBuilder::single_switch(0).min_delivery_latency(),
+            None
+        );
+        assert_eq!(
+            TopologyBuilder::single_switch(1).min_delivery_latency(),
+            None
+        );
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_switch(TopologyBuilder::DEFAULT_SWITCH_LATENCY);
+        let n = b.add_nic();
+        b.connect(Vertex::Nic(n), Vertex::Switch(sw), LinkSpec::MYRINET_1280);
+        assert_eq!(b.build().min_delivery_latency(), None);
     }
 
     #[test]
@@ -1500,7 +1273,6 @@ mod tests {
         // 4 core switches.
         assert_eq!(t.nic_count(), 16);
         assert_eq!(t.switch_count(), 20);
-        assert!(t.fully_connected());
         for (s, d, len) in [(0usize, 1usize, 2usize), (0, 2, 4), (0, 15, 6), (5, 4, 2)] {
             let r = t.route(NicId(s), NicId(d));
             assert_eq!(r.len(), len, "{s}->{d}");
@@ -1606,5 +1378,153 @@ mod tests {
         let t = TopologyBuilder::for_cluster(2500);
         assert_eq!(t.nic_count(), 2500usize.div_ceil(64) * 64);
         assert!(t.nic_count() >= 2500 && t.nic_count() < 2500 + 64);
+    }
+
+    /// The fabrics every route test sweeps, built under `policy`.
+    fn layout_fabrics(policy: RoutePolicy) -> Vec<(&'static str, Topology)> {
+        vec![
+            ("single_switch(16)", TopologyBuilder::single_switch(16)),
+            ("clos(4,4,2)", TopologyBuilder::clos_policy(4, 4, 2, policy)),
+            ("clos(8,8,8)", TopologyBuilder::clos_policy(8, 8, 8, policy)),
+            ("fat_tree(4)", TopologyBuilder::fat_tree_policy(4, policy)),
+            ("fat_tree(8)", TopologyBuilder::fat_tree_policy(8, policy)),
+            ("clos3(2)", TopologyBuilder::clos3_policy(2, policy)),
+        ]
+    }
+
+    /// The reference: breadth-first search over the same switches and
+    /// links.
+    fn bfs_oracle(t: &Topology) -> Topology {
+        TopologyBuilder {
+            nics: t.nics,
+            switch_latency: t.switch_latency.clone(),
+            links: t.links.clone(),
+        }
+        .build()
+    }
+
+    /// The uplinks out of switch `s`, in index order: its links to
+    /// higher-numbered switches (layouts number leaves, then aggregation
+    /// switches, then cores).
+    fn uplinks_of(t: &Topology, s: Vertex) -> Vec<LinkId> {
+        (0..t.link_count())
+            .map(LinkId)
+            .filter(|&l| {
+                let link = t.link(l);
+                link.from == s
+                    && matches!((link.from, link.to),
+                        (Vertex::Switch(a), Vertex::Switch(b)) if b > a)
+            })
+            .collect()
+    }
+
+    /// Scrambled per-link busy horizons taking only four values, so
+    /// candidate uplinks often tie.
+    fn tied_busy(t: &Topology) -> Vec<SimTime> {
+        (0..t.link_count())
+            .map(|i| SimTime::from_ns((i * 7919 % 13 / 4) as u64))
+            .collect()
+    }
+
+    /// Index of the least-busy uplink, ties to the lowest index.
+    fn least_busy(ups: &[LinkId], busy: &[SimTime]) -> usize {
+        let min = ups.iter().map(|l| busy[l.0]).min().unwrap();
+        ups.iter().position(|l| busy[l.0] == min).unwrap()
+    }
+
+    fn assert_chain(t: &Topology, s: usize, d: usize, links: &[LinkId]) {
+        assert_eq!(t.link(links[0]).from, Vertex::Nic(NicId(s)));
+        assert_eq!(t.link(*links.last().unwrap()).to, Vertex::Nic(NicId(d)));
+        for w in links.windows(2) {
+            assert_eq!(t.link(w[0]).to, t.link(w[1]).from, "{s}->{d}");
+        }
+    }
+
+    #[test]
+    fn static_routes_and_lookahead_match_the_bfs_oracle() {
+        for (name, t) in layout_fabrics(RoutePolicy::StaticBfs) {
+            let oracle = bfs_oracle(&t);
+            assert_eq!(t.route_policy(), RoutePolicy::StaticBfs, "{name}");
+            let busy = tied_busy(&t);
+            let mut out = Vec::new();
+            for s in 0..t.nic_count() {
+                for d in 0..t.nic_count() {
+                    let want = oracle.route(NicId(s), NicId(d));
+                    assert_eq!(t.route(NicId(s), NicId(d)), want, "{name} {s}->{d}");
+                    t.route_for_send_into(NicId(s), NicId(d), &busy, &mut out);
+                    assert_eq!(out, want.links(), "{name} {s}->{d} at send");
+                }
+            }
+            assert_eq!(
+                t.min_delivery_latency(),
+                oracle.min_delivery_latency(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn dispersed_and_adaptive_routes_chain_through_the_formula_uplink() {
+        for policy in [RoutePolicy::Dispersed, RoutePolicy::Adaptive] {
+            for (name, t) in layout_fabrics(policy) {
+                let oracle = bfs_oracle(&t);
+                let busy = tied_busy(&t);
+                let mut out = Vec::new();
+                for s in 0..t.nic_count() {
+                    for d in 0..t.nic_count() {
+                        t.route_for_send_into(NicId(s), NicId(d), &busy, &mut out);
+                        let shortest = oracle.route(NicId(s), NicId(d)).len();
+                        assert_eq!(out.len(), shortest, "{name} {policy:?} {s}->{d}");
+                        if s == d {
+                            continue;
+                        }
+                        assert_chain(&t, s, d, &out);
+                        if out.len() == 2 {
+                            continue;
+                        }
+                        // Leaf uplink, then (cross-pod) aggregation uplink.
+                        let leaf_ups = uplinks_of(&t, t.link(out[0]).to);
+                        let a = leaf_ups.iter().position(|&l| l == out[1]).unwrap();
+                        let agg_ups = uplinks_of(&t, t.link(out[1]).to);
+                        let c = (out.len() == 6)
+                            .then(|| agg_ups.iter().position(|&l| l == out[2]).unwrap());
+                        match policy {
+                            RoutePolicy::Dispersed => {
+                                assert_eq!(a, (s + d) % leaf_ups.len(), "{name} {s}->{d}");
+                                if let Some(c) = c {
+                                    let spread = (s + d) / leaf_ups.len();
+                                    assert_eq!(c, spread % agg_ups.len(), "{name} {s}->{d}");
+                                }
+                            }
+                            _ => {
+                                assert_eq!(a, least_busy(&leaf_ups, &busy), "{name} {s}->{d}");
+                                if let Some(c) = c {
+                                    assert_eq!(c, least_busy(&agg_ups, &busy), "{name} {s}->{d}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn static_policy_holds_beyond_1024_hosts() {
+        let t = TopologyBuilder::clos3_policy(17, RoutePolicy::StaticBfs);
+        assert_eq!(t.nic_count(), 17 * 64);
+        assert_eq!(t.route_policy(), RoutePolicy::StaticBfs);
+        for (s, d) in [(0usize, 9usize), (0, 1087), (700, 3), (1000, 1015)] {
+            let r = t.route(NicId(s), NicId(d));
+            assert_chain(&t, s, d, r.links());
+            // Every uplink the route climbs is the first of its switch.
+            for (i, &l) in r.links().iter().enumerate().skip(1) {
+                let ups = uplinks_of(&t, t.link(r.links()[i - 1]).to);
+                if ups.contains(&l) {
+                    assert_eq!(l, ups[0], "{s}->{d} hop {i}");
+                }
+            }
+            assert_eq!(r.len(), if s / 64 == d / 64 { 4 } else { 6 }, "{s}->{d}");
+        }
     }
 }

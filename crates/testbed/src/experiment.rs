@@ -157,6 +157,13 @@ pub enum ExperimentError {
         /// Available nodes.
         nodes: usize,
     },
+    /// A multi-tenant run with more teams than the 16-bit team field of
+    /// note and message tags can tell apart (team ids run `1..=teams`, at
+    /// most [`TeamId::MAX`]).
+    TooManyTeams {
+        /// Requested team count.
+        teams: usize,
+    },
     /// An explicit fabric too small for the cluster: the spec attaches
     /// fewer hosts than the experiment needs nodes.
     FabricTooSmall {
@@ -213,6 +220,11 @@ impl fmt::Display for ExperimentError {
             ExperimentError::InvalidTeamSizes { min, max, nodes } => write!(
                 f,
                 "team sizes {min}..={max} invalid for {nodes} nodes (need 2 <= min <= max <= nodes)"
+            ),
+            ExperimentError::TooManyTeams { teams } => write!(
+                f,
+                "{teams} teams exceed the {} team ids a 16-bit team field carries",
+                TeamId::MAX.0
             ),
             ExperimentError::FabricTooSmall { capacity, nodes } => write!(
                 f,
@@ -858,6 +870,9 @@ impl MultiTenantExperiment {
                 warmup: self.warmup,
             });
         }
+        if self.teams > TeamId::MAX.0 as usize {
+            return Err(ExperimentError::TooManyTeams { teams: self.teams });
+        }
         if self.min_team < 2 || self.min_team > self.max_team || self.max_team > self.nodes {
             return Err(ExperimentError::InvalidTeamSizes {
                 min: self.min_team,
@@ -1372,6 +1387,14 @@ mod tests {
                 nodes: 4
             }
         );
+        // Team ids run 1..=teams through a 16-bit field: 65535 teams fit,
+        // one more would alias team 0's tags.
+        assert_eq!(MultiTenantExperiment::new(8, 65_535).validate(), Ok(()));
+        let e = MultiTenantExperiment::new(8, 65_536)
+            .validate()
+            .unwrap_err();
+        assert_eq!(e, E::TooManyTeams { teams: 65_536 });
+        assert!(e.to_string().contains("65535 team ids"), "{e}");
     }
 
     #[test]
