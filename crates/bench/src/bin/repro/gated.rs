@@ -15,8 +15,8 @@ use gmsim_testbed::{
 };
 use nic_barrier::advisor::{self, Candidate};
 use nic_barrier::{
-    CostModel, ReduceOp, ADVISOR_REGRET_TOLERANCE, FABRIC_MODEL_TOLERANCE, GB_MODEL_TOLERANCE,
-    PAYLOAD_MODEL_TOLERANCE, PE_MODEL_TOLERANCE,
+    CostModel, FabricModel, Placement, ReduceOp, ADVISOR_REGRET_TOLERANCE, FABRIC_MODEL_TOLERANCE,
+    GB_MODEL_TOLERANCE, PAYLOAD_MODEL_TOLERANCE, PE_MODEL_TOLERANCE,
 };
 
 use crate::{run, sweep, Ctx, Row, StudyError};
@@ -93,27 +93,35 @@ fn scale_grid(smoke: bool) -> Vec<(ScaleKey, BarrierExperiment)> {
     )
 }
 
+/// The default-fabric prediction of a payload-free barrier or a NIC-side
+/// collective.
+fn model_us(m: &CostModel, n: usize, alg: Algorithm) -> Result<f64, StudyError> {
+    let placement = if alg.is_nic() {
+        Placement::Nic
+    } else {
+        Placement::Host
+    };
+    m.latency_us(placement, n, &alg.descriptor(), &FabricModel::auto(n))
+        .ok_or_else(|| StudyError(format!("no analytic form for {}", alg.name())))
+}
+
 /// §2.2's scaling prediction taken far beyond the paper's testbed: every
-/// point is checked against the analytic scaling forms in
-/// `nic_barrier::analytic` ([`PE_MODEL_TOLERANCE`] for PE and
-/// dissemination, [`GB_MODEL_TOLERANCE`] for GB). NIC-PE's lead over
-/// host-PE keeps widening with log2 N, as §2.2 predicts.
+/// point is checked against `CostModel::latency_us` on the default fabric
+/// ([`PE_MODEL_TOLERANCE`] for PE and dissemination, [`GB_MODEL_TOLERANCE`]
+/// for GB). NIC-PE's lead over host-PE keeps widening with log2 N, as
+/// §2.2 predicts.
 pub fn scale(ctx: &mut Ctx) -> Result<(), StudyError> {
     let cells = scale_grid(ctx.smoke);
     let measured = sweep(&cells, |(_, e)| run(e).map(|m| m.mean_us))?;
     ctx.bounds = Row::default()
         .val("pe_model", PE_MODEL_TOLERANCE)
         .val("gb_model", GB_MODEL_TOLERANCE);
-    for (&((nic, n, _, key), _), meas) in cells.iter().zip(measured) {
+    for (&((nic, n, alg, key), _), meas) in cells.iter().zip(measured) {
         let m = CostModel::from_config(&GmConfig::paper_host(nic));
-        let (model, bound) = match key {
-            "nic_pe" => (m.nic_pe_us(n), PE_MODEL_TOLERANCE),
-            "host_pe" => (m.host_pe_us(n), PE_MODEL_TOLERANCE),
-            "nic_gb8" => (m.nic_gb_us(n, 8), GB_MODEL_TOLERANCE),
-            "host_gb8" => (m.host_gb_us(n, 8), GB_MODEL_TOLERANCE),
-            "nic_dissem" => (m.nic_dissemination_us(n), PE_MODEL_TOLERANCE),
-            "host_dissem" => (m.host_dissemination_us(n), PE_MODEL_TOLERANCE),
-            other => unreachable!("unknown scale key {other}"),
+        let model = model_us(&m, n, alg)?;
+        let bound = match alg.descriptor() {
+            Descriptor::Gb { .. } => GB_MODEL_TOLERANCE,
+            _ => PE_MODEL_TOLERANCE,
         };
         let row = Row::default()
             .text("nic", nic.name)
@@ -179,21 +187,15 @@ fn payload_grid(smoke: bool) -> Vec<(PayloadKey, BarrierExperiment)> {
 
 /// The data-carrying collectives' latency vs message size, eager vs
 /// segment-pipelined, so the crossover is visible in the curves rather
-/// than asserted. Every point is checked against the payload forms in
-/// `nic_barrier::analytic` within [`PAYLOAD_MODEL_TOLERANCE`].
+/// than asserted. Every point is checked against `CostModel::latency_us`
+/// (the payload forms) within [`PAYLOAD_MODEL_TOLERANCE`].
 pub fn payload(ctx: &mut Ctx) -> Result<(), StudyError> {
     let cells = payload_grid(ctx.smoke);
     let measured = sweep(&cells, |(_, e)| run(e).map(|m| m.mean_us))?;
     ctx.bounds = Row::default().val("payload_model", PAYLOAD_MODEL_TOLERANCE);
     let m = CostModel::from_config(&GmConfig::paper_host(NicModel::LANAI_4_3));
-    for (&((n, _, key, eager, payload), _), &meas) in cells.iter().zip(&measured) {
-        let model = match key {
-            "bcast" => m.nic_bcast_us(n, 2, payload),
-            "reduce" => m.nic_reduce_us(n, 2, payload),
-            "allreduce" => m.nic_allreduce_us(n, 2, payload),
-            "scan" => m.nic_scan_us(n, payload),
-            other => unreachable!("unknown payload key {other}"),
-        };
+    for (&((n, desc, key, eager, payload), _), &meas) in cells.iter().zip(&measured) {
+        let model = model_us(&m, n, Algorithm::Nic(desc.with_payload(payload)))?;
         let mode = if eager { "eager" } else { "pipelined" };
         let row = Row::default()
             .val("nodes", n)
@@ -257,8 +259,8 @@ fn advisor_grid(smoke: bool) -> Vec<(Scenario, Vec<(Candidate, BarrierExperiment
             }
             let experiment = |c: &Candidate| {
                 let alg = match c.placement {
-                    advisor::Placement::Nic => Algorithm::Nic(c.descriptor),
-                    advisor::Placement::Host => Algorithm::Host(c.descriptor),
+                    Placement::Nic => Algorithm::Nic(c.descriptor),
+                    Placement::Host => Algorithm::Host(c.descriptor),
                 };
                 // The biggest clusters keep fewer timed rounds to stay
                 // tractable; payload cells get enough rounds that one
@@ -412,11 +414,11 @@ pub fn fabric(ctx: &mut Ctx) -> Result<(), StudyError> {
         cells.iter().zip(measured)
     {
         let sc = advisor::Scenario::barrier(n).with_fabric(spec, policy);
-        let predicted = advisor::predict(&m, &sc, advisor::Placement::Nic, &desc);
+        let predicted = advisor::predict(&m, &sc, Placement::Nic, &desc);
         let row = Row::default()
             .text("fabric", fname)
             .val("nodes", n)
-            .val("oversub", spec.oversub_ratio(n))
+            .val("oversub", FabricModel::from_spec(spec, policy, n).oversub)
             .text("routing", pname)
             .text("algorithm", aname)
             .num("model_us", predicted, 3)

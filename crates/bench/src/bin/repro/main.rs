@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::process::ExitCode;
 
-use gmsim_testbed::{BarrierExperiment, Measurement, SweepEngine, Table};
+use gmsim_testbed::{BarrierExperiment, ExperimentError, Measurement, SweepEngine, Table};
 
 /// One entry of the study registry.
 struct Study {
@@ -241,10 +241,14 @@ impl Ctx {
     }
 }
 
+/// `err` from the cell `e`, naming the cell.
+fn failed(e: &BarrierExperiment, err: ExperimentError) -> StudyError {
+    StudyError(format!("cell n={} {}: {err}", e.procs, e.algorithm.name()))
+}
+
 /// Run one barrier experiment, naming the cell if it fails.
 fn run(e: &BarrierExperiment) -> Result<Measurement, StudyError> {
-    e.run()
-        .map_err(|err| StudyError(format!("cell n={} {}: {err}", e.procs, e.algorithm.name())))
+    e.run().map_err(|err| failed(e, err))
 }
 
 /// The mean barrier latency of one experiment, µs.

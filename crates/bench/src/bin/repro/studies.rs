@@ -8,7 +8,7 @@ use gmsim_gm::{GmConfig, HostProgram};
 use gmsim_lanai::NicModel;
 use gmsim_testbed::table::{factor, us};
 use gmsim_testbed::{
-    best_gb_dim, run_all, Algorithm, BarrierExperiment, Descriptor, FuzzyExperiment, Placement,
+    best_gb_dim, Algorithm, BarrierExperiment, Descriptor, FuzzyExperiment, Measurement, Placement,
     Table,
 };
 use nic_barrier::programs::NicBarrierLoop;
@@ -16,7 +16,12 @@ use nic_barrier::{
     BarrierCosts, BarrierExtension, BarrierGroup, CostModel, HostBarrierLoop, ReduceOp,
 };
 
-use crate::{measure, run, Ctx, StudyError};
+use crate::{failed, measure, run, sweep, Ctx, StudyError};
+
+/// [`best_gb_dim`] over `base`, naming the base cell if the sweep fails.
+fn best_gb(base: BarrierExperiment) -> Result<(usize, Measurement), StudyError> {
+    best_gb_dim(base).map_err(|err| failed(&base, err))
+}
 
 /// One node count of Figure 5: NIC-PE and host-PE latency, then the best
 /// NIC-GB and host-GB tree dimension with its latency; latencies in µs.
@@ -27,11 +32,11 @@ fn fig5_point(nic: NicModel, n: usize) -> Result<Fig5Point, StudyError> {
         measure(BarrierExperiment::new(n, side(Descriptor::Pe)).nic(nic))
     };
     let gb = |side: fn(Descriptor) -> Algorithm| {
-        let (d, m) = best_gb_dim(BarrierExperiment::new(n, side(Descriptor::gb(1))).nic(nic));
-        (d, m.mean_us)
+        let (d, m) = best_gb(BarrierExperiment::new(n, side(Descriptor::gb(1))).nic(nic))?;
+        Ok::<_, StudyError>((d, m.mean_us))
     };
     let (nic_pe, host_pe) = (pe(Algorithm::Nic)?, pe(Algorithm::Host)?);
-    Ok((nic_pe, host_pe, gb(Algorithm::Nic), gb(Algorithm::Host)))
+    Ok((nic_pe, host_pe, gb(Algorithm::Nic)?, gb(Algorithm::Host)?))
 }
 
 /// The four curves of Figure 5(a)/(c): barrier latency vs nodes.
@@ -132,9 +137,9 @@ pub fn gbdim(_: &mut Ctx) -> Result<(), StudyError> {
             let exps: Vec<_> = (1..n)
                 .map(|d| BarrierExperiment::new(n, side(Descriptor::gb(d))))
                 .collect();
-            run_all(&exps)
+            sweep(&exps, run)
         };
-        let (nic, host) = (dims(Algorithm::Nic), dims(Algorithm::Host));
+        let (nic, host) = (dims(Algorithm::Nic)?, dims(Algorithm::Host)?);
         let mut t = Table::new(vec!["dim", "NIC-GB (us)", "host-GB (us)"]);
         for (d, (nic, host)) in (1..n).zip(nic.iter().zip(&host)) {
             t.row(vec![d.to_string(), us(nic.mean_us), us(host.mean_us)]);
@@ -503,7 +508,7 @@ pub fn breakdown(_: &mut Ctx) -> Result<(), StudyError> {
             ("host", Algorithm::Host(Descriptor::gb(1))),
             ("NIC", Algorithm::Nic(Descriptor::gb(1))),
         ] {
-            let (dim, meas) = best_gb_dim(BarrierExperiment::new(n, alg));
+            let (dim, meas) = best_gb(BarrierExperiment::new(n, alg))?;
             rows.push((
                 format!("{side}-GB best d={dim}"),
                 "-".into(),

@@ -11,41 +11,56 @@
 //! term; we expose it separately as [`CostModel::nic_step_us`] and add it to
 //! the per-step NIC cost, which is what the measured prototype actually
 //! pays (§6 discusses exactly this overhead for the GB case).
+//!
+//! Beyond the paper's single crossbar, [`CostModel::latency_us`] predicts
+//! any [`Descriptor`] on either [`Placement`] over the fabric a
+//! [`FabricModel`] describes: one exchange form (PE and k-ary
+//! dissemination), one GB form, and the payload forms.
 
 use crate::nic::BarrierCosts;
+use crate::schedule::Descriptor;
 use gmsim_gm::{ExtPacket, GmConfig, Payload};
 use gmsim_myrinet::{wire_size, FabricSpec, LinkSpec, RoutePolicy, TopologyBuilder};
 
-/// Relative tolerance of the PE/dissemination scaling forms against
+/// Relative tolerance of the exchange form (PE and dissemination) against
 /// simulation, across 32–1024 nodes and both NIC generations (worst
 /// observed error ≈ 3.5%).
 pub const PE_MODEL_TOLERANCE: f64 = 0.10;
 
-/// Relative tolerance of the calibrated GB pipeline forms against
+/// Relative tolerance of the calibrated GB pipeline form against
 /// simulation across the same grid at `dim = 8` (worst observed error
-/// ≈ 11%; the forms are fits, not first-principles derivations).
+/// ≈ 11%; the form is a fit, not a first-principles derivation).
 pub const GB_MODEL_TOLERANCE: f64 = 0.20;
 
-/// Relative tolerance of the payload latency-vs-size forms
-/// ([`CostModel::nic_bcast_us`] and friends) against simulation across
-/// the BENCH_payload grid (1 B – 1 MiB, 16–1024 nodes, eager and
-/// pipelined). The forms model the steady-state bottleneck stage with
-/// calibrated wormhole-contention factors; they approximate CPU/wire
-/// overlap inside a stage and the crossover neighborhood (where two
-/// stages tie) is where the error peaks, so this is a calibrated
-/// envelope rather than an exact derivation (worst observed cell ≈
-/// +45%, most within ±20%).
+/// Relative tolerance of the payload latency-vs-size forms (what
+/// [`CostModel::latency_us`] predicts for a data-carrying [`Descriptor`])
+/// against simulation across the BENCH_payload grid (1 B – 1 MiB,
+/// 16–1024 nodes, eager and pipelined). The forms model the steady-state
+/// bottleneck stage with calibrated wormhole-contention factors; they
+/// approximate CPU/wire overlap inside a stage and the crossover
+/// neighborhood (where two stages tie) is where the error peaks, so this
+/// is a calibrated envelope rather than an exact derivation (worst
+/// observed cell ≈ +45%, most within ±20%).
 pub const PAYLOAD_MODEL_TOLERANCE: f64 = 0.50;
 
-/// Relative tolerance of the per-fabric forms ([`CostModel::nic_pe_fabric_us`]
-/// and friends, evaluated through [`advisor::predict`] with an explicit
-/// [`FabricSpec`]) against simulation across the BENCH_fabric grid:
-/// algorithm × {non-blocking, 2:1, 4:1 Clos, fat tree} × routing policy.
-/// The fabric surcharges are small against the calibrated bases (barrier
-/// packets serialize in ~0.1 µs), so the bound is dominated by the weakest
-/// base form the study sweeps (the GB pipeline fit, ±20%) plus headroom
-/// for the queueing excess, which models only first-order uplink sharing.
+/// Relative tolerance of the barrier forms on explicit fabrics (evaluated
+/// through [`advisor::predict`] with an explicit [`FabricSpec`]) against
+/// simulation across the BENCH_fabric grid: algorithm × {non-blocking,
+/// 2:1, 4:1 Clos, fat tree} × routing policy. The fabric surcharges are
+/// small against the calibrated per-step costs (barrier packets serialize
+/// in ~0.1 µs), so the bound is dominated by the weakest form the study
+/// sweeps (the GB pipeline fit, ±20%) plus headroom for the queueing
+/// excess, which models only first-order uplink sharing.
 pub const FABRIC_MODEL_TOLERANCE: f64 = 0.25;
+
+/// Where a collective's schedule interpreter runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// NIC-resident firmware extension (the paper's contribution).
+    Nic,
+    /// Host-level baseline over plain GM sends/receives.
+    Host,
+}
 
 /// Component costs in microseconds, as in Figure 2.
 ///
@@ -78,10 +93,10 @@ pub struct CostModel {
     /// Firmware cost of one NIC-resident barrier step (PE), folded into
     /// *Recv* by the paper's Eq. 2 but paid by the real firmware.
     pub nic_step_us: f64,
-    /// Extra wire cost of a cross-leaf hop in the two-level Clos fabric
-    /// that clusters beyond 16 hosts use: two additional switch
-    /// fall-throughs plus two additional link propagations (wormhole
-    /// routing pays serialization only once).
+    /// Extra wire cost of climbing one more fabric tier (leaf → spine, or
+    /// spine → core): two additional switch fall-throughs plus two
+    /// additional link propagations (wormhole routing pays serialization
+    /// only once).
     pub cross_extra_us: f64,
     /// Firmware cost of processing one GB tree collective token.
     pub gb_token_us: f64,
@@ -166,154 +181,9 @@ impl CostModel {
             + self.hrecv_us
     }
 
-    /// Equation 2 exactly as printed in the paper (no firmware-step term;
-    /// the paper folds step processing into its *Recv*).
-    pub fn nic_barrier_us_paper_form(&self, n: usize) -> f64 {
-        self.send_us
-            + Self::rounds(n) as f64 * (self.network_us + self.recv_us)
-            + self.rdma_us
-            + self.hrecv_us
-    }
-
     /// Equation 3: predicted factor of improvement.
     pub fn improvement(&self, n: usize) -> f64 {
         self.host_barrier_us(n) / self.nic_barrier_us(n)
-    }
-
-    // ---- Scale-aware forms (N beyond the paper's 16-node testbed) ----
-    //
-    // These extend Eqs. 1–2 to the two-level Clos fabric that
-    // `TopologyBuilder::for_cluster` builds past 16 hosts: a round whose
-    // partner lives in another 8-host leaf pays `cross_extra_us` on the
-    // wire, everything else is unchanged. The BENCH_scale study
-    // cross-checks every simulated point against these within stated
-    // tolerances.
-
-    /// Wire cost of one hop between endpoints `dist` ranks apart in an
-    /// `n`-node cluster: the single-crossbar term, plus the cross-leaf
-    /// surcharge once the cluster is a Clos and the partner cannot share a
-    /// leaf, plus a second surcharge once the cluster is a three-level
-    /// Clos (`n > 1024`) and the partner lives in another 64-host pod —
-    /// the leaf→spine→core→spine→leaf route pays two more fall-throughs
-    /// and two more propagations than the in-pod leaf→spine→leaf route.
-    fn hop_us(&self, n: usize, dist: usize) -> f64 {
-        let pod_hosts = TopologyBuilder::CLOS_LEAF_HOSTS * TopologyBuilder::CLOS_LEAF_HOSTS;
-        let clos = n > TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS;
-        let clos3 = n > TopologyBuilder::MAX_TWO_LEVEL_HOSTS;
-        if clos3 && dist >= pod_hosts {
-            self.network_us + 2.0 * self.cross_extra_us
-        } else if clos && dist >= TopologyBuilder::CLOS_LEAF_HOSTS {
-            self.network_us + self.cross_extra_us
-        } else {
-            self.network_us
-        }
-    }
-
-    /// Scale-aware Eq. 2: NIC-based PE latency on the standard fabric.
-    /// Round `k`'s partner is `2^k` ranks away, so the first
-    /// `log2(leaf size)` rounds stay intra-leaf. Equals
-    /// [`CostModel::nic_barrier_us`] for `n <= 16`.
-    pub fn nic_pe_us(&self, n: usize) -> f64 {
-        let per_round: f64 = (0..Self::rounds(n))
-            .map(|k| self.hop_us(n, 1usize << k) + self.nic_recv_us + self.nic_step_us)
-            .sum();
-        self.send_us + per_round + self.rdma_us + self.hrecv_us
-    }
-
-    /// Scale-aware Eq. 1: host-based PE latency on the standard fabric.
-    pub fn host_pe_us(&self, n: usize) -> f64 {
-        (0..Self::rounds(n))
-            .map(|k| {
-                self.send_us
-                    + self.sdma_us
-                    + self.hop_us(n, 1usize << k)
-                    + self.recv_us
-                    + self.rdma_us
-                    + self.hrecv_us
-            })
-            .sum()
-    }
-
-    /// Scale-aware NIC dissemination latency at radix 2. Same round
-    /// structure as PE with round-`k` distance `2^k`; at powers of two the
-    /// two algorithms (and predictions) coincide.
-    pub fn nic_dissemination_us(&self, n: usize) -> f64 {
-        self.nic_dissemination_radix_us(n, 2)
-    }
-
-    /// Scale-aware host dissemination latency at radix 2.
-    pub fn host_dissemination_us(&self, n: usize) -> f64 {
-        self.host_dissemination_radix_us(n, 2)
-    }
-
-    /// Per-round structure of the radix-`radix` dissemination schedule
-    /// over `n` ranks: for each round, the worst hop distance and the
-    /// number of arrivals `(j·radix^k < n)` the rank must absorb.
-    fn kary_rounds(n: usize, radix: usize) -> Vec<(usize, usize)> {
-        assert!(radix >= 2, "dissemination radix must be at least 2");
-        let mut rounds = Vec::new();
-        let mut stride = 1usize;
-        while stride < n {
-            let mut worst = 0usize;
-            let mut arrivals = 0usize;
-            for j in 1..radix {
-                match j.checked_mul(stride) {
-                    Some(d) if d < n => {
-                        worst = d;
-                        arrivals += 1;
-                    }
-                    _ => break,
-                }
-            }
-            rounds.push((worst, arrivals));
-            stride = match stride.checked_mul(radix) {
-                Some(s) => s,
-                None => break,
-            };
-        }
-        rounds
-    }
-
-    /// Scale-aware NIC dissemination latency at radix `radix`: per round
-    /// the worst-distance hop overlaps the others' wire time, then the NIC
-    /// absorbs each of the round's `radix − 1` arrivals serially. At
-    /// `radix = 2` this is term-for-term Eq. 2 with the PE hop distances,
-    /// so it reduces exactly to [`CostModel::nic_dissemination_us`].
-    pub fn nic_dissemination_radix_us(&self, n: usize, radix: usize) -> f64 {
-        let per_round: f64 = Self::kary_rounds(n, radix)
-            .into_iter()
-            .map(|(worst, arrivals)| {
-                self.hop_us(n, worst)
-                    + self.nic_recv_us
-                    + self.nic_step_us
-                    + (arrivals - 1) as f64 * (self.nic_recv_us + self.nic_step_us)
-            })
-            .sum();
-        self.send_us + per_round + self.rdma_us + self.hrecv_us
-    }
-
-    /// Scale-aware host dissemination latency at radix `radix`: each round
-    /// posts `radix − 1` sends and pays the full host round trip per
-    /// arrival, with only the worst hop on the critical path. Reduces
-    /// exactly to [`CostModel::host_dissemination_us`] at `radix = 2`.
-    pub fn host_dissemination_radix_us(&self, n: usize, radix: usize) -> f64 {
-        Self::kary_rounds(n, radix)
-            .into_iter()
-            .map(|(worst, arrivals)| {
-                self.send_us
-                    + self.sdma_us
-                    + self.hop_us(n, worst)
-                    + self.recv_us
-                    + self.rdma_us
-                    + self.hrecv_us
-                    + (arrivals - 1) as f64
-                        * (self.send_us
-                            + self.sdma_us
-                            + self.recv_us
-                            + self.rdma_us
-                            + self.hrecv_us)
-            })
-            .sum()
     }
 
     /// Depth of the `dim`-ary heap-shaped GB tree over `n` ranks: the
@@ -329,36 +199,147 @@ impl CostModel {
         level
     }
 
-    /// NIC-based GB latency.
+    /// Predicted latency (µs) of `descriptor` over `n` ranks, interpreted
+    /// on `placement`, on the fabric `fm` describes
+    /// ([`FabricModel::auto`] for the default fabric). Barriers use the
+    /// exchange form (PE is radix-2 dissemination) or the GB form; the
+    /// data-carrying collectives use the payload forms, which are
+    /// calibrated on — and always read — the default fabric.
     ///
-    /// Unlike PE, measured GB latency is *linear in `log2 n`* rather than
-    /// stepping with tree depth: consecutive rounds pipeline through the
-    /// tree, and each doubling of the cluster adds `dim - 1` gather
-    /// absorptions plus child broadcast sends to the critical cycle
-    /// (matching §6's observation that the tree dimension's impact is
-    /// muted by pipelining). The fixed part is the tree token, which is
-    /// far costlier than PE's. Calibrated for moderate arities (the
-    /// scaling study's `dim = 8`); exact only to ~±10%.
-    pub fn nic_gb_us(&self, n: usize, dim: usize) -> f64 {
-        let per_child = (dim.saturating_sub(1)).max(1) as f64;
-        self.send_us
-            + self.gb_token_us
-            + Self::rounds(n) as f64 * per_child * (self.gb_gather_us + self.gb_child_us)
-            + self.rdma_us
-            + self.hrecv_us
+    /// `None` for a data-carrying collective on the host: no host-side
+    /// payload form exists.
+    pub fn latency_us(
+        &self,
+        placement: Placement,
+        n: usize,
+        descriptor: &Descriptor,
+        fm: &FabricModel,
+    ) -> Option<f64> {
+        Some(match (placement, *descriptor) {
+            (_, Descriptor::Pe) => self.exchange_us(placement, n, 2, fm),
+            (_, Descriptor::Dissemination { radix }) => self.exchange_us(placement, n, radix, fm),
+            (_, Descriptor::Gb { dim }) => self.gb_us(placement, n, dim, fm),
+            (Placement::Host, _) => return None,
+            (Placement::Nic, Descriptor::Bcast { dim, payload }) => self.bcast_us(n, dim, payload),
+            (Placement::Nic, Descriptor::Reduce { dim, payload, .. }) => {
+                self.reduce_us(n, dim, payload)
+            }
+            (Placement::Nic, Descriptor::Allreduce { dim, payload, .. }) => {
+                self.allreduce_us(n, dim, payload)
+            }
+            (Placement::Nic, Descriptor::Scan { payload, .. }) => self.scan_us(n, payload),
+        })
     }
 
-    /// Host-based GB latency: the same pipelined-round shape as
-    /// [`CostModel::nic_gb_us`], but each per-child absorption goes
-    /// through the NIC's full data-path receive handling. Calibrated for
-    /// moderate arities; exact only to ~±15%.
-    pub fn host_gb_us(&self, n: usize, dim: usize) -> f64 {
+    // ---- Barrier forms: Eqs. 1–2 over any fabric ----
+    //
+    // Both forms extend Eqs. 1–2 past one crossbar: a round whose partner
+    // sits on another leaf pays `cross_extra_us` per tier climbed, plus the
+    // fabric's uplink queueing excess (zero on the default fabric, which
+    // the per-step costs are calibrated on). On one crossbar the exchange
+    // form at radix 2 is Eqs. 1–2 exactly. The BENCH_scale and
+    // BENCH_fabric studies gate every simulated point against them.
+
+    /// Wire cost of one hop between endpoints `dist` ranks apart on the
+    /// fabric `fm` describes: the single-crossbar term, plus one tier
+    /// surcharge once the partner is on another leaf, plus a second once
+    /// it is in another pod (leaf→spine→core→spine→leaf).
+    fn tiered_hop_us(&self, fm: &FabricModel, dist: usize) -> f64 {
+        if fm.pod_hosts.is_some_and(|p| dist >= p) {
+            self.network_us + 2.0 * self.cross_extra_us
+        } else if dist >= fm.leaf_hosts {
+            self.network_us + self.cross_extra_us
+        } else {
+            self.network_us
+        }
+    }
+
+    /// Per-round structure of the radix-`radix` dissemination schedule
+    /// over `n` ranks: for each round, the worst hop distance and the
+    /// number of arrivals `(j·radix^k < n)` the rank must absorb.
+    fn kary_rounds(n: usize, radix: usize) -> impl Iterator<Item = (usize, usize)> {
+        assert!(radix >= 2, "dissemination radix must be at least 2");
+        std::iter::successors(Some(1usize), move |stride| stride.checked_mul(radix))
+            .take_while(move |&stride| stride < n)
+            .map(move |stride| {
+                let arrivals = (radix - 1).min((n - 1) / stride);
+                (arrivals * stride, arrivals)
+            })
+    }
+
+    /// The exchange form: radix-`radix` dissemination, and PE at radix 2
+    /// (round `k`'s partner is `2^k` ranks away in both). Per round the
+    /// worst-distance hop overlaps the others' wire time, then each of the
+    /// round's `radix − 1` arrivals is absorbed serially — by the NIC
+    /// (Eq. 2: the host pays send and completion once), or by a full host
+    /// round trip (Eq. 1).
+    fn exchange_us(&self, placement: Placement, n: usize, radix: usize, fm: &FabricModel) -> f64 {
+        let rounds = Self::kary_rounds(n, radix);
+        match placement {
+            Placement::Nic => {
+                let step = self.nic_recv_us + self.nic_step_us;
+                let per_round: f64 = rounds
+                    .map(|(worst, arrivals)| {
+                        self.tiered_hop_us(fm, worst)
+                            + fm.queue_us(self, worst)
+                            + self.nic_recv_us
+                            + self.nic_step_us
+                            + (arrivals - 1) as f64 * step
+                    })
+                    .sum();
+                self.send_us + per_round + self.rdma_us + self.hrecv_us
+            }
+            Placement::Host => {
+                let step =
+                    self.send_us + self.sdma_us + self.recv_us + self.rdma_us + self.hrecv_us;
+                rounds
+                    .map(|(worst, arrivals)| {
+                        self.send_us
+                            + self.sdma_us
+                            + self.tiered_hop_us(fm, worst)
+                            + fm.queue_us(self, worst)
+                            + self.recv_us
+                            + self.rdma_us
+                            + self.hrecv_us
+                            + (arrivals - 1) as f64 * step
+                    })
+                    .sum()
+            }
+        }
+    }
+
+    /// The GB form. Unlike PE, measured GB latency is *linear in
+    /// `log2 n`* rather than stepping with tree depth: consecutive rounds
+    /// pipeline through the tree, and each doubling of the cluster adds
+    /// `dim - 1` per-child absorptions to the critical cycle (matching
+    /// §6's observation that the tree dimension's impact is muted by
+    /// pipelining). On the NIC an absorption is a gather plus a child
+    /// broadcast send and the fixed part is the costly tree token; on the
+    /// host each absorption goes through the NIC's full data-path receive.
+    /// Explicit fabrics add, per pipelined round, the uplink queueing
+    /// excess and a root-incast surcharge. Calibrated for moderate arities
+    /// (the scaling study's `dim = 8`); exact only to ~±10% (NIC) and
+    /// ~±15% (host).
+    fn gb_us(&self, placement: Placement, n: usize, dim: usize, fm: &FabricModel) -> f64 {
         let per_child = (dim.saturating_sub(1)).max(1) as f64;
-        self.send_us
-            + self.sdma_us
-            + Self::rounds(n) as f64 * per_child * self.recv_us
-            + self.rdma_us
-            + self.hrecv_us
+        let rounds = Self::rounds(n) as f64;
+        let pipeline = match placement {
+            Placement::Nic => {
+                self.send_us
+                    + self.gb_token_us
+                    + rounds * per_child * (self.gb_gather_us + self.gb_child_us)
+                    + self.rdma_us
+                    + self.hrecv_us
+            }
+            Placement::Host => {
+                self.send_us
+                    + self.sdma_us
+                    + rounds * per_child * self.recv_us
+                    + self.rdma_us
+                    + self.hrecv_us
+            }
+        };
+        pipeline + fm.gb_round_excess_us(self, n, dim) * rounds
     }
 
     // ---- Payload latency-vs-size forms (data-carrying collectives) ----
@@ -384,8 +365,10 @@ impl CostModel {
     // grows logarithmically in the extra depth. Scan's shifted-ring
     // rounds saturate the bisection: the observed per-round wire cost is
     // `sqrt(n)/2 ×` the uncontended serialization across n = 4..256.
-    // The BENCH_payload study gates every simulated point against these
-    // within [`PAYLOAD_MODEL_TOLERANCE`].
+    // The forms are calibrated on the default fabric and read it
+    // ([`FabricModel::auto`]) whatever fabric the caller names. The
+    // BENCH_payload study gates every simulated point against them within
+    // [`PAYLOAD_MODEL_TOLERANCE`].
 
     /// Host-bus DMA time for `bytes` (engine startup is charged in
     /// handler cycles, so engine time is pure per-byte).
@@ -450,7 +433,7 @@ impl CostModel {
     /// `payload` over a `dim`-ary tree: the slowest of the root's SDMA
     /// loop, the worst fabric link (carrying `bcast_link_factor` copies
     /// of every segment), and a forwarding node's receive + RDMA work.
-    pub fn nic_bcast_us(&self, n: usize, dim: usize, payload: Payload) -> f64 {
+    fn bcast_us(&self, n: usize, dim: usize, payload: Payload) -> f64 {
         let bytes = payload.bytes.get();
         let seg = payload.seg_bytes.get().min(bytes.max(1));
         let segs = payload.segments().get() as f64;
@@ -465,7 +448,7 @@ impl CostModel {
     /// traffic thins toward the root, so no trunk contention — the
     /// bottleneck is a parent absorbing `dim` children (its ingress wire,
     /// or the combine RDMA of `dim` full payloads).
-    pub fn nic_reduce_us(&self, n: usize, dim: usize, payload: Payload) -> f64 {
+    fn reduce_us(&self, n: usize, dim: usize, payload: Payload) -> f64 {
         let bytes = payload.bytes.get();
         let seg = payload.seg_bytes.get().min(bytes.max(1));
         let segs = payload.segments().get() as f64;
@@ -484,11 +467,12 @@ impl CostModel {
     /// (per-level absorptions and down-broadcast child sends along the
     /// deepest path).
     fn allreduce_base_us(&self, n: usize, dim: usize) -> f64 {
+        let fm = FabricModel::auto(n);
         let mut rank = n - 1;
         let mut per_level = 0.0;
         for fan in Self::tree_path_fanins(n, dim) {
             let parent = (rank - 1) / dim;
-            per_level += self.hop_us(n, rank - parent)
+            per_level += self.tiered_hop_us(&fm, rank - parent)
                 + fan as f64 * (self.nic_recv_us + self.gb_gather_us + self.gb_child_us);
             rank = parent;
         }
@@ -504,7 +488,7 @@ impl CostModel {
     /// crossbar pay trunk contention on the way up, modeled as a linear
     /// depth-growth factor on the fill (1× at 4 levels, saturating at 2×
     /// from 8 levels on — deeper Clos fabrics add matching bisection).
-    pub fn nic_allreduce_us(&self, n: usize, dim: usize, payload: Payload) -> f64 {
+    fn allreduce_us(&self, n: usize, dim: usize, payload: Payload) -> f64 {
         let bytes = payload.bytes.get();
         let segs = payload.segments().get() as f64;
         let per_level: f64 = Self::tree_path_fanins(n, dim)
@@ -529,10 +513,10 @@ impl CostModel {
     /// per-round wire cost is `sqrt(n)/2` serializations (bisection
     /// saturation, calibrated at n = 4..256), floored by the combine
     /// RDMA.
-    pub fn nic_scan_us(&self, n: usize, payload: Payload) -> f64 {
+    fn scan_us(&self, n: usize, payload: Payload) -> f64 {
         let bytes = payload.bytes.get();
         let segs = payload.segments().get() as f64;
-        let base = self.nic_pe_us(n) + self.sdma_us;
+        let base = self.exchange_us(Placement::Nic, n, 2, &FabricModel::auto(n)) + self.sdma_us;
         // Per-round NIC work already charged in the base; short worms
         // hide their wire/DMA time entirely under it, and a worm only
         // builds bisection queueing once its serialization exceeds that
@@ -549,118 +533,13 @@ impl CostModel {
             + (segs - 1.0) * self.nic_recv_us;
         base + self.dma_bytes_us(bytes) + Self::rounds(n) as f64 * per_round
     }
-
-    // ---- Per-fabric forms (explicit fabrics beyond the default Clos) ----
-    //
-    // The scale-aware forms above assume the default `for_cluster` fabric:
-    // non-blocking leaves, dispersed routes. A [`FabricModel`] re-shapes
-    // the distance tiers (leaf and pod sizes come from the [`FabricSpec`])
-    // and adds a wire-queueing excess: when a whole leaf sends cross-leaf
-    // at once, `uplink_load` worms share each used uplink and the last one
-    // waits `(load − 1)` packet serializations. The base forms are
-    // calibrated on the default fabric — whose own dispersed residual load
-    // is baked into that calibration — so the forms charge only the
-    // *excess* load over that baseline, and reduce exactly to the base
-    // forms on the default fabric.
-
-    /// Wire cost of one hop between endpoints `dist` ranks apart on the
-    /// fabric `fm` describes: the shape-generalized [`CostModel::hop_us`].
-    fn hop_fabric_us(&self, fm: &FabricModel, dist: usize) -> f64 {
-        if fm.pod_hosts.is_some_and(|p| dist >= p) {
-            self.network_us + 2.0 * self.cross_extra_us
-        } else if dist >= fm.leaf_hosts {
-            self.network_us + self.cross_extra_us
-        } else {
-            self.network_us
-        }
-    }
-
-    /// Per-fabric Eq. 2: NIC PE latency on an explicit fabric. Cross-leaf
-    /// rounds pay the queueing excess on top of the tiered hop. Equals
-    /// [`CostModel::nic_pe_us`] on the default fabric (excess 0).
-    pub fn nic_pe_fabric_us(&self, n: usize, fm: &FabricModel) -> f64 {
-        let per_round: f64 = (0..Self::rounds(n))
-            .map(|k| {
-                self.hop_fabric_us(fm, 1usize << k)
-                    + fm.queue_us(self, 1usize << k)
-                    + self.nic_recv_us
-                    + self.nic_step_us
-            })
-            .sum();
-        self.send_us + per_round + self.rdma_us + self.hrecv_us
-    }
-
-    /// Per-fabric Eq. 1: host PE latency on an explicit fabric.
-    pub fn host_pe_fabric_us(&self, n: usize, fm: &FabricModel) -> f64 {
-        (0..Self::rounds(n))
-            .map(|k| {
-                self.send_us
-                    + self.sdma_us
-                    + self.hop_fabric_us(fm, 1usize << k)
-                    + fm.queue_us(self, 1usize << k)
-                    + self.recv_us
-                    + self.rdma_us
-                    + self.hrecv_us
-            })
-            .sum()
-    }
-
-    /// Per-fabric NIC dissemination latency at radix `radix`.
-    pub fn nic_dissemination_fabric_us(&self, n: usize, radix: usize, fm: &FabricModel) -> f64 {
-        let per_round: f64 = Self::kary_rounds(n, radix)
-            .into_iter()
-            .map(|(worst, arrivals)| {
-                self.hop_fabric_us(fm, worst)
-                    + fm.queue_us(self, worst)
-                    + self.nic_recv_us
-                    + self.nic_step_us
-                    + (arrivals - 1) as f64 * (self.nic_recv_us + self.nic_step_us)
-            })
-            .sum();
-        self.send_us + per_round + self.rdma_us + self.hrecv_us
-    }
-
-    /// Per-fabric host dissemination latency at radix `radix`.
-    pub fn host_dissemination_fabric_us(&self, n: usize, radix: usize, fm: &FabricModel) -> f64 {
-        Self::kary_rounds(n, radix)
-            .into_iter()
-            .map(|(worst, arrivals)| {
-                self.send_us
-                    + self.sdma_us
-                    + self.hop_fabric_us(fm, worst)
-                    + fm.queue_us(self, worst)
-                    + self.recv_us
-                    + self.rdma_us
-                    + self.hrecv_us
-                    + (arrivals - 1) as f64
-                        * (self.send_us
-                            + self.sdma_us
-                            + self.recv_us
-                            + self.rdma_us
-                            + self.hrecv_us)
-            })
-            .sum()
-    }
-
-    /// Per-fabric NIC GB latency: the pipelined form plus, per pipelined
-    /// round, the uplink queueing excess and a root-incast surcharge —
-    /// the root absorbs `fan_in` gather worms that funnel through its
-    /// leaf's shared downlinks, so each unit of oversubscription queues
-    /// `(fan_in − 1)` extra packet serializations.
-    pub fn nic_gb_fabric_us(&self, n: usize, dim: usize, fm: &FabricModel) -> f64 {
-        self.nic_gb_us(n, dim) + fm.gb_round_excess_us(self, n, dim) * Self::rounds(n) as f64
-    }
-
-    /// Per-fabric host GB latency (same surcharges as the NIC form).
-    pub fn host_gb_fabric_us(&self, n: usize, dim: usize, fm: &FabricModel) -> f64 {
-        self.host_gb_us(n, dim) + fm.gb_round_excess_us(self, n, dim) * Self::rounds(n) as f64
-    }
 }
 
-/// Contention-relevant shape of a fabric, derived from a [`FabricSpec`]
-/// and a [`RoutePolicy`] for a given attached-host count. This is what the
-/// per-fabric analytic forms consume: the distance tiers plus the uplink
-/// queueing excess over the default non-blocking dispersed fabric.
+/// Contention-relevant shape of a fabric, read from the layout a
+/// [`FabricSpec`] resolves to ([`FabricSpec::layout`]) and a
+/// [`RoutePolicy`] for a given attached-host count. This is what the
+/// barrier forms consume: the distance tiers plus the uplink queueing
+/// excess over the default non-blocking dispersed fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricModel {
     /// Hosts sharing a leaf (edge) switch — the first distance tier.
@@ -704,31 +583,38 @@ impl FabricModel {
     }
 
     /// Derive the model shape for `spec` routed by `policy` with `n`
-    /// attached hosts.
+    /// attached hosts. Never panics: a spec [`FabricSpec::build`] rejects
+    /// still resolves to some layout.
     pub fn from_spec(spec: FabricSpec, policy: RoutePolicy, n: usize) -> Self {
-        let leaf_hosts = spec.leaf_hosts(n);
-        let oversub = spec.oversub_ratio(n);
+        let layout = spec.layout(n);
+        let leaf_hosts = layout.hosts_per_leaf();
+        let uplinks = layout.uplinks_per_leaf();
         let excess_load = if n <= leaf_hosts {
             // Single switch: no uplinks, no cross-leaf rounds.
             0.0
         } else {
-            let load = Self::policy_load(leaf_hosts, spec.spine_count(n), policy);
-            // The calibrated base forms already absorb the default
+            let load = Self::policy_load(leaf_hosts, uplinks, policy);
+            // The calibrated per-step costs already absorb the default
             // fabric's residual dispersed load; charge only the excess.
             let baseline = Self::policy_load(leaf_hosts, leaf_hosts, RoutePolicy::Dispersed);
             (load - baseline).max(0.0)
         };
         FabricModel {
             leaf_hosts,
-            pod_hosts: spec.pod_hosts(n),
-            oversub,
+            pod_hosts: layout.pod_hosts(),
+            // A crossbar has no uplinks to oversubscribe.
+            oversub: if uplinks == 0 {
+                1.0
+            } else {
+                leaf_hosts as f64 / uplinks as f64
+            },
             excess_load,
         }
     }
 
-    /// The default fabric under default routing — the shape every base
-    /// form is calibrated on. The per-fabric forms evaluated here equal
-    /// the base forms exactly.
+    /// The default fabric under default routing — the shape the barrier
+    /// forms' per-step costs and the payload forms are calibrated on. Its
+    /// queueing excess is zero.
     pub fn auto(n: usize) -> Self {
         Self::from_spec(FabricSpec::Auto, RoutePolicy::Dispersed, n)
     }
@@ -784,13 +670,13 @@ pub mod advisor {
     //!
     //! The advisor is topology-aware: explicit fabrics re-shape the
     //! distance tiers and charge the oversubscription queueing excess
-    //! through the per-fabric forms, and GB trees pay a tier bias —
-    //! every fabric tier the tree spans adds cross-tier wire on each of
-    //! its serialized levels, so tiered fabrics bias the ranking toward
-    //! shallow trees.
+    //! through the [`FabricModel`] the barrier forms read, and GB trees pay
+    //! a tier bias — every fabric tier the tree spans adds cross-tier wire
+    //! on each of its serialized levels, so tiered fabrics bias the ranking
+    //! toward shallow trees.
     //!
-    //! The prediction is the scale-aware latency form for the candidate
-    //! (GB trees use the calibrated pipeline form at its calibration arity
+    //! The prediction is [`CostModel::latency_us`] for the candidate (GB
+    //! trees use the calibrated pipeline form at its calibration arity
     //! with a measured arity correction, and payload-carrying trees add a
     //! calibrated incast surcharge — see [`predict`]), plus two
     //! scenario penalties:
@@ -824,24 +710,16 @@ pub mod advisor {
     //! simulation and gates the pick's measured regret against
     //! [`super::ADVISOR_REGRET_TOLERANCE`].
 
+    pub use super::Placement;
     use super::{CostModel, FabricModel};
     use crate::schedule::{dissemination, pe, Descriptor};
     use gmsim_gm::Payload;
     use gmsim_myrinet::{FabricSpec, RoutePolicy};
 
-    /// Where the schedule interpreter runs.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Placement {
-        /// NIC-resident firmware extension (the paper's contribution).
-        Nic,
-        /// Host-level baseline over plain GM sends/receives.
-        Host,
-    }
-
     /// The situation to recommend for. With the default
     /// [`FabricSpec::Auto`] fabric the topology tier is implied by `n`
     /// (single crossbar ≤ 16 hosts, two-level Clos ≤ 1024, then
-    /// three-level), exactly as the [`CostModel`] hop form models it;
+    /// three-level), from the same layout [`FabricSpec::build`] lays down;
     /// [`Scenario::with_fabric`] pins an explicit fabric and routing
     /// policy instead.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -951,7 +829,7 @@ pub mod advisor {
     /// Tree dimensions the advisor considers for GB (and allreduce).
     pub const GB_DIMS: [usize; 3] = [2, 4, 8];
 
-    /// The arity the GB pipeline forms are calibrated at (the scaling
+    /// The arity the GB pipeline form is calibrated at (the scaling
     /// study's `dim = 8`). The advisor predicts every GB candidate from
     /// this form: measured GB latency is nearly *flat* in the tree
     /// dimension — deep binary trees serialize more levels while wide
@@ -1063,7 +941,7 @@ pub mod advisor {
             _ => 60.0,
         };
         let levels = if dim >= 2 {
-            CostModel::kary_rounds(n, dim).len()
+            CostModel::kary_rounds(n, dim).count()
         } else {
             // Degenerate chain "tree": one level per non-root rank.
             n.saturating_sub(1)
@@ -1145,14 +1023,14 @@ pub mod advisor {
         }
     }
 
-    /// Predicted latency of one candidate under `scenario` (µs): the
-    /// per-fabric base form (which reduces to the scale-aware form on the
-    /// default fabric) plus the fault and skew penalties. GB candidates
-    /// are predicted from the pipeline form at its calibration arity
-    /// ([`GB_PIPELINE_DIM`]) with the measured arity correction —
-    /// evaluating the raw form at `dim = 2` or `4` leaves its calibrated
-    /// domain and under-predicts the simulation by 2–4× — plus the
-    /// arity-keyed topology tier bias.
+    /// Predicted latency of one candidate under `scenario` (µs):
+    /// [`CostModel::latency_us`] on the scenario's fabric plus the fault
+    /// and skew penalties. GB candidates are predicted from the pipeline
+    /// form at its calibration arity ([`GB_PIPELINE_DIM`]) with the
+    /// measured arity correction — evaluating the raw form at `dim = 2` or
+    /// `4` leaves its calibrated domain and under-predicts the simulation
+    /// by 2–4× — plus the arity-keyed topology tier bias; reduce and
+    /// allreduce trees add the payload incast surcharge.
     ///
     /// # Panics
     /// On host-placement payload collectives (no host-side payload form
@@ -1165,38 +1043,21 @@ pub mod advisor {
     ) -> f64 {
         let n = scenario.n;
         let fm = FabricModel::from_spec(scenario.fabric, scenario.routing, n);
-        let base = match (placement, *descriptor) {
-            (Placement::Nic, Descriptor::Pe) => model.nic_pe_fabric_us(n, &fm),
-            (Placement::Host, Descriptor::Pe) => model.host_pe_fabric_us(n, &fm),
-            (Placement::Nic, Descriptor::Gb { dim }) => {
-                gb_arity_correction(dim) * model.nic_gb_fabric_us(n, GB_PIPELINE_DIM, &fm)
+        let latency = |d: &Descriptor| {
+            model
+                .latency_us(placement, n, d, &fm)
+                .unwrap_or_else(|| panic!("no host-side analytic form for {d:?}"))
+        };
+        let base = match *descriptor {
+            Descriptor::Gb { dim } => {
+                gb_arity_correction(dim) * latency(&Descriptor::gb(GB_PIPELINE_DIM))
                     + gb_tier_bias_us(model, &fm, n, dim)
             }
-            (Placement::Host, Descriptor::Gb { dim }) => {
-                gb_arity_correction(dim) * model.host_gb_fabric_us(n, GB_PIPELINE_DIM, &fm)
-                    + gb_tier_bias_us(model, &fm, n, dim)
+            Descriptor::Allreduce { dim, payload, .. }
+            | Descriptor::Reduce { dim, payload, .. } => {
+                latency(descriptor) + payload_incast_us(n, dim, payload.bytes.get())
             }
-            (Placement::Nic, Descriptor::Dissemination { radix }) => {
-                model.nic_dissemination_fabric_us(n, radix, &fm)
-            }
-            (Placement::Host, Descriptor::Dissemination { radix }) => {
-                model.host_dissemination_fabric_us(n, radix, &fm)
-            }
-            (Placement::Nic, Descriptor::Allreduce { dim, payload, .. }) => {
-                model.nic_allreduce_us(n, dim, payload)
-                    + payload_incast_us(n, dim, payload.bytes.get())
-            }
-            (Placement::Nic, Descriptor::Bcast { dim, payload }) => {
-                model.nic_bcast_us(n, dim, payload)
-            }
-            (Placement::Nic, Descriptor::Reduce { dim, payload, .. }) => {
-                model.nic_reduce_us(n, dim, payload)
-                    + payload_incast_us(n, dim, payload.bytes.get())
-            }
-            (Placement::Nic, Descriptor::Scan { payload, .. }) => model.nic_scan_us(n, payload),
-            (Placement::Host, other) => {
-                unreachable!("no host-side analytic form for {other:?}")
-            }
+            _ => latency(descriptor),
         };
         base + fault_penalty_us(model, scenario, descriptor) + scenario.skew_us
     }
@@ -1219,12 +1080,18 @@ pub mod advisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Descriptor;
     use gmsim_gm::Segments;
     use gmsim_lanai::NicModel;
+    use gmsim_myrinet::NicId;
 
     fn model_43() -> CostModel {
         CostModel::from_config(&GmConfig::paper_host(NicModel::LANAI_4_3))
+    }
+
+    /// [`CostModel::latency_us`] on the default fabric.
+    fn auto(m: &CostModel, placement: Placement, n: usize, d: Descriptor) -> f64 {
+        m.latency_us(placement, n, &d, &FabricModel::auto(n))
+            .expect("a barrier form")
     }
 
     #[test]
@@ -1293,21 +1160,14 @@ mod tests {
     }
 
     #[test]
-    fn paper_form_is_a_lower_bound() {
-        let m = model_43();
-        for n in [2usize, 4, 8, 16] {
-            assert!(m.nic_barrier_us_paper_form(n) <= m.nic_barrier_us(n));
-        }
-    }
-
-    #[test]
     fn scaled_forms_collapse_to_paper_forms_on_one_crossbar() {
         // Up to 16 nodes there is no Clos and no cross-leaf surcharge:
-        // the scale-aware predictions must equal Eqs. 1–2 exactly.
+        // the exchange form at radix 2 must equal Eqs. 1–2 exactly.
         let m = model_43();
         for n in [2usize, 4, 8, 16] {
-            assert_eq!(m.nic_pe_us(n), m.nic_barrier_us(n));
-            assert_eq!(m.host_pe_us(n), m.host_barrier_us(n));
+            let pe = |p| auto(&m, p, n, Descriptor::pe());
+            assert_eq!(pe(Placement::Nic), m.nic_barrier_us(n));
+            assert_eq!(pe(Placement::Host), m.host_barrier_us(n));
         }
     }
 
@@ -1317,7 +1177,7 @@ mod tests {
         // n=32 has 5 PE rounds, distances 1,2,4 intra-leaf and 8,16
         // cross-leaf: exactly two surcharges over the flat Eq. 2.
         let flat = m.nic_barrier_us(32);
-        let scaled = m.nic_pe_us(32);
+        let scaled = auto(&m, Placement::Nic, 32, Descriptor::pe());
         assert!(
             (scaled - flat - 2.0 * m.cross_extra_us).abs() < 1e-9,
             "scaled={scaled} flat={flat} extra={}",
@@ -1332,45 +1192,18 @@ mod tests {
         // cross-leaf (3 surcharges), 64..=1024 cross-pod (5 double
         // surcharges).
         let flat = m.nic_barrier_us(2048);
-        let scaled = m.nic_pe_us(2048);
+        let scaled = auto(&m, Placement::Nic, 2048, Descriptor::pe());
         let expect = 3.0 * m.cross_extra_us + 5.0 * 2.0 * m.cross_extra_us;
         assert!(
             (scaled - flat - expect).abs() < 1e-9,
             "scaled={scaled} flat={flat} expect={expect}"
         );
         // At the two-level boundary the pod surcharge must NOT apply.
-        let b1024 = m.nic_pe_us(1024) - m.nic_barrier_us(1024);
+        let b1024 = auto(&m, Placement::Nic, 1024, Descriptor::pe()) - m.nic_barrier_us(1024);
         assert!(
             (b1024 - 7.0 * m.cross_extra_us).abs() < 1e-9,
             "1024 nodes stay two-level: {b1024}"
         );
-    }
-
-    #[test]
-    fn dissemination_matches_pe_at_powers_of_two() {
-        let m = model_43();
-        for n in [32usize, 64, 256, 1024] {
-            assert_eq!(m.nic_dissemination_us(n), m.nic_pe_us(n));
-            assert_eq!(m.host_dissemination_us(n), m.host_pe_us(n));
-        }
-    }
-
-    #[test]
-    fn radix_two_forms_are_the_fixed_radix_forms() {
-        // The radix-aware generalization must delegate bit-exactly: the
-        // scale study's model gates and the golden comparisons both lean
-        // on the historical radix-2 values.
-        let m = model_43();
-        for n in [2usize, 3, 5, 16, 33, 100, 1024, 4096] {
-            assert_eq!(
-                m.nic_dissemination_radix_us(n, 2),
-                m.nic_dissemination_us(n)
-            );
-            assert_eq!(
-                m.host_dissemination_radix_us(n, 2),
-                m.host_dissemination_us(n)
-            );
-        }
     }
 
     #[test]
@@ -1380,14 +1213,15 @@ mod tests {
             // Radix 4 halves the dependent rounds of radix 2 at powers of
             // four, paying 3 arrivals per round instead of 1: strictly
             // fewer wire hops on the critical path, more NIC work.
-            let r2 = m.nic_dissemination_radix_us(n, 2);
-            let r4 = m.nic_dissemination_radix_us(n, 4);
+            let dissem = |p, r| auto(&m, p, n, Descriptor::dissemination_radix(r));
+            let r2 = dissem(Placement::Nic, 2);
+            let r4 = dissem(Placement::Nic, 4);
             assert!(r2.is_finite() && r4.is_finite());
             assert!(r4 > 0.0 && r2 > 0.0);
             // On the host the per-arrival round trip dominates, so higher
             // radix must never win there.
             assert!(
-                m.host_dissemination_radix_us(n, 4) > m.host_dissemination_radix_us(n, 2),
+                dissem(Placement::Host, 4) > dissem(Placement::Host, 2),
                 "n={n}"
             );
         }
@@ -1398,7 +1232,7 @@ mod tests {
         let m = model_43();
         for n in [8usize, 64, 1024] {
             let rec = advisor::recommend(&m, &advisor::Scenario::barrier(n));
-            assert_eq!(rec.best().placement, advisor::Placement::Nic, "n={n}");
+            assert_eq!(rec.best().placement, Placement::Nic, "n={n}");
             // The ranking is sorted ascending.
             for w in rec.ranked.windows(2) {
                 assert!(w[0].predicted_us <= w[1].predicted_us);
@@ -1445,7 +1279,7 @@ mod tests {
         let rec = advisor::recommend(&m, &sc);
         assert_eq!(rec.ranked.len(), advisor::GB_DIMS.len());
         for c in &rec.ranked {
-            assert_eq!(c.placement, advisor::Placement::Nic);
+            assert_eq!(c.placement, Placement::Nic);
             assert!(matches!(c.descriptor, Descriptor::Allreduce { .. }));
         }
     }
@@ -1486,44 +1320,16 @@ mod tests {
         let base = advisor::predict(
             &model,
             &advisor::Scenario::barrier(32),
-            advisor::Placement::Nic,
+            Placement::Nic,
             &Descriptor::pe(),
         );
         let skewed = advisor::predict(
             &model,
             &advisor::Scenario::barrier(32).with_skew(50.0),
-            advisor::Placement::Nic,
+            Placement::Nic,
             &Descriptor::pe(),
         );
         assert!((skewed - base - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fabric_forms_reduce_to_base_forms_on_the_default_fabric() {
-        // The default fabric's dispersed residual load is the calibration
-        // baseline, so its FabricModel must carry zero excess and every
-        // per-fabric form must equal the scale-aware form bit-exactly.
-        let m = model_43();
-        for n in [2usize, 16, 64, 100, 1000, 1024, 4096] {
-            let fm = FabricModel::auto(n);
-            assert_eq!(fm.excess_load, 0.0, "n={n}");
-            assert_eq!(m.nic_pe_fabric_us(n, &fm), m.nic_pe_us(n), "n={n}");
-            assert_eq!(m.host_pe_fabric_us(n, &fm), m.host_pe_us(n), "n={n}");
-            for radix in [2usize, 3, 4] {
-                assert_eq!(
-                    m.nic_dissemination_fabric_us(n, radix, &fm),
-                    m.nic_dissemination_radix_us(n, radix)
-                );
-                assert_eq!(
-                    m.host_dissemination_fabric_us(n, radix, &fm),
-                    m.host_dissemination_radix_us(n, radix)
-                );
-            }
-            for dim in [2usize, 4, 8] {
-                assert_eq!(m.nic_gb_fabric_us(n, dim, &fm), m.nic_gb_us(n, dim));
-                assert_eq!(m.host_gb_fabric_us(n, dim, &fm), m.host_gb_us(n, dim));
-            }
-        }
     }
 
     #[test]
@@ -1535,7 +1341,11 @@ mod tests {
             hosts_per_leaf: 8,
             spines,
         };
-        let pe = |spec, policy| m.nic_pe_fabric_us(n, &FabricModel::from_spec(spec, policy, n));
+        let on = |spec, policy, d: Descriptor| {
+            let fm = FabricModel::from_spec(spec, policy, n);
+            m.latency_us(Placement::Nic, n, &d, &fm).unwrap()
+        };
+        let pe = |spec, policy| on(spec, policy, Descriptor::pe());
         // Dispersed routing: halving the spines raises the PE prediction.
         let full = pe(clos(8), RoutePolicy::Dispersed);
         let half = pe(clos(4), RoutePolicy::Dispersed);
@@ -1549,11 +1359,10 @@ mod tests {
         assert!(adaptive < dispersed, "{adaptive} {dispersed}");
         assert!(dispersed <= static_bfs, "{dispersed} {static_bfs}");
         // The non-blocking dispersed Clos is the calibration shape.
-        assert_eq!(full, m.nic_pe_us(n));
+        assert_eq!(full, auto(&m, Placement::Nic, n, Descriptor::pe()));
         // GB pays a fan-in-keyed incast surcharge once oversubscribed.
-        let fm_over = FabricModel::from_spec(clos(2), RoutePolicy::Dispersed, n);
-        let fm_full = FabricModel::from_spec(clos(8), RoutePolicy::Dispersed, n);
-        assert!(m.nic_gb_fabric_us(n, 8, &fm_over) > m.nic_gb_fabric_us(n, 8, &fm_full));
+        let gb = |spines| on(clos(spines), RoutePolicy::Dispersed, Descriptor::gb(8));
+        assert!(gb(2) > gb(8));
     }
 
     #[test]
@@ -1566,46 +1375,91 @@ mod tests {
         assert_eq!(fm.leaf_hosts, 4);
         assert_eq!(fm.pod_hosts, Some(16));
         assert_eq!(fm.oversub, 1.0);
-        assert_eq!(m.hop_fabric_us(&fm, 2), m.network_us);
-        assert_eq!(m.hop_fabric_us(&fm, 4), m.network_us + m.cross_extra_us);
+        assert_eq!(m.tiered_hop_us(&fm, 2), m.network_us);
+        assert_eq!(m.tiered_hop_us(&fm, 4), m.network_us + m.cross_extra_us);
         assert_eq!(
-            m.hop_fabric_us(&fm, 16),
+            m.tiered_hop_us(&fm, 16),
             m.network_us + 2.0 * m.cross_extra_us
         );
     }
 
     #[test]
-    fn analytic_tiers_agree_with_built_partial_leaf_clusters() {
-        // Satellite audit: for N that do not fill whole leaves the builder
-        // rounds up to full 8-host leaves, and the analytic tier form must
-        // agree with the routes the builder actually lays out: rank
-        // distance ≥ 8 always crosses a leaf (2 extra route links), below
-        // 8 it never does (ranks are assigned leaf-contiguously).
+    fn resolved_shape_matches_the_built_topology() {
+        // The analytic tiers come from the layout `build` lays down, so
+        // they must agree with the built routes: the leaf tier is the NICs
+        // on NIC 0's switch, the pod tier the first rank more than 4 links
+        // from rank 0, and a hop pays one surcharge per tier it climbs
+        // (two links each).
         let m = model_43();
-        for n in [100usize, 1000] {
-            let topo = TopologyBuilder::for_cluster(n);
-            assert_eq!(
-                topo.nic_count(),
-                n.div_ceil(8) * 8,
-                "builder rounds partial leaves up"
-            );
-            let fm = FabricModel::auto(n);
-            assert_eq!(fm.leaf_hosts, 8);
-            assert_eq!(fm.pod_hosts, None, "two-level through 1024 hosts");
-            let mut route = Vec::new();
-            let route_len = |src: usize, dst: usize, out: &mut Vec<_>| {
-                topo.route_links_into(gmsim_myrinet::NicId(src), gmsim_myrinet::NicId(dst), out);
-                out.len()
+        let clos = |spines| FabricSpec::Clos {
+            leaves: 8,
+            hosts_per_leaf: 8,
+            spines,
+        };
+        let mut cases: Vec<(FabricSpec, usize)> = [2, 16, 17, 100, 1000, 1024, 1025, 2048]
+            .map(|n| (FabricSpec::Auto, n))
+            .to_vec();
+        cases.extend([
+            (clos(8), 64),
+            (clos(4), 64),
+            (clos(2), 64),
+            (FabricSpec::FatTree { k: 4 }, 16),
+            (FabricSpec::FatTree { k: 8 }, 128),
+        ]);
+        let mut route = Vec::new();
+        for (spec, n) in cases {
+            let topo = spec.build(n, RoutePolicy::Dispersed);
+            let fm = FabricModel::from_spec(spec, RoutePolicy::Dispersed, n);
+            let mut links = |dst: usize| {
+                topo.route_links_into(NicId(0), NicId(dst), &mut route);
+                route.len()
             };
-            // Intra-leaf pair: 2 links, flat network term.
-            assert_eq!(route_len(0, 7, &mut route), 2);
-            assert_eq!(m.hop_us(n, 7), m.network_us);
-            // Cross-leaf pair: leaf→spine→leaf, 4 links, one surcharge.
-            assert_eq!(route_len(0, 8, &mut route), 4);
-            assert_eq!(m.hop_us(n, 8), m.network_us + m.cross_extra_us);
-            // Largest in-cluster distance stays two-level.
-            assert_eq!(route_len(0, n - 1, &mut route), 4);
-            assert_eq!(m.hop_us(n, n - 1), m.network_us + m.cross_extra_us);
+            let leaf0 = topo.attached_switch(NicId(0));
+            let on_leaf0 = (0..topo.nic_count())
+                .filter(|&r| topo.attached_switch(NicId(r)) == leaf0)
+                .count();
+            assert_eq!(fm.leaf_hosts, on_leaf0, "{spec:?} n={n}");
+            let off_pod = (1..topo.nic_count()).find(|&r| links(r) > 4);
+            assert_eq!(fm.pod_hosts, off_pod, "{spec:?} n={n}");
+            let leaf = fm.leaf_hosts;
+            let pod = fm.pod_hosts.unwrap_or(n);
+            for dist in [1, leaf - 1, leaf, pod - 1, pod, n - 1] {
+                if !(1..n).contains(&dist) {
+                    continue;
+                }
+                let tiers = (links(dist) / 2 - 1) as f64;
+                assert_eq!(
+                    m.tiered_hop_us(&fm, dist),
+                    m.network_us + tiers * m.cross_extra_us,
+                    "{spec:?} n={n} dist={dist}"
+                );
+            }
+            if spec == FabricSpec::Auto {
+                assert_eq!((fm.oversub, fm.excess_load), (1.0, 0.0), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn advisor_answers_for_fabrics_build_rejects() {
+        // The resolver never panics, so neither does ranking a scenario
+        // whose fabric `FabricSpec::build` would refuse.
+        let m = model_43();
+        for spec in [
+            FabricSpec::FatTree { k: 0 },
+            FabricSpec::FatTree { k: 3 },
+            FabricSpec::Clos {
+                leaves: 0,
+                hosts_per_leaf: 0,
+                spines: 0,
+            },
+        ] {
+            let sc = advisor::Scenario::barrier(64).with_fabric(spec, RoutePolicy::Adaptive);
+            let rec = advisor::recommend(&m, &sc);
+            assert!(
+                rec.ranked.iter().all(|c| c.predicted_us.is_finite()),
+                "{spec:?}"
+            );
         }
     }
 
@@ -1624,9 +1478,9 @@ mod tests {
             advisor::predict(
                 &m,
                 &advisor::Scenario::barrier(n).with_faults(rate),
-                advisor::Placement::Nic,
+                Placement::Nic,
                 &pe,
-            ) - m.nic_pe_us(n)
+            ) - auto(&m, Placement::Nic, n, pe)
         };
         let low = predicted(64, 1e-6);
         assert!((low - linear(64, 1e-6)).abs() / linear(64, 1e-6) < 1e-3);
@@ -1646,8 +1500,16 @@ mod tests {
         // Same pipeline base, different depths: the tier bias must spread
         // GB arities apart on a tiered fabric, deep binary paying most.
         let sc = advisor::Scenario::barrier(1024);
-        let gb = |dim| advisor::predict(&m, &sc, advisor::Placement::Nic, &Descriptor::gb(dim));
-        let bias_gap = gb(2) - 1.10 * m.nic_gb_us(1024, advisor::GB_PIPELINE_DIM);
+        let gb = |dim| advisor::predict(&m, &sc, Placement::Nic, &Descriptor::gb(dim));
+        let pipeline = |n| {
+            auto(
+                &m,
+                Placement::Nic,
+                n,
+                Descriptor::gb(advisor::GB_PIPELINE_DIM),
+            )
+        };
+        let bias_gap = gb(2) - 1.10 * pipeline(1024);
         let depth2 = CostModel::gb_depth(1024, 2) as f64;
         assert!(
             (bias_gap - depth2 * m.cross_extra_us).abs() < 1e-9,
@@ -1655,8 +1517,8 @@ mod tests {
         );
         // On one crossbar there is no bias at all.
         let sc16 = advisor::Scenario::barrier(16);
-        let gb16 = advisor::predict(&m, &sc16, advisor::Placement::Nic, &Descriptor::gb(2));
-        assert_eq!(gb16, 1.10 * m.nic_gb_us(16, advisor::GB_PIPELINE_DIM));
+        let gb16 = advisor::predict(&m, &sc16, Placement::Nic, &Descriptor::gb(2));
+        assert_eq!(gb16, 1.10 * pipeline(16));
         // An explicitly oversubscribed static-routed fabric predicts
         // strictly worse than the default for the same scenario.
         let over = advisor::Scenario::barrier(64).with_fabric(
@@ -1670,8 +1532,8 @@ mod tests {
         let auto = advisor::Scenario::barrier(64);
         let d = Descriptor::pe();
         assert!(
-            advisor::predict(&m, &over, advisor::Placement::Nic, &d)
-                > advisor::predict(&m, &auto, advisor::Placement::Nic, &d)
+            advisor::predict(&m, &over, Placement::Nic, &d)
+                > advisor::predict(&m, &auto, Placement::Nic, &d)
         );
     }
 
@@ -1692,18 +1554,22 @@ mod tests {
     fn nic_beats_host_at_scale_for_all_models() {
         let m = model_43();
         for n in [32usize, 128, 1024] {
-            assert!(m.nic_pe_us(n) < m.host_pe_us(n));
-            assert!(m.nic_gb_us(n, 8) < m.host_gb_us(n, 8));
-            assert!(m.nic_dissemination_us(n) < m.host_dissemination_us(n));
+            for d in [
+                Descriptor::pe(),
+                Descriptor::gb(8),
+                Descriptor::dissemination(),
+            ] {
+                assert!(auto(&m, Placement::Nic, n, d) < auto(&m, Placement::Host, n, d));
+            }
         }
     }
 
     fn payload_quad(m: &CostModel, n: usize, p: Payload) -> [f64; 4] {
         [
-            m.nic_bcast_us(n, 2, p),
-            m.nic_reduce_us(n, 2, p),
-            m.nic_allreduce_us(n, 2, p),
-            m.nic_scan_us(n, p),
+            m.bcast_us(n, 2, p),
+            m.reduce_us(n, 2, p),
+            m.allreduce_us(n, 2, p),
+            m.scan_us(n, p),
         ]
     }
 

@@ -44,7 +44,7 @@ pub mod schedule;
 pub mod unexpected;
 
 pub use analytic::{
-    advisor, CostModel, FabricModel, ADVISOR_REGRET_TOLERANCE, FABRIC_MODEL_TOLERANCE,
+    advisor, CostModel, FabricModel, Placement, ADVISOR_REGRET_TOLERANCE, FABRIC_MODEL_TOLERANCE,
     GB_MODEL_TOLERANCE, PAYLOAD_MODEL_TOLERANCE, PE_MODEL_TOLERANCE,
 };
 pub use gmsim_gm::{ReduceOp, TeamId};

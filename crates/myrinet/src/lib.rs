@@ -36,4 +36,7 @@ pub use fabric::{Delivery, Fabric, FabricStats};
 pub use fault::{Fate, FaultPlan, FaultState, Verdict};
 pub use packet::{wire_size, WireFormat};
 pub use route::{LinkId, NicId, SwitchId};
-pub use topology::{FabricSpec, LinkSpec, RoutePolicy, Topology, TopologyBuilder, UnreachablePair};
+pub use topology::{
+    FabricSpec, InvalidFabric, Layout, LinkSpec, RoutePolicy, Topology, TopologyBuilder,
+    UnreachablePair,
+};

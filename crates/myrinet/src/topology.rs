@@ -4,9 +4,9 @@
 //! Builders cover the paper's two physical testbeds — a single 16-port
 //! switch for the LANai 4.3 cluster and a single 8-port switch for the
 //! LANai 7.2 cluster — plus two- and three-level Clos fabrics with
-//! configurable oversubscription ([`TopologyBuilder::clos_oversub`]),
-//! k-ary fat trees ([`TopologyBuilder::fat_tree`]) and the multi-switch
-//! chains of the scaling study.
+//! configurable oversubscription ([`TopologyBuilder::clos_policy`]),
+//! k-ary fat trees ([`TopologyBuilder::fat_tree_policy`]) and the
+//! multi-switch chains of the scaling study.
 //!
 //! Myrinet is source-routed, and every fabric [`FabricSpec::build`] makes is
 //! a regular layout (pods × leaves × hosts, with uplinks per leaf and cores
@@ -75,13 +75,16 @@ enum Routes {
 /// with no uplinks; a two-level Clos is one pod with no cores (its spines
 /// are the pod's aggregation switches).
 ///
-/// [`Layout::build`] fixes the numbering the link formulas mirror.
-/// Switches: leaves, then aggregation switches, then cores (plane-major).
-/// Cables: leaf↔agg (pod-, leaf-, agg-major), then agg↔core (pod-, agg-,
+/// [`FabricSpec::layout`] is the one place a spec's shape is decided; the
+/// analytic model reads the shape through the accessors below.
+///
+/// Building fixes the numbering the link formulas mirror. Switches:
+/// leaves, then aggregation switches, then cores (plane-major). Cables:
+/// leaf↔agg (pod-, leaf-, agg-major), then agg↔core (pod-, agg-,
 /// core-major), then NIC↔leaf, leaf by leaf. Each cable is two directed
 /// links, the upward one first.
-#[derive(Debug, Clone, Copy)]
-struct Layout {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
     pods: usize,
     /// Leaf switches per pod.
     leaves: usize,
@@ -94,6 +97,27 @@ struct Layout {
 }
 
 impl Layout {
+    /// Hosts on each leaf (edge) switch.
+    pub fn hosts_per_leaf(&self) -> usize {
+        self.hosts
+    }
+
+    /// Hosts per pod when the layout has a core level, else `None`.
+    pub fn pod_hosts(&self) -> Option<usize> {
+        (self.cores > 0).then_some(self.leaves * self.hosts)
+    }
+
+    /// Uplinks from each leaf to the aggregation (spine) stage; 0 on a
+    /// crossbar.
+    pub fn uplinks_per_leaf(&self) -> usize {
+        self.uplinks
+    }
+
+    /// NICs the layout attaches.
+    fn host_count(&self) -> usize {
+        self.pods * self.leaves * self.hosts
+    }
+
     /// `hosts` NICs on one crossbar.
     fn crossbar(hosts: usize) -> Layout {
         Layout {
@@ -107,7 +131,6 @@ impl Layout {
 
     /// A two-level Clos: every leaf cabled to every spine.
     fn clos(leaves: usize, hosts: usize, spines: usize) -> Layout {
-        assert!(leaves >= 1 && hosts >= 1 && spines >= 1);
         Layout {
             pods: 1,
             leaves,
@@ -122,7 +145,6 @@ impl Layout {
     /// `k = 8` with a free pod count; a fat tree of radix `r` uses
     /// `k = r/2` with `pods = r`.
     fn three_level(pods: usize, k: usize) -> Layout {
-        assert!(pods >= 1 && k >= 1);
         Layout {
             pods,
             leaves: k,
@@ -332,85 +354,43 @@ pub enum FabricSpec {
 }
 
 impl FabricSpec {
-    /// Number of hosts this fabric can attach. `Auto` scales with the
-    /// request, so it reports `requested` back.
+    /// Number of hosts the built fabric attaches for a request of
+    /// `requested`: fixed for explicit specs, `requested` rounded up to
+    /// whole leaves (or pods) for `Auto`.
     pub fn host_capacity(&self, requested: usize) -> usize {
-        match *self {
-            FabricSpec::Auto => requested,
+        self.layout(requested).host_count()
+    }
+
+    /// Whether [`FabricSpec::build`] accepts this spec: a fat tree needs an
+    /// even, non-zero radix; a Clos needs at least one leaf, one host per
+    /// leaf and one spine.
+    ///
+    /// # Errors
+    /// [`InvalidFabric`] naming the rejected spec.
+    pub fn validate(&self) -> Result<(), InvalidFabric> {
+        let valid = match *self {
+            FabricSpec::Auto => true,
             FabricSpec::Clos {
                 leaves,
                 hosts_per_leaf,
-                ..
-            } => leaves * hosts_per_leaf,
-            FabricSpec::FatTree { k } => k * k * k / 4,
+                spines,
+            } => leaves > 0 && hosts_per_leaf > 0 && spines > 0,
+            FabricSpec::FatTree { k } => k > 0 && k.is_multiple_of(2),
+        };
+        if valid {
+            Ok(())
+        } else {
+            Err(InvalidFabric(*self))
         }
     }
 
-    /// Hosts sharing a leaf (edge) switch with any given host, for `n`
-    /// attached hosts — the first distance tier of the analytic model.
-    pub fn leaf_hosts(&self, n: usize) -> usize {
-        match *self {
-            FabricSpec::Auto => {
-                if n <= TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS {
-                    n.max(1)
-                } else {
-                    TopologyBuilder::CLOS_LEAF_HOSTS
-                }
-            }
-            FabricSpec::Clos { hosts_per_leaf, .. } => hosts_per_leaf,
-            FabricSpec::FatTree { k } => k / 2,
-        }
-    }
-
-    /// Hosts per pod when the fabric has a third (core) level, else `None`.
-    pub fn pod_hosts(&self, n: usize) -> Option<usize> {
-        match *self {
-            FabricSpec::Auto => (n > TopologyBuilder::MAX_TWO_LEVEL_HOSTS)
-                .then_some(TopologyBuilder::CLOS_LEAF_HOSTS * TopologyBuilder::CLOS_LEAF_HOSTS),
-            FabricSpec::Clos { .. } => None,
-            FabricSpec::FatTree { k } => Some(k * k / 4),
-        }
-    }
-
-    /// Uplinks available to a leaf for cross-leaf traffic.
-    pub fn spine_count(&self, n: usize) -> usize {
-        match *self {
-            FabricSpec::Auto => {
-                if n <= TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS {
-                    1
-                } else {
-                    TopologyBuilder::CLOS_LEAF_HOSTS
-                }
-            }
-            FabricSpec::Clos { spines, .. } => spines,
-            FabricSpec::FatTree { k } => k / 2,
-        }
-    }
-
-    /// Oversubscription ratio: worst-case hosts per leaf divided by its
-    /// uplinks. 1.0 for every non-blocking fabric; 2.0 for a 2:1 Clos.
-    pub fn oversub_ratio(&self, n: usize) -> f64 {
-        if n <= TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS && matches!(self, FabricSpec::Auto) {
-            return 1.0;
-        }
-        self.leaf_hosts(n) as f64 / self.spine_count(n) as f64
-    }
-
-    /// Resolve to a concrete topology for `hosts` attached hosts under
-    /// `policy`. Routes are computed from the fabric's layout; nothing is
-    /// searched or tabulated.
-    ///
-    /// # Panics
-    /// Panics if the fabric cannot attach `hosts` hosts (see
-    /// [`FabricSpec::host_capacity`]) or if a `FatTree` radix is odd.
-    pub fn build(&self, hosts: usize, policy: RoutePolicy) -> Topology {
-        assert!(
-            self.host_capacity(hosts) >= hosts,
-            "fabric {self:?} holds {} hosts, {hosts} requested",
-            self.host_capacity(hosts),
-        );
+    /// The layout [`FabricSpec::build`] lays down for `hosts` attached
+    /// hosts: the one place a spec's shape is decided. Never panics, so a
+    /// caller may ask for the shape of a spec `build` would reject
+    /// ([`FabricSpec::validate`]).
+    pub fn layout(&self, hosts: usize) -> Layout {
         let leaf = TopologyBuilder::CLOS_LEAF_HOSTS;
-        let layout = match *self {
+        match *self {
             FabricSpec::Auto if hosts <= TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS => {
                 Layout::crossbar(hosts)
             }
@@ -423,17 +403,51 @@ impl FabricSpec {
                 hosts_per_leaf,
                 spines,
             } => Layout::clos(leaves, hosts_per_leaf, spines),
-            FabricSpec::FatTree { k } => {
-                assert!(
-                    k >= 2 && k.is_multiple_of(2),
-                    "fat tree radix must be even, got {k}"
-                );
-                Layout::three_level(k, k / 2)
-            }
-        };
+            FabricSpec::FatTree { k } => Layout::three_level(k, k / 2),
+        }
+    }
+
+    /// Resolve to a concrete topology for `hosts` attached hosts under
+    /// `policy`. Routes are computed from the fabric's layout; nothing is
+    /// searched or tabulated.
+    ///
+    /// # Panics
+    /// Panics if the spec is invalid ([`FabricSpec::validate`]) or cannot
+    /// attach `hosts` hosts ([`FabricSpec::host_capacity`]).
+    pub fn build(&self, hosts: usize, policy: RoutePolicy) -> Topology {
+        if let Err(err) = self.validate() {
+            panic!("{err}");
+        }
+        let layout = self.layout(hosts);
+        assert!(
+            layout.host_count() >= hosts,
+            "fabric {self:?} holds {} hosts, {hosts} requested",
+            layout.host_count(),
+        );
         layout.build(policy)
     }
 }
+
+/// Why [`FabricSpec::validate`] rejects a spec: a fat tree with a zero or
+/// odd radix, or a Clos with no leaves, hosts per leaf or spines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidFabric(pub FabricSpec);
+
+impl std::fmt::Display for InvalidFabric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            FabricSpec::FatTree { k } => {
+                write!(f, "fat tree radix must be even and non-zero, got {k}")
+            }
+            spec => write!(
+                f,
+                "fabric {spec:?} needs at least one leaf, host per leaf and spine"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for InvalidFabric {}
 
 /// A finished topology: vertices, directed links, and NIC-to-NIC routes
 /// (computed from a layout, or stored for hand-built graphs).
@@ -825,23 +839,16 @@ impl TopologyBuilder {
     /// two-level Clos; beyond this it grows a third (core) level.
     pub const MAX_TWO_LEVEL_HOSTS: usize = 1024;
 
-    /// The standard fabric for an `n`-host cluster, shared by the testbed
-    /// and the analytic model: one crossbar up to
-    /// [`Self::MAX_SINGLE_SWITCH_HOSTS`] hosts (the paper's testbed), a
-    /// non-blocking two-level Clos of 16-port crossbars
-    /// ([`Self::CLOS_LEAF_HOSTS`] hosts + as many uplinks per leaf) up to
-    /// [`Self::MAX_TWO_LEVEL_HOSTS`] hosts — which is how real Myrinet
-    /// installations scaled — and a three-level (pod + core) Clos beyond
-    /// that, up to 4096 hosts and further.
+    /// The standard fabric for an `n`-host cluster ([`FabricSpec::Auto`]
+    /// with dispersed routes), shared by the testbed and the analytic
+    /// model: one crossbar up to [`Self::MAX_SINGLE_SWITCH_HOSTS`] hosts
+    /// (the paper's testbed), a non-blocking two-level Clos of 16-port
+    /// crossbars ([`Self::CLOS_LEAF_HOSTS`] hosts + as many uplinks per
+    /// leaf) up to [`Self::MAX_TWO_LEVEL_HOSTS`] hosts — which is how real
+    /// Myrinet installations scaled — and a three-level (pod + core) Clos
+    /// beyond that, up to 4096 hosts and further.
     pub fn for_cluster(hosts: usize) -> Topology {
-        Self::for_cluster_policy(hosts, RoutePolicy::Dispersed)
-    }
-
-    /// [`TopologyBuilder::for_cluster`] with an explicit [`RoutePolicy`]
-    /// ([`FabricSpec::Auto`]). On a single crossbar (≤ 16 hosts) every pair
-    /// has exactly one path, so the policy is recorded but has no effect.
-    pub fn for_cluster_policy(hosts: usize, policy: RoutePolicy) -> Topology {
-        FabricSpec::Auto.build(hosts, policy)
+        FabricSpec::Auto.build(hosts, RoutePolicy::Dispersed)
     }
 
     /// The paper's testbed shape: `hosts` NICs on one crossbar switch
@@ -853,67 +860,38 @@ impl TopologyBuilder {
     /// A two-level Clos network, how real Myrinet installations scaled
     /// past one crossbar: `leaves` leaf switches with `hosts_per_leaf`
     /// NICs each, every leaf cabled to every one of `spines` spine
-    /// switches. With `spines >= hosts_per_leaf` the fabric is
-    /// non-blocking. Source routes are *dispersed*: the spine for a
-    /// (src, dst) pair is chosen by `(src + dst) % spines`, spreading
-    /// simultaneous pairwise-exchange traffic across the bisection the way
-    /// Myrinet's route-dispersal did.
-    pub fn clos(leaves: usize, hosts_per_leaf: usize, spines: usize) -> Topology {
-        Self::clos_policy(leaves, hosts_per_leaf, spines, RoutePolicy::Dispersed)
-    }
-
-    /// An *oversubscribed* two-level Clos: `spines < hosts_per_leaf` means
-    /// a leaf's hosts contend for fewer uplinks than ports
-    /// (oversubscription ratio `hosts_per_leaf / spines` — e.g. 8 hosts
-    /// over 4 spines is a 2:1 fabric). Identical to
-    /// [`TopologyBuilder::clos`] otherwise; routes disperse by
-    /// `(src + dst) % spines`.
-    pub fn clos_oversub(leaves: usize, hosts_per_leaf: usize, spines: usize) -> Topology {
-        assert!(
-            spines <= hosts_per_leaf,
-            "clos_oversub wants spines ({spines}) <= hosts_per_leaf ({hosts_per_leaf}); \
-             use clos() for over-provisioned fabrics"
-        );
-        Self::clos_policy(leaves, hosts_per_leaf, spines, RoutePolicy::Dispersed)
-    }
-
-    /// [`TopologyBuilder::clos`] with an explicit [`RoutePolicy`].
+    /// switches, routed by `policy`. With `spines >= hosts_per_leaf` the
+    /// fabric is non-blocking; fewer spines oversubscribe it by
+    /// `hosts_per_leaf / spines` (8 hosts over 4 spines is 2:1).
     pub fn clos_policy(
         leaves: usize,
         hosts_per_leaf: usize,
         spines: usize,
         policy: RoutePolicy,
     ) -> Topology {
-        Layout::clos(leaves, hosts_per_leaf, spines).build(policy)
+        FabricSpec::Clos {
+            leaves,
+            hosts_per_leaf,
+            spines,
+        }
+        .build(leaves * hosts_per_leaf, policy)
     }
 
-    /// A three-level Clos: `pods` pods of 8 leaf switches × 8 hosts (64
-    /// hosts per pod), every leaf cabled to all 8 aggregation switches of
-    /// its pod, and aggregation switch `a` of every pod cabled to the 8
-    /// core switches of *plane* `a`. Same-pod routes disperse over the
-    /// aggregation stage by `(src + dst) % 8`; cross-pod routes
-    /// additionally disperse over the plane's cores. 64 pods = 4096 hosts.
-    pub fn clos3(pods: usize) -> Topology {
-        Self::clos3_policy(pods, RoutePolicy::Dispersed)
-    }
-
-    /// [`TopologyBuilder::clos3`] with an explicit [`RoutePolicy`].
+    /// A three-level Clos routed by `policy`: `pods` pods of 8 leaf
+    /// switches × 8 hosts (64 hosts per pod), every leaf cabled to all 8
+    /// aggregation switches of its pod, and aggregation switch `a` of
+    /// every pod cabled to the 8 core switches of *plane* `a`. 64 pods =
+    /// 4096 hosts.
     pub fn clos3_policy(pods: usize, policy: RoutePolicy) -> Topology {
+        assert!(pods >= 1, "a three-level Clos needs at least one pod");
         Layout::three_level(pods, Self::CLOS_LEAF_HOSTS).build(policy)
     }
 
-    /// A k-ary fat tree (`k` even, ≥ 2): `k` pods of `k/2` edge switches
-    /// (`k/2` hosts each) and `k/2` aggregation switches, with `(k/2)²`
-    /// core switches — `k³/4` hosts on `k`-port switches, non-blocking at
-    /// every level. Structurally this is the three-level Clos with
-    /// pod width `k/2` instead of 8; routes disperse (or adapt) over the
-    /// aggregation and core stages exactly as [`TopologyBuilder::clos3`]'s
-    /// do.
-    pub fn fat_tree(k: usize) -> Topology {
-        Self::fat_tree_policy(k, RoutePolicy::Dispersed)
-    }
-
-    /// [`TopologyBuilder::fat_tree`] with an explicit [`RoutePolicy`].
+    /// A k-ary fat tree (`k` even, ≥ 2) routed by `policy`: `k` pods of
+    /// `k/2` edge switches (`k/2` hosts each) and `k/2` aggregation
+    /// switches, with `(k/2)²` core switches — `k³/4` hosts on `k`-port
+    /// switches, non-blocking at every level. Structurally this is
+    /// [`TopologyBuilder::clos3_policy`] with pod width `k/2` instead of 8.
     pub fn fat_tree_policy(k: usize, policy: RoutePolicy) -> Topology {
         FabricSpec::FatTree { k }.build(k * k * k / 4, policy)
     }
@@ -1037,7 +1015,7 @@ mod tests {
 
     #[test]
     fn clos_routes_are_two_or_four_links() {
-        let t = TopologyBuilder::clos(4, 4, 4);
+        let t = TopologyBuilder::clos_policy(4, 4, 4, RoutePolicy::Dispersed);
         assert_eq!(t.nic_count(), 16);
         for s in 0..16 {
             for d in 0..16 {
@@ -1057,7 +1035,7 @@ mod tests {
 
     #[test]
     fn clos_disperses_spine_choice() {
-        let t = TopologyBuilder::clos(2, 8, 8);
+        let t = TopologyBuilder::clos_policy(2, 8, 8, RoutePolicy::Dispersed);
         // Fix a source on leaf 0; destinations on leaf 1 should use many
         // different spine uplinks, not all the same one.
         let mut uplinks = std::collections::HashSet::new();
@@ -1077,7 +1055,7 @@ mod tests {
         // Small three-level Clos: 4 pods = 256 hosts. Computed routes must
         // be real paths through the link table (endpoints match, links
         // chain) with the expected lengths.
-        let t = TopologyBuilder::clos3(4);
+        let t = TopologyBuilder::clos3_policy(4, RoutePolicy::Dispersed);
         assert_eq!(t.nic_count(), 256);
         let pairs = [
             (0usize, 1usize, 2usize), // same leaf: nic-leaf-nic
@@ -1129,12 +1107,12 @@ mod tests {
 
     #[test]
     fn partition_map_clos_groups_by_leaf() {
-        let p = TopologyBuilder::clos(4, 8, 8).partition_map();
+        let p = TopologyBuilder::clos_policy(4, 8, 8, RoutePolicy::Dispersed).partition_map();
         assert_eq!(p.count, 4);
         for nic in 0..32usize {
             assert_eq!(p.lp_of[nic], (nic / 8) as u32);
         }
-        let p3 = TopologyBuilder::clos3(2).partition_map();
+        let p3 = TopologyBuilder::clos3_policy(2, RoutePolicy::Dispersed).partition_map();
         assert_eq!(p3.count, 16);
         assert_eq!(p3.lp_of[0], 0);
         assert_eq!(p3.lp_of[127], 15);
@@ -1147,8 +1125,8 @@ mod tests {
         let expect = SimTime::from_ns(25 + 300 + 25 + 113);
         for t in [
             TopologyBuilder::single_switch(4),
-            TopologyBuilder::clos(4, 8, 8),
-            TopologyBuilder::clos3(2),
+            TopologyBuilder::clos_policy(4, 8, 8, RoutePolicy::Dispersed),
+            TopologyBuilder::clos3_policy(2, RoutePolicy::Dispersed),
         ] {
             assert_eq!(t.min_delivery_latency(), Some(expect));
         }
@@ -1230,7 +1208,7 @@ mod tests {
 
     #[test]
     fn clos_oversub_restricts_spines() {
-        let t = TopologyBuilder::clos_oversub(4, 8, 2);
+        let t = TopologyBuilder::clos_policy(4, 8, 2, RoutePolicy::Dispersed);
         assert_eq!(t.nic_count(), 32);
         assert_eq!(t.switch_count(), 6);
         let mut uplinks = std::collections::HashSet::new();
@@ -1268,7 +1246,7 @@ mod tests {
 
     #[test]
     fn fat_tree_shapes_and_routes_chain() {
-        let t = TopologyBuilder::fat_tree(4);
+        let t = TopologyBuilder::fat_tree_policy(4, RoutePolicy::Dispersed);
         // k = 4: 4 pods × 2 edges × 2 hosts = 16 hosts; 8 edge + 8 agg +
         // 4 core switches.
         assert_eq!(t.nic_count(), 16);
@@ -1314,27 +1292,39 @@ mod tests {
     }
 
     #[test]
-    fn fabric_spec_capacity_and_shape_helpers() {
-        let clos = FabricSpec::Clos {
-            leaves: 8,
-            hosts_per_leaf: 8,
-            spines: 4,
+    fn fabric_spec_validity_and_capacity() {
+        let clos = |leaves, hosts_per_leaf, spines| FabricSpec::Clos {
+            leaves,
+            hosts_per_leaf,
+            spines,
         };
-        assert_eq!(clos.host_capacity(64), 64);
-        assert_eq!(clos.leaf_hosts(64), 8);
-        assert_eq!(clos.spine_count(64), 4);
-        assert!((clos.oversub_ratio(64) - 2.0).abs() < 1e-12);
-        assert_eq!(clos.pod_hosts(64), None);
-        let ft = FabricSpec::FatTree { k: 8 };
-        assert_eq!(ft.host_capacity(0), 128);
-        assert_eq!(ft.leaf_hosts(128), 4);
-        assert_eq!(ft.pod_hosts(128), Some(16));
-        assert!((ft.oversub_ratio(128) - 1.0).abs() < 1e-12);
-        assert_eq!(FabricSpec::Auto.leaf_hosts(8), 8);
-        assert_eq!(FabricSpec::Auto.leaf_hosts(100), 8);
-        assert_eq!(FabricSpec::Auto.pod_hosts(4096), Some(64));
-        assert!((FabricSpec::Auto.oversub_ratio(8) - 1.0).abs() < 1e-12);
-        let t = clos.build(64, RoutePolicy::Adaptive);
+        assert_eq!(clos(8, 8, 4).host_capacity(64), 64);
+        assert_eq!(FabricSpec::FatTree { k: 8 }.host_capacity(0), 128);
+        // Auto pads the request to whole leaves, then whole pods.
+        assert_eq!(FabricSpec::Auto.host_capacity(16), 16);
+        assert_eq!(FabricSpec::Auto.host_capacity(17), 24);
+        assert_eq!(FabricSpec::Auto.host_capacity(1025), 17 * 64);
+        for good in [
+            FabricSpec::Auto,
+            clos(1, 1, 1),
+            FabricSpec::FatTree { k: 2 },
+        ] {
+            assert_eq!(good.validate(), Ok(()));
+        }
+        for bad in [
+            FabricSpec::FatTree { k: 0 },
+            FabricSpec::FatTree { k: 3 },
+            clos(0, 4, 2),
+            clos(2, 0, 2),
+            clos(2, 4, 0),
+        ] {
+            assert_eq!(bad.validate(), Err(InvalidFabric(bad)));
+            // The resolver still answers; only `build` refuses.
+            let _ = bad.layout(4);
+            let built = std::panic::catch_unwind(|| bad.build(4, RoutePolicy::Dispersed));
+            assert!(built.is_err(), "{bad:?} built");
+        }
+        let t = clos(8, 8, 4).build(64, RoutePolicy::Adaptive);
         assert_eq!(t.nic_count(), 64);
         assert_eq!(t.route_policy(), RoutePolicy::Adaptive);
     }

@@ -5,7 +5,7 @@ use gmsim_gm::cluster::{Cluster, ClusterBuilder};
 use gmsim_gm::config::CollectiveWireMode;
 use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram};
 use gmsim_lanai::NicModel;
-use gmsim_myrinet::{FabricSpec, FaultPlan, RoutePolicy};
+use gmsim_myrinet::{FabricSpec, FaultPlan, InvalidFabric, RoutePolicy};
 use nic_barrier::nic::{TURNAROUND_BINS, TURNAROUND_BIN_US};
 use nic_barrier::programs::{decode_note, decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
 use nic_barrier::{
@@ -164,6 +164,18 @@ pub enum ExperimentError {
         /// Requested team count.
         teams: usize,
     },
+    /// An explicit fabric [`FabricSpec::build`] cannot lay down: a fat
+    /// tree with a zero or odd radix, or a Clos with no leaves, hosts per
+    /// leaf or spines.
+    InvalidFabric(InvalidFabric),
+    /// [`crate::best_gb_dim`] on a base with no tree dimensions to sweep:
+    /// an algorithm other than GB, or fewer than two processes.
+    NoGbDims {
+        /// The base experiment's algorithm.
+        algorithm: Algorithm,
+        /// The base experiment's process count.
+        procs: usize,
+    },
     /// An explicit fabric too small for the cluster: the spec attaches
     /// fewer hosts than the experiment needs nodes.
     FabricTooSmall {
@@ -225,6 +237,12 @@ impl fmt::Display for ExperimentError {
                 f,
                 "{teams} teams exceed the {} team ids a 16-bit team field carries",
                 TeamId::MAX.0
+            ),
+            ExperimentError::InvalidFabric(err) => write!(f, "{err}"),
+            ExperimentError::NoGbDims { algorithm, procs } => write!(
+                f,
+                "no GB tree dimensions to sweep for {} over {procs} processes",
+                algorithm.name()
             ),
             ExperimentError::FabricTooSmall { capacity, nodes } => write!(
                 f,
@@ -489,6 +507,9 @@ impl BarrierExperiment {
         if self.send_tokens == Some(0) {
             return Err(ExperimentError::ZeroSendTokens);
         }
+        self.fabric
+            .validate()
+            .map_err(ExperimentError::InvalidFabric)?;
         let nodes = self.node_count();
         if self.fabric.host_capacity(nodes) < nodes {
             return Err(ExperimentError::FabricTooSmall {
@@ -1210,6 +1231,24 @@ mod tests {
             host_slowdown > nic_slowdown,
             "host {host_slowdown} nic {nic_slowdown}"
         );
+    }
+
+    #[test]
+    fn fabrics_build_rejects_are_typed_errors() {
+        // Both specs pass the capacity check; only the fabric check stops
+        // them before `FabricSpec::build` would panic.
+        let base = BarrierExperiment::new(4, Algorithm::Nic(Descriptor::Pe)).rounds(10, 2);
+        for spec in [
+            FabricSpec::FatTree { k: 3 },
+            FabricSpec::Clos {
+                leaves: 2,
+                hosts_per_leaf: 4,
+                spines: 0,
+            },
+        ] {
+            let err = base.fabric(spec, RoutePolicy::Dispersed).run().unwrap_err();
+            assert_eq!(err, ExperimentError::InvalidFabric(InvalidFabric(spec)));
+        }
     }
 
     #[test]

@@ -7,15 +7,18 @@
 //! experiment-shaped conveniences on top of it.
 
 use crate::engine::SweepEngine;
-use crate::experiment::{Algorithm, BarrierExperiment, Measurement};
+use crate::experiment::{Algorithm, BarrierExperiment, ExperimentError, Measurement};
 use nic_barrier::Descriptor;
 
 /// Run every experiment, in parallel across available cores, preserving
 /// input order in the result.
-pub fn run_all(experiments: &[BarrierExperiment]) -> Vec<Measurement> {
-    run_all_with(experiments, |e| {
-        e.run().unwrap_or_else(|err| panic!("{err}: {e:?}"))
-    })
+///
+/// # Errors
+/// The error of the first experiment, in input order, that failed.
+pub fn run_all(experiments: &[BarrierExperiment]) -> Result<Vec<Measurement>, ExperimentError> {
+    run_all_with(experiments, BarrierExperiment::run)
+        .into_iter()
+        .collect()
 }
 
 /// Generalized parallel map over experiments (lets benches substitute
@@ -28,35 +31,35 @@ where
     SweepEngine::new().run(experiments, |_, e| f(e))
 }
 
-/// Find the best GB tree dimension for `base` (which must be a GB
-/// algorithm), sweeping `d ∈ 1..procs` exactly as §6 describes: "we ran the
-/// test for every dimension from 1 to N − 1 ... the latencies reported are
-/// the minimum latencies over all dimensions." Returns `(dim, measurement)`.
-pub fn best_gb_dim(base: BarrierExperiment) -> (usize, Measurement) {
-    let nic_side = match base.algorithm {
-        Algorithm::Nic(Descriptor::Gb { .. }) => true,
-        Algorithm::Host(Descriptor::Gb { .. }) => false,
-        other => panic!("best_gb_dim on non-GB algorithm {other:?}"),
+/// Find the best GB tree dimension for `base` (a GB algorithm over at
+/// least two processes), sweeping `d ∈ 1..procs` exactly as §6 describes:
+/// "we ran the test for every dimension from 1 to N − 1 ... the latencies
+/// reported are the minimum latencies over all dimensions." Returns
+/// `(dim, measurement)`.
+///
+/// # Errors
+/// [`ExperimentError::NoGbDims`] when `base` has no dimension to sweep,
+/// else the first failed candidate's error (lowest dimension first).
+pub fn best_gb_dim(base: BarrierExperiment) -> Result<(usize, Measurement), ExperimentError> {
+    let procs = base.procs;
+    let side: fn(Descriptor) -> Algorithm = match base.algorithm {
+        Algorithm::Nic(Descriptor::Gb { .. }) if procs >= 2 => Algorithm::Nic,
+        Algorithm::Host(Descriptor::Gb { .. }) if procs >= 2 => Algorithm::Host,
+        algorithm => return Err(ExperimentError::NoGbDims { algorithm, procs }),
     };
-    assert!(base.procs >= 2);
-    let candidates: Vec<BarrierExperiment> = (1..base.procs)
+    let candidates: Vec<BarrierExperiment> = (1..procs)
         .map(|dim| {
             let mut e = base;
-            e.algorithm = if nic_side {
-                Algorithm::Nic(Descriptor::gb(dim))
-            } else {
-                Algorithm::Host(Descriptor::gb(dim))
-            };
+            e.algorithm = side(Descriptor::gb(dim));
             e
         })
         .collect();
-    let results = run_all(&candidates);
-    let (best_idx, best) = results
+    let (best_idx, best) = run_all(&candidates)?
         .into_iter()
         .enumerate()
         .min_by(|(_, a), (_, b)| a.mean_us.total_cmp(&b.mean_us))
-        .expect("no candidates");
-    (best_idx + 1, best)
+        .expect("procs >= 2 leaves at least one dimension");
+    Ok((best_idx + 1, best))
 }
 
 #[cfg(test)]
@@ -69,7 +72,7 @@ mod tests {
             .iter()
             .map(|&n| BarrierExperiment::new(n, Algorithm::Nic(Descriptor::Pe)).rounds(40, 5))
             .collect();
-        let parallel = run_all(&exps);
+        let parallel = run_all(&exps).unwrap();
         let serial: Vec<Measurement> = exps.iter().map(|e| e.run().unwrap()).collect();
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.mean_us, s.mean_us, "simulations are deterministic");
@@ -78,13 +81,13 @@ mod tests {
 
     #[test]
     fn empty_sweep() {
-        assert!(run_all(&[]).is_empty());
+        assert!(run_all(&[]).unwrap().is_empty());
     }
 
     #[test]
     fn best_dim_is_found() {
         let base = BarrierExperiment::new(6, Algorithm::Nic(Descriptor::gb(1))).rounds(40, 5);
-        let (dim, best) = best_gb_dim(base);
+        let (dim, best) = best_gb_dim(base).unwrap();
         assert!((1..6).contains(&dim));
         // The best must not lose to any individual dimension.
         for d in 1..6 {
@@ -97,8 +100,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-GB")]
     fn best_dim_rejects_pe() {
-        best_gb_dim(BarrierExperiment::new(4, Algorithm::Nic(Descriptor::Pe)));
+        let base = BarrierExperiment::new(4, Algorithm::Nic(Descriptor::Pe));
+        assert_eq!(
+            best_gb_dim(base).unwrap_err(),
+            ExperimentError::NoGbDims {
+                algorithm: base.algorithm,
+                procs: 4
+            }
+        );
+    }
+
+    #[test]
+    fn best_dim_rejects_a_single_process() {
+        let base = BarrierExperiment::new(1, Algorithm::Host(Descriptor::gb(1)));
+        assert!(matches!(
+            best_gb_dim(base).unwrap_err(),
+            ExperimentError::NoGbDims { procs: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn run_all_returns_the_first_failure_in_input_order() {
+        let ok = BarrierExperiment::new(2, Algorithm::Nic(Descriptor::Pe)).rounds(10, 2);
+        let exps = [ok, ok.rounds(0, 0), BarrierExperiment::new(0, ok.algorithm)];
+        assert_eq!(run_all(&exps).unwrap_err(), ExperimentError::ZeroRounds);
     }
 }

@@ -7,7 +7,7 @@
 use gmsim_des::check::forall;
 use gmsim_gm::GmConfig;
 use gmsim_testbed::prelude::*;
-use nic_barrier::CostModel;
+use nic_barrier::{CostModel, FabricModel};
 
 /// The observable surface of a [`Measurement`] that the scaling study
 /// consumes, with floats compared by bit pattern.
@@ -79,7 +79,14 @@ fn thousand_node_cluster_runs_and_matches_the_scaling_model() {
         .run()
         .expect("1024-node run");
     let model = CostModel::from_config(&GmConfig::paper_host(NicModel::LANAI_4_3));
-    let predicted = model.nic_pe_us(1024);
+    let predicted = model
+        .latency_us(
+            nic_barrier::Placement::Nic,
+            1024,
+            &Descriptor::pe(),
+            &FabricModel::auto(1024),
+        )
+        .expect("a barrier form");
     let rel = (m.mean_us - predicted).abs() / m.mean_us;
     assert!(
         rel < nic_barrier::PE_MODEL_TOLERANCE,

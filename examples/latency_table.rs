@@ -22,7 +22,8 @@ fn main() {
     let (gbd, gb16) = best_gb_dim(BarrierExperiment::new(
         16,
         Algorithm::Nic(Descriptor::gb(1)),
-    ));
+    ))
+    .unwrap();
     let nic8f = run(8, Algorithm::Nic(Descriptor::Pe), l72);
     let host8f = run(8, Algorithm::Host(Descriptor::Pe), l72);
 

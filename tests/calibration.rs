@@ -69,7 +69,8 @@ fn pe_factor_8_nodes_lanai72_is_1_83() {
 #[test]
 fn nic_gb_16_nodes_lanai43_is_152us() {
     let (_, m) =
-        best_gb_dim(BarrierExperiment::new(16, Algorithm::Nic(Descriptor::gb(1))).rounds(80, 10));
+        best_gb_dim(BarrierExperiment::new(16, Algorithm::Nic(Descriptor::gb(1))).rounds(80, 10))
+            .unwrap();
     assert!(
         within(m.mean_us, 152.27, 5.0),
         "measured {:.2} vs paper 152.27",
@@ -119,7 +120,8 @@ fn host_pe_beats_host_gb() {
         let pe = run(n, Algorithm::Host(Descriptor::Pe), NicModel::LANAI_4_3);
         let (_, gb) = best_gb_dim(
             BarrierExperiment::new(n, Algorithm::Host(Descriptor::gb(1))).rounds(80, 10),
-        );
+        )
+        .unwrap();
         assert!(
             pe < gb.mean_us,
             "n={n}: host-PE {pe:.2} vs host-GB {:.2}",
