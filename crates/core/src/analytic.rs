@@ -712,7 +712,7 @@ pub mod advisor {
 
     pub use super::Placement;
     use super::{CostModel, FabricModel};
-    use crate::schedule::{dissemination, pe, Descriptor};
+    use crate::schedule::{pe, Descriptor};
     use gmsim_gm::Payload;
     use gmsim_myrinet::{FabricSpec, RoutePolicy};
 
@@ -985,38 +985,36 @@ pub mod advisor {
     /// fault-exposure surface. Co-located ranks still count: the advisor
     /// assumes the one-process-per-node placement its study measures.
     pub fn total_messages(descriptor: &Descriptor, n: usize) -> usize {
+        if n == 0 {
+            return 0;
+        }
         match *descriptor {
-            Descriptor::Pe => (0..n)
-                .map(|r| {
-                    pe::schedule(r, n)
-                        .iter()
-                        .filter(|s| !matches!(s, pe::Step::RecvFrom(_)))
-                        .count()
-                })
-                .sum(),
+            // `p·log2 p` exchange sends among the power-of-two core, plus
+            // one fold and one release send per extra rank.
+            Descriptor::Pe => {
+                let p = pe::pow2_floor(n);
+                p * p.trailing_zeros() as usize + 2 * (n - p)
+            }
+            // Every rank sends once per arrival of every round.
             Descriptor::Dissemination { radix } => {
-                // Every rank sends the same (k, j) distance set.
-                n * dissemination::schedule(0, n, radix)
-                    .iter()
-                    .filter(|s| matches!(s, pe::Step::SendTo(_)))
-                    .count()
+                n * CostModel::kary_rounds(n, radix)
+                    .map(|(_, arrivals)| arrivals)
+                    .sum::<usize>()
             }
             // One gather up and one broadcast down per non-root rank.
-            Descriptor::Gb { .. } => 2 * n.saturating_sub(1),
+            Descriptor::Gb { .. } => 2 * (n - 1),
             Descriptor::Allreduce { payload, .. } => {
-                2 * n.saturating_sub(1) * payload.segments().get() as usize
+                2 * (n - 1) * payload.segments().get() as usize
             }
             Descriptor::Bcast { payload, .. } | Descriptor::Reduce { payload, .. } => {
-                n.saturating_sub(1) * payload.segments().get() as usize
+                (n - 1) * payload.segments().get() as usize
             }
+            // At distance `d = 2^k` the `n − d` ranks with a downstream
+            // partner send.
             Descriptor::Scan { payload, .. } => {
-                (0..n)
-                    .map(|r| {
-                        crate::schedule::scan::schedule(r, n)
-                            .iter()
-                            .filter(|s| matches!(s, pe::Step::SendTo(_)))
-                            .count()
-                    })
+                std::iter::successors(Some(1usize), |d| d.checked_mul(2))
+                    .take_while(|&d| d < n)
+                    .map(|d| n - d)
                     .sum::<usize>()
                     * payload.segments().get() as usize
             }
@@ -1302,6 +1300,43 @@ mod tests {
             matches!(rec.best().descriptor, Descriptor::Allreduce { dim: 2, .. }),
             "{rec:?}"
         );
+    }
+
+    #[test]
+    fn advisor_total_messages_match_the_schedules() {
+        use crate::schedule::{dissemination, pe, pe::Step, scan};
+        use advisor::total_messages;
+        let sends = |steps: Vec<Step>| {
+            steps
+                .iter()
+                .filter(|s| !matches!(s, Step::RecvFrom(_)))
+                .count()
+        };
+        let segs = Payload::pipelined(12 * 1024, 4096);
+        assert_eq!(segs.segments().get(), 3);
+        for n in 1..=1100 {
+            let pe_sends: usize = (0..n).map(|r| sends(pe::schedule(r, n))).sum();
+            assert_eq!(total_messages(&Descriptor::pe(), n), pe_sends, "pe n={n}");
+            let scan_sends: usize = (0..n).map(|r| sends(scan::schedule(r, n))).sum();
+            assert_eq!(
+                total_messages(
+                    &Descriptor::scan(gmsim_gm::ReduceOp::Sum).with_payload(segs),
+                    n
+                ),
+                3 * scan_sends,
+                "scan n={n}"
+            );
+            for radix in 2..=8 {
+                // Every rank sends the same (round, offset) distance set.
+                let dis_sends = n * sends(dissemination::schedule(0, n, radix));
+                assert_eq!(
+                    total_messages(&Descriptor::dissemination_radix(radix), n),
+                    dis_sends,
+                    "dissemination n={n} radix={radix}"
+                );
+            }
+        }
+        assert_eq!(total_messages(&Descriptor::pe(), 0), 0);
     }
 
     #[test]

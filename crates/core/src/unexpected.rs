@@ -11,7 +11,9 @@
 //! We keep the bit array as the paper's constant-time fast path —
 //! `bits[local_port][remote_node]` is a byte, one bit per remote port,
 //! meaning *something* is recorded — backed by small FIFO queues keyed by
-//! `(local port, sender endpoint, packet kind)`. The queues exist because
+//! `(local port, sender endpoint, packet kind)`. A local port's row is
+//! allocated on its first record, so ports that never hold an unexpected
+//! message cost nothing. The queues exist because
 //! the §8 value collectives break the paper's one-outstanding invariant:
 //! a broadcast root completes immediately and can race a second collective
 //! ahead, so a slow receiver may legitimately hold a BCAST *and* a PE
@@ -67,8 +69,9 @@ pub struct UnexpectedRecord {
     nodes: usize,
     /// `bits[local_port][remote_node]`: bit `p` set ⇔ something from
     /// `(remote_node, p)` awaits `local_port` (the paper's byte per
-    /// connection).
-    bits: Vec<Vec<u8>>,
+    /// connection). A row stays empty, reading as all zero, until its
+    /// port's first [`UnexpectedRecord::set`].
+    bits: [Vec<u8>; GM_NUM_PORTS as usize],
     queues: HashMap<(u8, TeamId, GlobalPort, u8), VecDeque<RecordMeta>>,
     /// Counters.
     pub stats: RecordStats,
@@ -79,7 +82,7 @@ impl UnexpectedRecord {
     pub fn new(nodes: usize) -> Self {
         UnexpectedRecord {
             nodes,
-            bits: (0..GM_NUM_PORTS).map(|_| vec![0u8; nodes]).collect(),
+            bits: Default::default(),
             queues: HashMap::new(),
             stats: RecordStats::default(),
         }
@@ -101,7 +104,9 @@ impl UnexpectedRecord {
     /// endpoint and kind is discarded first (its sender is dead, §3.2).
     pub fn set(&mut self, local: PortId, from: GlobalPort, meta: RecordMeta) -> bool {
         debug_assert!(from.node.0 < self.nodes);
-        let fresh = !self.any_queued(local, from);
+        // The bit is set exactly when some queue from `from` is non-empty.
+        let fresh = !self.peek(local, from);
+        debug_assert_eq!(fresh, !self.any_queued(local, from));
         let q = self
             .queues
             .entry((local.0, meta.team, from, meta.kind))
@@ -114,14 +119,20 @@ impl UnexpectedRecord {
             self.stats.queued_extra += 1;
         }
         q.push_back(meta);
-        self.bits[local.idx()][from.node.0] |= Self::mask(from);
+        let row = &mut self.bits[local.idx()];
+        if row.is_empty() {
+            row.resize(self.nodes, 0);
+        }
+        row[from.node.0] |= Self::mask(from);
         self.stats.recorded += 1;
         fresh
     }
 
     /// Non-destructive test: has `from` already sent something to `local`?
     pub fn peek(&self, local: PortId, from: GlobalPort) -> bool {
-        self.bits[local.idx()][from.node.0] & Self::mask(from) != 0
+        self.bits[local.idx()]
+            .get(from.node.0)
+            .is_some_and(|b| b & Self::mask(from) != 0)
     }
 
     /// "After a bit is checked, the bit is cleared" (§4.3): consume the
@@ -136,7 +147,7 @@ impl UnexpectedRecord {
         from: GlobalPort,
         expect_kind: u8,
     ) -> Option<RecordMeta> {
-        if self.bits[local.idx()][from.node.0] & Self::mask(from) == 0 {
+        if !self.peek(local, from) {
             return None;
         }
         let meta = self
@@ -168,9 +179,7 @@ impl UnexpectedRecord {
             }
         }
         out.sort_by_key(|(g, m)| (g.node, g.port, m.team, m.kind));
-        for cell in self.bits[local.idx()].iter_mut() {
-            *cell = 0;
-        }
+        self.bits[local.idx()].fill(0);
         out
     }
 

@@ -39,7 +39,7 @@ pub struct SentEntry {
 }
 
 /// One reliable connection to a peer NIC.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Connection {
     peer: NodeId,
     next_tx: Seq,

@@ -34,6 +34,7 @@ use crate::port::{new_port_table, PortState};
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
 use gmsim_des::SimTime;
 use gmsim_lanai::NicHardware;
+use std::borrow::Cow;
 
 /// An effect the firmware wants the outside world to apply.
 #[derive(Debug)]
@@ -112,6 +113,9 @@ pub struct McpStats {
     pub gave_up: u64,
 }
 
+/// `McpCore::peer_slot` entry of a peer no packet has been exchanged with.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// Everything the MCP knows except the extension itself. Extensions receive
 /// `&mut McpCore`, so the split avoids a double borrow.
 pub struct McpCore {
@@ -120,6 +124,12 @@ pub struct McpCore {
     /// The NIC hardware this firmware runs on.
     pub hw: NicHardware,
     ports: Vec<PortState>,
+    /// Per peer node, the index of its connection in `conns`, or
+    /// [`UNTOUCHED`] until the first packet to or from that peer. Its
+    /// length is the cluster size.
+    peer_slot: Vec<u32>,
+    /// Connections in order of first use: a NIC holds state only for the
+    /// peers its traffic reaches (about log2 N under a PE barrier).
     conns: Vec<Connection>,
     /// Counters.
     pub stats: McpStats,
@@ -130,15 +140,21 @@ pub struct McpCore {
 
 impl McpCore {
     /// Firmware state for `node` in a cluster of `cluster_size` nodes.
+    ///
+    /// # Panics
+    /// If `cluster_size` does not fit the 32-bit connection index.
     pub fn new(node: NodeId, cluster_size: usize, config: GmConfig) -> Self {
+        assert!(
+            cluster_size < UNTOUCHED as usize,
+            "cluster of {cluster_size} nodes exceeds the connection index"
+        );
         McpCore {
             node,
             config,
             hw: NicHardware::new(config.nic),
             ports: new_port_table(),
-            conns: (0..cluster_size)
-                .map(|p| Connection::new(NodeId(p)))
-                .collect(),
+            peer_slot: vec![UNTOUCHED; cluster_size],
+            conns: Vec::new(),
             stats: McpStats::default(),
             acked_scratch: Vec::new(),
             tracer: Tracer::disabled(),
@@ -176,7 +192,7 @@ impl McpCore {
 
     /// Number of nodes in the cluster.
     pub fn cluster_size(&self) -> usize {
-        self.conns.len()
+        self.peer_slot.len()
     }
 
     /// Port table entry.
@@ -189,20 +205,33 @@ impl McpCore {
         &mut self.ports[p.idx()]
     }
 
-    /// Connection to a peer NIC.
-    pub fn conn(&self, peer: NodeId) -> &Connection {
-        &self.conns[peer.0]
+    /// Connection to a peer NIC. A peer no packet has been exchanged with
+    /// reads as a fresh [`Connection::new`], without being stored.
+    pub fn conn(&self, peer: NodeId) -> Cow<'_, Connection> {
+        match self.peer_slot[peer.0] {
+            UNTOUCHED => Cow::Owned(Connection::new(peer)),
+            slot => Cow::Borrowed(&self.conns[slot as usize]),
+        }
     }
 
-    /// Mutable connection to a peer NIC.
+    /// Mutable connection to a peer NIC, created on first use.
     pub fn conn_mut(&mut self, peer: NodeId) -> &mut Connection {
-        &mut self.conns[peer.0]
+        let slot = &mut self.peer_slot[peer.0];
+        if *slot == UNTOUCHED {
+            *slot = self.conns.len() as u32;
+            self.conns.push(Connection::new(peer));
+        }
+        &mut self.conns[*slot as usize]
     }
 
-    /// All connections (post-run health inspection: the testbed scans for
-    /// dead peers to surface `PeerUnreachable` as a typed error).
+    /// Every connection created so far, in ascending peer order
+    /// (post-run health inspection: the testbed scans for dead peers to
+    /// surface `PeerUnreachable` as a typed error).
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.conns.iter()
+        self.peer_slot
+            .iter()
+            .filter(|&&slot| slot != UNTOUCHED)
+            .map(|&slot| &self.conns[slot as usize])
     }
 
     /// Current RTO for the connection to `peer`: the base timeout doubled
@@ -234,7 +263,7 @@ impl McpCore {
     /// means the timer re-arms early for free; a genuine loss still stalls
     /// the ack stream and expires.
     fn grace_per_byte_ns(&self) -> f64 {
-        let bisection = (self.conns.len() as f64 / 2.0).max(1.0);
+        let bisection = (self.cluster_size() as f64 / 2.0).max(1.0);
         let wire = gmsim_myrinet::LinkSpec::MYRINET_1280;
         2.0 * bisection / wire.bytes_per_ns
     }

@@ -48,12 +48,11 @@ impl Mcp {
                 }
                 // Any intact ack proves the peer is alive: reset the
                 // backoff/budget clock and restart the RTO anchor.
-                self.core.conn_mut(pkt.src.node).reset_liveness();
-                self.core.conn_mut(pkt.src.node).note_peer_activity(t);
                 let mut acked = std::mem::take(&mut self.core.acked_scratch);
-                self.core
-                    .conn_mut(pkt.src.node)
-                    .drain_acked_into(ack, &mut acked);
+                let conn = self.core.conn_mut(pkt.src.node);
+                conn.reset_liveness();
+                conn.note_peer_activity(t);
+                conn.drain_acked_into(ack, &mut acked);
                 for entry in acked.drain(..) {
                     if let PacketKind::Data { tag, notify, .. } = entry.packet.kind {
                         // The send event's resources are free: the send
@@ -74,9 +73,10 @@ impl Mcp {
                     self.core.stats.crc_drops += 1;
                     return;
                 }
-                self.core.conn_mut(pkt.src.node).reset_liveness();
-                self.core.conn_mut(pkt.src.node).note_peer_activity(t);
-                let again = self.core.conn_mut(pkt.src.node).on_nack(expected, t);
+                let conn = self.core.conn_mut(pkt.src.node);
+                conn.reset_liveness();
+                conn.note_peer_activity(t);
+                let again = conn.on_nack(expected, t);
                 self.core.stats.retx += again.len() as u64;
                 self.retransmit(pkt.src.node, again, t, out);
             }
@@ -86,7 +86,8 @@ impl Mcp {
                     self.core.stats.crc_drops += 1;
                     return;
                 }
-                match self.core.conn(pkt.src.node).peek_rx(seq) {
+                // The first packet from a peer creates its connection.
+                match self.core.conn_mut(pkt.src.node).peek_rx(seq) {
                     RxVerdict::Duplicate => {
                         self.core.stats.dup_drops += 1;
                         self.send_ack(pkt.src.node, t, out);
@@ -128,7 +129,7 @@ impl Mcp {
                     return;
                 }
                 match seq {
-                    Some(seq) => match self.core.conn(pkt.src.node).peek_rx(seq) {
+                    Some(seq) => match self.core.conn_mut(pkt.src.node).peek_rx(seq) {
                         RxVerdict::Duplicate => {
                             self.core.stats.dup_drops += 1;
                             self.send_ack(pkt.src.node, t, out);
