@@ -155,10 +155,10 @@ impl CostModel {
         }
     }
 
-    /// `ceil(log2 n)` rounds of the PE algorithm.
+    /// `ceil(log2 n)` rounds of the PE algorithm; 0 for groups of one or
+    /// none.
     pub fn rounds(n: usize) -> u32 {
-        assert!(n >= 1);
-        (n as f64).log2().ceil() as u32
+        usize::BITS - n.saturating_sub(1).leading_zeros()
     }
 
     /// Equation 1: predicted host-based PE barrier latency (µs).
@@ -187,8 +187,9 @@ impl CostModel {
     }
 
     /// Depth of the `dim`-ary heap-shaped GB tree over `n` ranks: the
-    /// level of the deepest rank, `n - 1`.
-    pub fn gb_depth(n: usize, dim: usize) -> u32 {
+    /// level of the deepest rank, `n - 1`. Callers pass `n ≥ 1` (see
+    /// [`CostModel::latency_us`]) and a validated arity.
+    pub(crate) fn gb_depth(n: usize, dim: usize) -> u32 {
         assert!(n >= 1 && dim >= 1);
         let mut rank = n - 1;
         let mut level = 0;
@@ -206,8 +207,8 @@ impl CostModel {
     /// data-carrying collectives use the payload forms, which are
     /// calibrated on — and always read — the default fabric.
     ///
-    /// `None` for a data-carrying collective on the host: no host-side
-    /// payload form exists.
+    /// `None` for an empty group (`n = 0`), and for a data-carrying
+    /// collective on the host: no host-side payload form exists.
     pub fn latency_us(
         &self,
         placement: Placement,
@@ -215,6 +216,9 @@ impl CostModel {
         descriptor: &Descriptor,
         fm: &FabricModel,
     ) -> Option<f64> {
+        if n == 0 {
+            return None;
+        }
         Some(match (placement, *descriptor) {
             (_, Descriptor::Pe) => self.exchange_us(placement, n, 2, fm),
             (_, Descriptor::Dissemination { radix }) => self.exchange_us(placement, n, radix, fm),
@@ -1094,11 +1098,49 @@ mod tests {
 
     #[test]
     fn rounds_is_ceil_log2() {
+        assert_eq!(CostModel::rounds(0), 0);
         assert_eq!(CostModel::rounds(1), 0);
         assert_eq!(CostModel::rounds(2), 1);
         assert_eq!(CostModel::rounds(3), 2);
         assert_eq!(CostModel::rounds(16), 4);
         assert_eq!(CostModel::rounds(17), 5);
+        for n in 1..=1 << 16 {
+            assert_eq!(
+                CostModel::rounds(n),
+                (n as f64).log2().ceil() as u32,
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_group_has_no_prediction_and_no_panic() {
+        use gmsim_gm::ReduceOp;
+        let m = model_43();
+        let payload = Payload::pipelined(12 * 1024, 4096);
+        let families = [
+            Descriptor::pe(),
+            Descriptor::gb(4),
+            Descriptor::dissemination(),
+            Descriptor::bcast(2).with_payload(payload),
+            Descriptor::reduce(ReduceOp::Sum, 2).with_payload(payload),
+            Descriptor::allreduce(ReduceOp::Sum, 2).with_payload(payload),
+            Descriptor::scan(ReduceOp::Sum).with_payload(payload),
+        ];
+        for fm in [FabricModel::auto(0), FabricModel::auto(16)] {
+            for placement in [Placement::Nic, Placement::Host] {
+                for d in &families {
+                    assert_eq!(
+                        m.latency_us(placement, 0, d, &fm),
+                        None,
+                        "{placement:?} {d:?}"
+                    );
+                }
+            }
+        }
+        // Eqs. 1–3 take no round for an empty group.
+        assert_eq!(m.host_barrier_us(0), 0.0);
+        assert_eq!(m.nic_barrier_us(0), m.nic_barrier_us(1));
     }
 
     #[test]

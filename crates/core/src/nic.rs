@@ -49,7 +49,8 @@ use gmsim_gm::{
     GM_NUM_PORTS,
 };
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 pub use crate::schedule::pkt;
 
@@ -206,6 +207,48 @@ struct SentRecord {
     len: u32,
 }
 
+/// A deterministic multiplicative hasher (the Fx scheme) for the sent
+/// cache's small integer keys. The cache is firmware-internal, so SipHash's
+/// flooding resistance buys nothing, while its cost lands on every emitted
+/// packet.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A locally-delivered packet awaiting processing (same-NIC optimization).
 struct LocalDelivery {
     src: GlobalPort,
@@ -238,7 +281,8 @@ pub struct BarrierExtension {
     /// re-sends every rejected segment rather than `segs` copies of the
     /// last one (which would starve the other combine lanes of that
     /// peer's contribution).
-    sent_cache: std::collections::HashMap<(u8, TeamId, GlobalPort, u8, u32), SentRecord>,
+    sent_cache:
+        HashMap<(u8, TeamId, GlobalPort, u8, u32), SentRecord, BuildHasherDefault<MulHasher>>,
     /// Every team that has posted a collective on this NIC, in first-seen
     /// order.
     teams_seen: Vec<TeamId>,
@@ -269,7 +313,7 @@ impl BarrierExtension {
             record: UnexpectedRecord::new(nodes),
             stats: BarrierStats::default(),
             local_queue: VecDeque::new(),
-            sent_cache: std::collections::HashMap::new(),
+            sent_cache: HashMap::default(),
             teams_seen: Vec::new(),
             spare_outstanding: Vec::new(),
             spare_seg_accs: Vec::new(),

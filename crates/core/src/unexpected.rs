@@ -8,25 +8,27 @@
 //! node." The paper records these in a bit array per connection (one bit
 //! per remote port).
 //!
-//! We keep the bit array as the paper's constant-time fast path —
-//! `bits[local_port][remote_node]` is a byte, one bit per remote port,
-//! meaning *something* is recorded — backed by small FIFO queues keyed by
-//! `(local port, sender endpoint, packet kind)`. A local port's row is
-//! allocated on its first record, so ports that never hold an unexpected
-//! message cost nothing. The queues exist because
-//! the §8 value collectives break the paper's one-outstanding invariant:
-//! a broadcast root completes immediately and can race a second collective
-//! ahead, so a slow receiver may legitimately hold a BCAST *and* a PE
-//! message (or two BCASTs) from the same endpoint at once. For pure
-//! barrier traffic every queue stays at depth ≤ 1, preserving the paper's
-//! argument (the `queued_extra` counter proves it in tests).
+//! Each local port keeps its records as one list in arrival order, so the
+//! record costs nothing for ports and peers that never hold an unexpected
+//! message, and nothing that grows with the cluster. A list is short: a
+//! PE barrier holds at most one record per partner (about log2 N), so a
+//! linear scan replaces the paper's bit test. "Is a bit set for this
+//! endpoint" is "does the list hold an entry from it", and consuming a
+//! record takes the oldest entry matching `(sender endpoint, team, kind)`.
+//!
+//! A list rather than one slot per endpoint because the §8 value
+//! collectives break the paper's one-outstanding invariant: a broadcast
+//! root completes immediately and can race a second collective ahead, so
+//! a slow receiver may legitimately hold a BCAST *and* a PE message (or
+//! two BCASTs) from the same endpoint at once. For pure barrier traffic
+//! each `(endpoint, team, kind)` holds at most one entry, preserving the
+//! paper's argument (the `queued_extra` counter proves it in tests).
 //!
 //! Entries also carry the sender's port *epoch* (for the §3.2
 //! record-then-reject-on-open protocol) and an operand *value* (for
 //! reductions/broadcasts).
 
 use gmsim_gm::{GlobalPort, PortId, TeamId, GM_NUM_PORTS};
-use std::collections::{HashMap, VecDeque};
 
 /// Data stored with one recorded message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,14 +69,16 @@ pub struct RecordStats {
 #[derive(Debug, Clone)]
 pub struct UnexpectedRecord {
     nodes: usize,
-    /// `bits[local_port][remote_node]`: bit `p` set ⇔ something from
-    /// `(remote_node, p)` awaits `local_port` (the paper's byte per
-    /// connection). A row stays empty, reading as all zero, until its
-    /// port's first [`UnexpectedRecord::set`].
-    bits: [Vec<u8>; GM_NUM_PORTS as usize],
-    queues: HashMap<(u8, TeamId, GlobalPort, u8), VecDeque<RecordMeta>>,
+    /// `lists[local_port]`: every record awaiting that port, with its
+    /// sender, oldest first.
+    lists: [Vec<(GlobalPort, RecordMeta)>; GM_NUM_PORTS as usize],
     /// Counters.
     pub stats: RecordStats,
+}
+
+/// Does `entry` come from `from` on `team` with packet type `kind`?
+fn matches(entry: &(GlobalPort, RecordMeta), from: GlobalPort, team: TeamId, kind: u8) -> bool {
+    entry.0 == from && entry.1.team == team && entry.1.kind == kind
 }
 
 impl UnexpectedRecord {
@@ -82,64 +86,50 @@ impl UnexpectedRecord {
     pub fn new(nodes: usize) -> Self {
         UnexpectedRecord {
             nodes,
-            bits: Default::default(),
-            queues: HashMap::new(),
+            lists: Default::default(),
             stats: RecordStats::default(),
         }
     }
 
-    fn mask(from: GlobalPort) -> u8 {
-        1u8 << from.port.0
-    }
-
-    fn any_queued(&self, local: PortId, from: GlobalPort) -> bool {
-        self.queues
-            .iter()
-            .any(|((p, _, f, _), q)| *p == local.0 && *f == from && !q.is_empty())
-    }
-
     /// Record an unexpected message from `from` addressed to `local`.
     /// Returns `false` if something was already recorded from that
-    /// endpoint. A queued record from an *older* epoch of the same
-    /// endpoint and kind is discarded first (its sender is dead, §3.2).
+    /// endpoint. A record from an *older* epoch of the same endpoint, team
+    /// and kind is discarded first (its sender is dead, §3.2).
     pub fn set(&mut self, local: PortId, from: GlobalPort, meta: RecordMeta) -> bool {
         debug_assert!(from.node.0 < self.nodes);
-        // The bit is set exactly when some queue from `from` is non-empty.
         let fresh = !self.peek(local, from);
-        debug_assert_eq!(fresh, !self.any_queued(local, from));
-        let q = self
-            .queues
-            .entry((local.0, meta.team, from, meta.kind))
-            .or_default();
+        let list = &mut self.lists[local.idx()];
+        let (mut superseded, mut live) = (0, 0);
         // Epoch change supersedes everything the dead process left behind.
-        let before = q.len();
-        q.retain(|m| m.epoch == meta.epoch);
-        self.stats.superseded += (before - q.len()) as u64;
-        if !q.is_empty() {
+        list.retain(|e| {
+            if !matches(e, from, meta.team, meta.kind) {
+                true
+            } else if e.1.epoch == meta.epoch {
+                live += 1;
+                true
+            } else {
+                superseded += 1;
+                false
+            }
+        });
+        self.stats.superseded += superseded;
+        if live > 0 {
             self.stats.queued_extra += 1;
         }
-        q.push_back(meta);
-        let row = &mut self.bits[local.idx()];
-        if row.is_empty() {
-            row.resize(self.nodes, 0);
-        }
-        row[from.node.0] |= Self::mask(from);
+        list.push((from, meta));
         self.stats.recorded += 1;
         fresh
     }
 
     /// Non-destructive test: has `from` already sent something to `local`?
     pub fn peek(&self, local: PortId, from: GlobalPort) -> bool {
-        self.bits[local.idx()]
-            .get(from.node.0)
-            .is_some_and(|b| b & Self::mask(from) != 0)
+        self.lists[local.idx()].iter().any(|e| e.0 == from)
     }
 
     /// "After a bit is checked, the bit is cleared" (§4.3): consume the
-    /// oldest record of `expect_kind` on `team` from `from`, if any. The
-    /// bit array is shared across teams (it means "something from this
-    /// endpoint"), so the queue lookup — keyed by team — is what keeps
-    /// overlapping teams from consuming each other's flags.
+    /// oldest record of `expect_kind` on `team` from `from`, if any.
+    /// Matching on the team is what keeps overlapping teams from consuming
+    /// each other's flags.
     pub fn check_clear(
         &mut self,
         local: PortId,
@@ -147,45 +137,25 @@ impl UnexpectedRecord {
         from: GlobalPort,
         expect_kind: u8,
     ) -> Option<RecordMeta> {
-        if !self.peek(local, from) {
-            return None;
-        }
-        let meta = self
-            .queues
-            .get_mut(&(local.0, team, from, expect_kind))
-            .and_then(|q| q.pop_front())?;
+        let list = &mut self.lists[local.idx()];
+        let at = list
+            .iter()
+            .position(|e| matches(e, from, team, expect_kind))?;
         self.stats.consumed += 1;
-        if !self.any_queued(local, from) {
-            self.bits[local.idx()][from.node.0] &= !Self::mask(from);
-        }
-        Some(meta)
+        Some(list.remove(at).1)
     }
 
     /// Drain every record addressed to `local` (port-open rejection, §3.2),
-    /// oldest first per (team, endpoint, kind).
+    /// ordered by sender endpoint, team and kind, oldest first within each.
     pub fn drain_port(&mut self, local: PortId) -> Vec<(GlobalPort, RecordMeta)> {
-        let mut out = Vec::new();
-        let keys: Vec<(u8, TeamId, GlobalPort, u8)> = self
-            .queues
-            .keys()
-            .filter(|(p, _, _, _)| *p == local.0)
-            .copied()
-            .collect();
-        for key in keys {
-            if let Some(q) = self.queues.remove(&key) {
-                for meta in q {
-                    out.push((key.2, meta));
-                }
-            }
-        }
+        let mut out = std::mem::take(&mut self.lists[local.idx()]);
         out.sort_by_key(|(g, m)| (g.node, g.port, m.team, m.kind));
-        self.bits[local.idx()].fill(0);
         out
     }
 
     /// Total records currently held (diagnostics).
     pub fn outstanding(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.lists.iter().map(Vec::len).sum()
     }
 }
 

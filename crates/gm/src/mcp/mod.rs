@@ -113,9 +113,6 @@ pub struct McpStats {
     pub gave_up: u64,
 }
 
-/// `McpCore::peer_slot` entry of a peer no packet has been exchanged with.
-const UNTOUCHED: u32 = u32::MAX;
-
 /// Everything the MCP knows except the extension itself. Extensions receive
 /// `&mut McpCore`, so the split avoids a double borrow.
 pub struct McpCore {
@@ -124,10 +121,12 @@ pub struct McpCore {
     /// The NIC hardware this firmware runs on.
     pub hw: NicHardware,
     ports: Vec<PortState>,
-    /// Per peer node, the index of its connection in `conns`, or
-    /// [`UNTOUCHED`] until the first packet to or from that peer. Its
-    /// length is the cluster size.
-    peer_slot: Vec<u32>,
+    /// Number of nodes in the cluster (the RTO grace reads it).
+    cluster_size: usize,
+    /// `(peer node, index in conns)` for every peer a packet has been
+    /// exchanged with, sorted by peer and searched by binary search: 8 B
+    /// per touched peer, nothing for the rest of the cluster.
+    peer_index: Vec<(u32, u32)>,
     /// Connections in order of first use: a NIC holds state only for the
     /// peers its traffic reaches (about log2 N under a PE barrier).
     conns: Vec<Connection>,
@@ -145,7 +144,7 @@ impl McpCore {
     /// If `cluster_size` does not fit the 32-bit connection index.
     pub fn new(node: NodeId, cluster_size: usize, config: GmConfig) -> Self {
         assert!(
-            cluster_size < UNTOUCHED as usize,
+            u32::try_from(cluster_size).is_ok(),
             "cluster of {cluster_size} nodes exceeds the connection index"
         );
         McpCore {
@@ -153,7 +152,8 @@ impl McpCore {
             config,
             hw: NicHardware::new(config.nic),
             ports: new_port_table(),
-            peer_slot: vec![UNTOUCHED; cluster_size],
+            cluster_size,
+            peer_index: Vec::new(),
             conns: Vec::new(),
             stats: McpStats::default(),
             acked_scratch: Vec::new(),
@@ -192,7 +192,7 @@ impl McpCore {
 
     /// Number of nodes in the cluster.
     pub fn cluster_size(&self) -> usize {
-        self.peer_slot.len()
+        self.cluster_size
     }
 
     /// Port table entry.
@@ -205,33 +205,58 @@ impl McpCore {
         &mut self.ports[p.idx()]
     }
 
+    /// Where `peer` sits in the sorted peer index: `Ok(i)` if it has a
+    /// connection, `Err(i)` for the insertion point otherwise.
+    ///
+    /// # Panics
+    /// If `peer` is not a node of this cluster.
+    fn find_peer(&self, peer: NodeId) -> Result<usize, usize> {
+        assert!(
+            peer.0 < self.cluster_size,
+            "peer {} is outside the cluster of {} nodes",
+            peer.0,
+            self.cluster_size
+        );
+        self.peer_index
+            .binary_search_by_key(&(peer.0 as u32), |&(p, _)| p)
+    }
+
     /// Connection to a peer NIC. A peer no packet has been exchanged with
     /// reads as a fresh [`Connection::new`], without being stored.
+    ///
+    /// # Panics
+    /// If `peer` is not a node of this cluster.
     pub fn conn(&self, peer: NodeId) -> Cow<'_, Connection> {
-        match self.peer_slot[peer.0] {
-            UNTOUCHED => Cow::Owned(Connection::new(peer)),
-            slot => Cow::Borrowed(&self.conns[slot as usize]),
+        match self.find_peer(peer) {
+            Ok(i) => Cow::Borrowed(&self.conns[self.peer_index[i].1 as usize]),
+            Err(_) => Cow::Owned(Connection::new(peer)),
         }
     }
 
     /// Mutable connection to a peer NIC, created on first use.
+    ///
+    /// # Panics
+    /// If `peer` is not a node of this cluster.
     pub fn conn_mut(&mut self, peer: NodeId) -> &mut Connection {
-        let slot = &mut self.peer_slot[peer.0];
-        if *slot == UNTOUCHED {
-            *slot = self.conns.len() as u32;
-            self.conns.push(Connection::new(peer));
-        }
-        &mut self.conns[*slot as usize]
+        let slot = match self.find_peer(peer) {
+            Ok(i) => self.peer_index[i].1,
+            Err(i) => {
+                let slot = self.conns.len() as u32;
+                self.peer_index.insert(i, (peer.0 as u32, slot));
+                self.conns.push(Connection::new(peer));
+                slot
+            }
+        };
+        &mut self.conns[slot as usize]
     }
 
     /// Every connection created so far, in ascending peer order
     /// (post-run health inspection: the testbed scans for dead peers to
     /// surface `PeerUnreachable` as a typed error).
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.peer_slot
+        self.peer_index
             .iter()
-            .filter(|&&slot| slot != UNTOUCHED)
-            .map(|&slot| &self.conns[slot as usize])
+            .map(|&(_, slot)| &self.conns[slot as usize])
     }
 
     /// Current RTO for the connection to `peer`: the base timeout doubled

@@ -2,13 +2,15 @@
 //! for the peers it exchanged packets with, and post-run inspection still
 //! sees them in ascending peer order.
 
+use gmsim_des::rng::SimRng;
 use gmsim_des::trace::{TracePayload, Tracer};
 use gmsim_des::{RunOutcome, SimTime};
 use gmsim_gm::cluster::ClusterBuilder;
-use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram};
+use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram, McpCore, NodeId};
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::FaultPlan;
 use nic_barrier::{BarrierExtension, BarrierGroup, Descriptor, NicBarrierLoop};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Peer node ids of every connection `node` holds, in iteration order.
@@ -127,4 +129,55 @@ fn dead_peers_are_reported_lowest_first() {
     for node in 1..4 {
         assert!(connection_peers(&cluster, node).is_empty(), "node {node}");
     }
+}
+
+#[test]
+fn connections_come_back_in_ascending_peer_order_whatever_the_touch_order() {
+    const N: usize = 512;
+    let mut rng = SimRng::new(0xC0FF_EE18);
+    for _ in 0..16 {
+        let mut core = McpCore::new(NodeId(3), N, GmConfig::default());
+        let mut peers: Vec<usize> = (0..N).filter(|_| rng.chance(0.05)).collect();
+        rng.shuffle(&mut peers);
+        for &p in &peers {
+            core.conn_mut(NodeId(p)).assign_seq();
+        }
+        // A second touch finds the same connection instead of a new one.
+        for &p in &peers {
+            assert_eq!(core.conn(NodeId(p)).peer(), NodeId(p));
+            core.conn_mut(NodeId(p)).assign_seq();
+        }
+        peers.sort_unstable();
+        let got: Vec<usize> = core.connections().map(|c| c.peer().0).collect();
+        assert_eq!(got, peers);
+    }
+}
+
+#[test]
+fn reading_an_untouched_peer_stores_nothing() {
+    let mut core = McpCore::new(NodeId(0), 8, GmConfig::default());
+    core.conn_mut(NodeId(5));
+    for p in 0..8 {
+        let conn = core.conn(NodeId(p));
+        assert_eq!(conn.peer(), NodeId(p));
+        assert_eq!(matches!(conn, Cow::Borrowed(_)), p == 5, "peer {p}");
+    }
+    let _ = core.rto_for(NodeId(2));
+    let _ = core.ack_grace(NodeId(7));
+    let peers: Vec<usize> = core.connections().map(|c| c.peer().0).collect();
+    assert_eq!(peers, [5]);
+}
+
+#[test]
+#[should_panic(expected = "peer 8 is outside the cluster of 8 nodes")]
+fn conn_past_the_cluster_panics_naming_peer_and_size() {
+    let core = McpCore::new(NodeId(0), 8, GmConfig::default());
+    let _ = core.conn(NodeId(8));
+}
+
+#[test]
+#[should_panic(expected = "peer 9 is outside the cluster of 8 nodes")]
+fn conn_mut_past_the_cluster_panics_instead_of_inserting() {
+    let mut core = McpCore::new(NodeId(0), 8, GmConfig::default());
+    core.conn_mut(NodeId(9));
 }
