@@ -267,7 +267,8 @@ pub struct BarrierExtension {
     costs: BarrierCosts,
     /// Per-port run lists: one [`Run`] per team concurrently active on the
     /// port. Single-team traffic keeps each list at length ≤ 1, which is
-    /// exactly the paper's one-pointer-per-port layout.
+    /// exactly the paper's one-pointer-per-port layout, and a port's first
+    /// collective reserves room for that one run only.
     slots: Vec<Vec<Run>>,
     /// The §3.1 unexpected-message record.
     pub record: UnexpectedRecord,
@@ -294,8 +295,11 @@ pub struct BarrierExtension {
     /// payloads never touch this (their `seg_accs` stays empty).
     spare_seg_accs: Vec<Vec<u64>>,
     /// Per-packet NIC turnaround: wire arrival of a collective packet to the
-    /// firmware being done with it (the paper's per-round NIC cost). Fixed
-    /// bins allocated at construction, so recording never allocates.
+    /// firmware being done with it (the paper's per-round NIC cost). Bins
+    /// are stored only up to the highest one recorded, so a NIC that never
+    /// sees a collective packet holds none, and recording allocates only
+    /// when a turnaround lands past every bin seen so far (a handful of
+    /// times per NIC, never in steady state).
     turnaround: Histogram,
 }
 
@@ -784,7 +788,13 @@ impl McpExtension for BarrierExtension {
         } else {
             Vec::new()
         };
-        self.slots[port.idx()].push(Run {
+        let runs = &mut self.slots[port.idx()];
+        if runs.capacity() == 0 {
+            // A port's first collective: room for exactly the one run the
+            // paper's per-port pointer holds (std would reserve four).
+            runs.reserve_exact(1);
+        }
+        runs.push(Run {
             team,
             schedule: token.schedule,
             pc: 0,

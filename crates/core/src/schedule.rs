@@ -667,6 +667,9 @@ pub fn compile(desc: Descriptor, rank: usize, members: &[GlobalPort]) -> Collect
             TokenCharge::Tree
         }
     };
+    // Every rank keeps its schedule for the collective's whole life; drop
+    // the spare step slots the pushes above left behind.
+    steps.shrink_to_fit();
     CollectiveSchedule::new(steps, token_charge).with_payload(desc.payload())
 }
 

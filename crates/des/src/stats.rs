@@ -2,7 +2,8 @@
 //!
 //! The paper reports the mean over 100 000 consecutive barriers; our harness
 //! additionally reports spread so that calibration regressions show up. Both
-//! accumulators are single-pass and allocation-free per sample.
+//! accumulators are single-pass. `Summary` never allocates; `Histogram`
+//! allocates only when a sample lands past every bin it has stored.
 
 use crate::time::SimTime;
 
@@ -114,9 +115,19 @@ impl Summary {
 /// binned sample, an above-range sample *after*. Folding them together
 /// (as an earlier version did) silently shifted every quantile upward
 /// whenever a negative sample had been recorded.
+///
+/// Bins are stored lazily: a new histogram allocates nothing, and the
+/// stored counts reach only as far as the highest bin recorded so far,
+/// growing to the next power of two (capped at `bins`). A histogram thus
+/// grows at most `ceil(log2(bins)) + 1` times over its life and never
+/// again once its largest sample has been seen; bins past the stored length
+/// read as 0. Every observable is the same as with all `bins` counts
+/// allocated up front.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: f64,
+    bins: usize,
+    /// Counts of bins `0..counts.len()`; every later bin is 0.
     counts: Vec<u64>,
     underflow: u64,
     overflow: u64,
@@ -124,12 +135,14 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// `bins` buckets of width `bin_width`.
+    /// `bins` buckets of width `bin_width`. Allocates nothing until the
+    /// first in-range sample.
     pub fn new(bin_width: f64, bins: usize) -> Self {
         assert!(bin_width > 0.0 && bin_width.is_finite() && bins > 0);
         Histogram {
             bin_width,
-            counts: vec![0; bins],
+            bins,
+            counts: Vec::new(),
             underflow: 0,
             overflow: 0,
             total: 0,
@@ -138,6 +151,8 @@ impl Histogram {
 
     /// Add a sample. Negative samples land in the underflow bucket,
     /// samples at or beyond `bin_width * bins` in the overflow bucket.
+    /// Allocates only when the sample's bin lies past every bin stored so
+    /// far.
     pub fn record(&mut self, x: f64) {
         self.total += 1;
         if x < 0.0 {
@@ -145,10 +160,20 @@ impl Histogram {
             return;
         }
         let idx = (x / self.bin_width) as usize;
-        match self.counts.get_mut(idx) {
-            Some(c) => *c += 1,
-            None => self.overflow += 1,
+        if let Some(c) = self.counts.get_mut(idx) {
+            *c += 1;
+        } else if idx < self.bins {
+            self.grow_to((idx + 1).next_power_of_two().min(self.bins));
+            self.counts[idx] += 1;
+        } else {
+            self.overflow += 1;
         }
+    }
+
+    /// Extend the stored counts to exactly `len` bins.
+    fn grow_to(&mut self, len: usize) {
+        self.counts.reserve_exact(len - self.counts.len());
+        self.counts.resize(len, 0);
     }
 
     /// Total samples recorded (in-range + underflow + overflow).
@@ -167,8 +192,16 @@ impl Histogram {
     }
 
     /// Count in bucket `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= bins`, naming both.
     pub fn bucket(&self, i: usize) -> u64 {
-        self.counts[i]
+        assert!(
+            i < self.bins,
+            "bucket {i} is out of range for a histogram of {} bins",
+            self.bins
+        );
+        self.counts.get(i).copied().unwrap_or(0)
     }
 
     /// Merge another histogram into this one (per-node aggregation). Both
@@ -178,6 +211,9 @@ impl Histogram {
     /// `==`: two histograms constructed from the same configuration carry
     /// bit-identical widths, and the bit comparison can never be confused
     /// by NaN or rounding-path differences the way a float `==` can.
+    ///
+    /// # Panics
+    /// Panics if the bin widths or bin counts differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert!(
             self.bin_width.to_bits() == other.bin_width.to_bits(),
@@ -185,7 +221,10 @@ impl Histogram {
             self.bin_width,
             other.bin_width
         );
-        assert_eq!(self.counts.len(), other.counts.len(), "bin count mismatch");
+        assert_eq!(self.bins, other.bins, "bin count mismatch");
+        if other.counts.len() > self.counts.len() {
+            self.grow_to(other.counts.len());
+        }
         for (into, from) in self.counts.iter_mut().zip(other.counts.iter()) {
             *into += from;
         }
@@ -464,5 +503,38 @@ mod tests {
     fn different_widths_refuse_to_merge() {
         let mut a = Histogram::new(0.1, 8);
         a.merge(&Histogram::new(0.2, 8));
+    }
+
+    #[test]
+    fn bins_are_stored_only_up_to_the_highest_recorded() {
+        let mut h = Histogram::new(1.0, 256);
+        assert_eq!(h.counts.capacity(), 0, "a new histogram allocates nothing");
+        h.record(-1.0);
+        h.record(1e9);
+        assert_eq!(h.counts.capacity(), 0, "out-of-range samples store no bins");
+        h.record(2.5);
+        assert_eq!(h.counts.len(), 4, "bin 2 grows the store to 4");
+        assert_eq!(h.counts.capacity(), 4);
+        h.record(200.0);
+        assert_eq!(h.counts.len(), 256, "capped at the bin count");
+        assert_eq!(h.bucket(2), 1);
+        assert_eq!(h.bucket(200), 1);
+        assert_eq!(h.bucket(255), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 4 is out of range for a histogram of 4 bins")]
+    fn bucket_past_the_bin_count_panics_naming_both() {
+        let mut h = Histogram::new(1.0, 4);
+        h.record(0.5);
+        h.bucket(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "bin count mismatch")]
+    fn merging_different_bin_counts_panics() {
+        // Neither side has stored a bin, so only the declared counts differ.
+        let mut a = Histogram::new(1.0, 4);
+        a.merge(&Histogram::new(1.0, 8));
     }
 }

@@ -44,6 +44,11 @@ pub struct Connection {
     peer: NodeId,
     next_tx: Seq,
     expect_rx: Seq,
+    /// Unacknowledged sends, oldest first. Sized by what it has held:
+    /// the first send reserves room for exactly one entry, because barrier
+    /// traffic never has more than one packet in flight per connection
+    /// (std's default first growth would reserve four). Deeper windows —
+    /// pipelined payloads, go-back-N resends — grow by doubling from there.
     sent: VecDeque<SentEntry>,
     /// Retransmissions performed (stats/ablation).
     retransmissions: u64,
@@ -116,6 +121,9 @@ impl Connection {
                 seq_before(back.packet.seq().unwrap(), seq),
                 "sent list out of order: {seq}"
             );
+        }
+        if self.sent.capacity() == 0 {
+            self.sent.reserve_exact(1);
         }
         self.sent.push_back(SentEntry {
             packet,

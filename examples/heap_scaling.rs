@@ -10,11 +10,22 @@
 //! short per-port lists, so the per-node figure should stay nearly flat as
 //! the cluster grows. A counting `#[global_allocator]` measures it; each
 //! size runs one warm-up round and four measured rounds.
+//!
+//! Exits 1 if the per-node peak at 4096 nodes exceeds
+//! [`PER_NODE_GROWTH_BOUND`] times the per-node peak at 256 nodes: the
+//! same per-node check `tests/heap_footprint.rs` makes up to 1024 nodes,
+//! at a size too slow for the tier-1 suite.
 
 use nic_barrier_suite::testbed::{Algorithm, BarrierExperiment, Descriptor};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Largest allowed ratio of the per-node peak at 4096 nodes to that at 256
+/// nodes. State sized by traffic gives about 1.14 (log2 N connections per
+/// NIC); one table per NIC sized by the cluster gives far more.
+const PER_NODE_GROWTH_BOUND: f64 = 1.2;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -61,11 +72,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-fn main() {
+fn main() -> ExitCode {
     println!(
         "{:>6}  {:>14}  {:>14}  {:>10}  {:>8}",
         "nodes", "peak heap MiB", "KiB per node", "mean us", "wall s"
     );
+    let mut per_node = Vec::new();
     for nodes in [256usize, 1024, 4096] {
         let base = LIVE.load(Ordering::Relaxed);
         PEAK.store(base, Ordering::Relaxed);
@@ -76,6 +88,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{nodes}-node NIC-PE run failed: {e}"));
         let wall = start.elapsed().as_secs_f64();
         let peak = (PEAK.load(Ordering::Relaxed) - base) as f64;
+        per_node.push(peak / nodes as f64);
         println!(
             "{nodes:>6}  {:>14.2}  {:>14.2}  {:>10.2}  {wall:>8.2}",
             peak / (1024.0 * 1024.0),
@@ -83,4 +96,11 @@ fn main() {
             m.mean_us
         );
     }
+    let growth = per_node[2] / per_node[0];
+    println!("per-node growth 256 -> 4096 nodes: {growth:.3}x (bound {PER_NODE_GROWTH_BOUND}x)");
+    if growth > PER_NODE_GROWTH_BOUND {
+        eprintln!("per-node peak heap grows with cluster size: some per-NIC table is sized by N");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
