@@ -16,6 +16,7 @@
 //! host-side unexpected set — the same §3.1 problem, solved at host level.
 
 use crate::group::{BarrierGroup, Team};
+use crate::hash::MulBuildHasher;
 use crate::programs::note_team_tag;
 use crate::schedule::Descriptor;
 use gmsim_des::trace::TracePayload;
@@ -46,7 +47,7 @@ pub struct HostBarrierLoop {
     round: u64,
     pc: usize,
     outstanding: Option<Vec<(GlobalPort, u64)>>,
-    unexpected: HashSet<(GlobalPort, u64)>,
+    unexpected: HashSet<(GlobalPort, u64), MulBuildHasher>,
     /// For recv-free schedules (a scan's rank 0 only ever sends): the pc of
     /// the last send step, which is issued with a completion notify so the
     /// next round can wait for it instead of flooding the send-token pool.
@@ -89,7 +90,7 @@ impl HostBarrierLoop {
             round: 0,
             pc: 0,
             outstanding: None,
-            unexpected: HashSet::new(),
+            unexpected: HashSet::default(),
             pace_on_send_pc,
             await_sent: false,
         }

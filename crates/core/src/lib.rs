@@ -37,6 +37,7 @@
 
 pub mod analytic;
 pub mod group;
+mod hash;
 pub mod host_baseline;
 pub mod nic;
 pub mod programs;

@@ -40,6 +40,7 @@
 //!   DMAed to the host first, exactly as the paper describes for both the
 //!   root and interior GB nodes.
 
+use crate::hash::MulBuildHasher;
 use crate::unexpected::{RecordMeta, UnexpectedRecord};
 use gmsim_des::trace::{TracePayload, Unit};
 use gmsim_des::{Histogram, SimTime};
@@ -50,7 +51,6 @@ use gmsim_gm::{
 };
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 
 pub use crate::schedule::pkt;
 
@@ -207,48 +207,6 @@ struct SentRecord {
     len: u32,
 }
 
-/// A deterministic multiplicative hasher (the Fx scheme) for the sent
-/// cache's small integer keys. The cache is firmware-internal, so SipHash's
-/// flooding resistance buys nothing, while its cost lands on every emitted
-/// packet.
-#[derive(Default)]
-struct MulHasher(u64);
-
-impl MulHasher {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
-    }
-}
-
-impl Hasher for MulHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A locally-delivered packet awaiting processing (same-NIC optimization).
 struct LocalDelivery {
     src: GlobalPort,
@@ -282,8 +240,7 @@ pub struct BarrierExtension {
     /// re-sends every rejected segment rather than `segs` copies of the
     /// last one (which would starve the other combine lanes of that
     /// peer's contribution).
-    sent_cache:
-        HashMap<(u8, TeamId, GlobalPort, u8, u32), SentRecord, BuildHasherDefault<MulHasher>>,
+    sent_cache: HashMap<(u8, TeamId, GlobalPort, u8, u32), SentRecord, MulBuildHasher>,
     /// Every team that has posted a collective on this NIC, in first-seen
     /// order.
     teams_seen: Vec<TeamId>,

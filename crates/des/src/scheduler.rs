@@ -7,12 +7,15 @@
 //!
 //! # Hot path
 //!
-//! The scheduler is generic over the event type `E`. With a typed event (an
-//! enum such as the GM stack's `ClusterEvent`), entries live in a slab with
-//! an internal freelist and the ordering layer holds plain `(time, seq,
-//! slot)` index records — steady-state scheduling performs **zero heap
-//! allocations** once the slab and queues have grown to the high-water
-//! mark.
+//! The scheduler is generic over the event type `E` (an enum such as the GM
+//! stack's `ClusterEvent`). Each pending event holds one slot of a slab
+//! with an internal freelist, kept as two parallel arrays: the ordering
+//! layer reads only the 24-byte `(at, seq, next)` keys, and the payloads
+//! sit apart in an array of their own. Scheduling writes one key and one
+//! payload. Firing runs one min-search over the keys, which also checks
+//! the run's horizon, then reads the payload once and frees the slot.
+//! Steady-state scheduling performs **zero heap allocations** once the
+//! slab and queues have grown to the high-water mark.
 //!
 //! # Ordering layer: timer wheel + far heap
 //!
@@ -27,9 +30,9 @@
 //! minimum, so the fired order is **bit-identical** to the plain-heap
 //! scheduler — ties still fire FIFO by sequence number, which the golden
 //! 310-latency gate pins exactly. An occupancy bitmap (one bit per bucket)
-//! makes the scan to the next non-empty bucket a word-wise skip, and heap
-//! entries migrate into the wheel as `now` advances so the heap stays
-//! small.
+//! makes the scan from `now`'s bucket to the next non-empty one a
+//! word-wise skip. Far-heap entries move into the wheel once their bucket
+//! enters the window; each fired event checks only the heap top for that.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -75,12 +78,6 @@ struct HeapEntry {
     slot: u32,
 }
 
-/// Where [`Scheduler::next_event`] found the earliest pending entry.
-enum Next {
-    Wheel { idx: usize },
-    Far,
-}
-
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -100,24 +97,24 @@ impl Ord for HeapEntry {
     }
 }
 
-/// An occupied slab entry: the ordering key, the intrusive chain link for
-/// wheel buckets, and the event payload. Keeping the chain link *inside*
-/// the slab means wheel buckets are plain `u32` heads and steady-state
-/// insertion/removal never allocates.
-struct Entry<E> {
+/// The scheduler's half of a slab slot: the ordering key and one link.
+/// While the slot is pending in the wheel, `next` is the next slot of its
+/// bucket chain ([`NIL`] = end of chain; unused while the slot waits in the
+/// far heap); while the slot is free, `next` chains the freelist. Keys live in
+/// an array of their own, apart from the payloads, so chain walks and the
+/// min-search read 24-byte records and never touch an event.
+struct Key {
     at: SimTime,
     seq: u64,
-    /// Next slot in the same wheel bucket's chain ([`NIL`] = end of chain,
-    /// or not wheel-resident).
     next: u32,
-    event: E,
 }
 
-/// Slab storage for pending events: occupied slots hold the payload, vacant
-/// slots chain the freelist.
-enum Slot<E> {
-    Vacant { next_free: u32 },
-    Occupied(Entry<E>),
+/// Where [`Scheduler::find_min`] found the earliest pending event.
+enum Min {
+    /// Head `slot` of the chain at wheel index `idx`.
+    Wheel { idx: usize, slot: u32 },
+    /// Top of the far heap.
+    Far,
 }
 
 /// Priority queue of pending events plus the current virtual time.
@@ -127,9 +124,9 @@ enum Slot<E> {
 /// order is identical to a single global priority queue.
 pub struct Scheduler<W, E: Event<W>> {
     /// Near-future band: bucket `b` of an event at time `t` is
-    /// `t >> BUCKET_SHIFT`; `wheel[b & SLOT_MASK]` is the head slab slot of
-    /// an intrusive chain (or [`NIL`]) kept **sorted ascending by
-    /// `(at, seq)`**, so the bucket minimum is always the head. Window
+    /// `t >> BUCKET_SHIFT`; `wheel[b & SLOT_MASK]` is the head slot of an
+    /// intrusive chain through `keys` (or [`NIL`]) kept **sorted ascending
+    /// by `(at, seq)`**, so the bucket minimum is always the head. Window
     /// invariant: every resident entry has
     /// `bucket(now) <= b < bucket(now) + WHEEL_SLOTS`, so absolute buckets
     /// and wheel slots are in bijection and no epoch tag is needed.
@@ -144,13 +141,15 @@ pub struct Scheduler<W, E: Event<W>> {
     occupancy: Vec<u64>,
     /// Number of entries resident in the wheel.
     wheel_len: usize,
-    /// Lower bound on the smallest absolute bucket of any wheel entry; only
-    /// ever lowered by `schedule` and raised by `step`, so scans resume
-    /// where the last one left off instead of rescanning from `now`.
-    scan_bucket: u64,
-    /// Far-future band: everything at or beyond the wheel window.
+    /// Far-future band: everything scheduled at or beyond the wheel window.
+    /// Entries move to the wheel once their bucket enters the window.
     far: BinaryHeap<HeapEntry>,
-    slots: Vec<Slot<E>>,
+    /// Ordering key and link of every slab slot, indexed like `events`.
+    keys: Vec<Key>,
+    /// Event payload of every slab slot: `Some` while pending, `None` while
+    /// the slot is on the freelist. Written once by `schedule`, read once
+    /// by the pop that fires it.
+    events: Vec<Option<E>>,
     free_head: u32,
     now: SimTime,
     seq: u64,
@@ -172,9 +171,9 @@ impl<W, E: Event<W>> Scheduler<W, E> {
             wheel_tail: vec![NIL; WHEEL_SLOTS],
             occupancy: vec![0; BITMAP_WORDS],
             wheel_len: 0,
-            scan_bucket: 0,
             far: BinaryHeap::new(),
-            slots: Vec::new(),
+            keys: Vec::new(),
+            events: Vec::new(),
             free_head: NIL,
             now: SimTime::ZERO,
             seq: 0,
@@ -210,29 +209,21 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_next_at(&self) -> Option<SimTime> {
-        self.next_event().map(|(at, _, _)| at)
+        self.find_min().map(|(at, _)| at)
     }
 
-    /// The occupied entry at `slot`; chains only ever link occupied slots.
-    #[inline]
-    fn entry(&self, slot: u32) -> &Entry<E> {
-        match &self.slots[slot as usize] {
-            Slot::Occupied(e) => e,
-            Slot::Vacant { .. } => unreachable!("chained slot is vacant"),
-        }
-    }
-
-    /// Earliest wheel entry at or after absolute bucket `start`, as
-    /// `(abs_bucket, at, seq)` — the head of the first occupied bucket,
-    /// since chains are sorted. Correctness of scanning in slot order:
-    /// `start >= bucket(now)` and every resident bucket lies in
-    /// `[start, start + WHEEL_SLOTS)` (window invariant plus the
-    /// `scan_bucket` lower bound), so slot order from `start` is absolute
-    /// bucket order.
-    fn wheel_min_from(&self, start: u64) -> Option<(u64, SimTime, u64)> {
+    /// First occupied wheel bucket, as `(wheel_index, head_slot)` — the
+    /// head is the bucket's earliest entry, since chains are sorted.
+    /// Correctness of scanning in slot order from `bucket(now)`: nothing is
+    /// scheduled in the past, so no resident bucket lies before it, and by
+    /// the window invariant every resident bucket lies in
+    /// `[bucket(now), bucket(now) + WHEEL_SLOTS)`, where slot order is
+    /// absolute bucket order.
+    fn wheel_min(&self) -> Option<(usize, u32)> {
         if self.wheel_len == 0 {
             return None;
         }
+        let start = Self::bucket_of(self.now);
         let idx0 = (start & SLOT_MASK) as usize;
         let mut word_i = idx0 / 64;
         // Absolute bucket corresponding to bit 0 of the current word.
@@ -240,12 +231,10 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         let mut masked = self.occupancy[word_i] & (!0u64 << (idx0 % 64));
         for _ in 0..=BITMAP_WORDS {
             if masked != 0 {
-                let bucket = word_base + masked.trailing_zeros() as u64;
-                let idx = (bucket & SLOT_MASK) as usize;
+                let idx = ((word_base + masked.trailing_zeros() as u64) & SLOT_MASK) as usize;
                 let head = self.wheel[idx];
                 debug_assert!(head != NIL, "occupancy bit set on empty bucket");
-                let e = self.entry(head);
-                return Some((bucket, e.at, e.seq));
+                return Some((idx, head));
             }
             word_base += 64;
             word_i = (word_i + 1) % BITMAP_WORDS;
@@ -254,126 +243,109 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         unreachable!("wheel_len > 0 but no occupied bucket within the window")
     }
 
-    /// Global earliest pending entry by `(at, seq)` across wheel and far
+    /// Global earliest pending event by `(at, seq)` across wheel and far
     /// heap — the same total order a single priority queue would give.
-    fn next_event(&self) -> Option<(SimTime, u64, Next)> {
-        let start = self.scan_bucket.max(Self::bucket_of(self.now));
-        let wheel = self.wheel_min_from(start).map(|(bucket, at, seq)| {
-            (
-                at,
-                seq,
-                Next::Wheel {
-                    idx: (bucket & SLOT_MASK) as usize,
-                },
-            )
-        });
-        let far = self.far.peek().map(|e| (e.at, e.seq, Next::Far));
-        match (wheel, far) {
-            (None, None) => None,
-            (Some(w), None) => Some(w),
-            (None, Some(f)) => Some(f),
-            (Some(w), Some(f)) => Some(if (w.0, w.1) <= (f.0, f.1) { w } else { f }),
+    fn find_min(&self) -> Option<(SimTime, Min)> {
+        let far = self.far.peek();
+        if let Some((idx, slot)) = self.wheel_min() {
+            let (at, seq) = self.key_of(slot);
+            if far.is_none_or(|f| (at, seq) < (f.at, f.seq)) {
+                return Some((at, Min::Wheel { idx, slot }));
+            }
         }
+        far.map(|f| (f.at, Min::Far))
     }
 
-    /// Rewrite the chain link of an occupied slot.
-    #[inline]
-    fn set_next(&mut self, slot: u32, next: u32) {
-        match &mut self.slots[slot as usize] {
-            Slot::Occupied(e) => e.next = next,
-            Slot::Vacant { .. } => unreachable!("chained slot is vacant"),
+    /// Unlink and return the slot of the earliest pending event, if it is
+    /// due at or before `horizon`; otherwise leave the queue untouched. One
+    /// search finds the minimum, and the pop acts on what it found.
+    fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, u32)> {
+        let (at, min) = self.find_min()?;
+        if at > horizon {
+            return None;
         }
-    }
-
-    /// Link an occupied slab slot into its wheel bucket, keeping the chain
-    /// sorted ascending by `(at, seq)` and maintaining the occupancy
-    /// bitmap, length, and `scan_bucket` bound. The tail comparison makes
-    /// the dominant pattern — a burst of same-timestamp events arriving in
-    /// ascending `seq` order — an O(1) append; only genuinely out-of-order
-    /// keys pay an insertion scan.
-    fn push_wheel(&mut self, slot: u32) {
-        let (at, seq) = {
-            let e = self.entry(slot);
-            (e.at, e.seq)
+        let slot = match min {
+            Min::Wheel { idx, slot } => {
+                let next = self.keys[slot as usize].next;
+                self.wheel[idx] = next;
+                if next == NIL {
+                    self.wheel_tail[idx] = NIL;
+                    self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
+                }
+                self.wheel_len -= 1;
+                slot
+            }
+            Min::Far => self.far.pop().expect("peeked entry vanished").slot,
         };
-        let bucket = Self::bucket_of(at);
-        let idx = (bucket & SLOT_MASK) as usize;
+        Some((at, slot))
+    }
+
+    /// The ordering key of `slot`.
+    #[inline]
+    fn key_of(&self, slot: u32) -> (SimTime, u64) {
+        let k = &self.keys[slot as usize];
+        (k.at, k.seq)
+    }
+
+    /// Link slot `slot`, keyed `(at, seq)`, into its wheel bucket, keeping
+    /// the chain sorted ascending by `(at, seq)` and maintaining the
+    /// occupancy bitmap and length. The tail comparison makes the dominant
+    /// pattern — a burst of same-timestamp events arriving in ascending
+    /// `seq` order — an O(1) append; only genuinely out-of-order keys (and
+    /// far-heap entries moving in behind later-scheduled ties) pay an
+    /// insertion scan.
+    fn push_wheel(&mut self, slot: u32, at: SimTime, seq: u64) {
+        let idx = (Self::bucket_of(at) & SLOT_MASK) as usize;
         let head = self.wheel[idx];
+        let mut next = NIL;
         if head == NIL {
-            self.set_next(slot, NIL);
             self.wheel[idx] = slot;
             self.wheel_tail[idx] = slot;
             self.occupancy[idx / 64] |= 1 << (idx % 64);
-        } else {
+        } else if (at, seq) > self.key_of(self.wheel_tail[idx]) {
             let tail = self.wheel_tail[idx];
-            let te = self.entry(tail);
-            if (at, seq) > (te.at, te.seq) {
-                self.set_next(slot, NIL);
-                self.set_next(tail, slot);
-                self.wheel_tail[idx] = slot;
-            } else {
-                let he = self.entry(head);
-                if (at, seq) < (he.at, he.seq) {
-                    self.set_next(slot, head);
-                    self.wheel[idx] = slot;
-                } else {
-                    // Insert mid-chain: find the last node below the new
-                    // key. Terminates before the tail, whose key is above.
-                    let mut prev = head;
-                    loop {
-                        let next = self.entry(prev).next;
-                        debug_assert!(next != NIL, "insertion scan ran off the chain");
-                        let ne = self.entry(next);
-                        if (ne.at, ne.seq) > (at, seq) {
-                            self.set_next(slot, next);
-                            self.set_next(prev, slot);
-                            break;
-                        }
-                        prev = next;
-                    }
+            self.keys[tail as usize].next = slot;
+            self.wheel_tail[idx] = slot;
+        } else if (at, seq) < self.key_of(head) {
+            next = head;
+            self.wheel[idx] = slot;
+        } else {
+            // Insert mid-chain: find the last node below the new key.
+            // Terminates before the tail, whose key is above.
+            let mut prev = head;
+            loop {
+                next = self.keys[prev as usize].next;
+                debug_assert!(next != NIL, "insertion scan ran off the chain");
+                if self.key_of(next) > (at, seq) {
+                    self.keys[prev as usize].next = slot;
+                    break;
                 }
+                prev = next;
             }
         }
+        self.keys[slot as usize].next = next;
         self.wheel_len += 1;
-        if bucket < self.scan_bucket {
-            self.scan_bucket = bucket;
-        }
     }
 
-    /// Pop the head (minimum) of bucket `idx` and return its slab slot.
-    #[inline]
-    fn pop_wheel_head(&mut self, idx: usize) -> u32 {
-        let head = self.wheel[idx];
-        debug_assert!(head != NIL, "popping an empty bucket");
-        let next = self.entry(head).next;
-        self.wheel[idx] = next;
-        if next == NIL {
-            self.wheel_tail[idx] = NIL;
-            self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
-        }
-        self.wheel_len -= 1;
-        head
-    }
-
-    /// Pull far-heap entries whose bucket has slid into the wheel window.
-    /// Purely an optimisation: `next_event` is correct wherever an entry
-    /// lives, this just keeps the heap small and pops O(1).
-    fn migrate_far(&mut self) {
+    /// Move far-heap entries whose bucket has entered the wheel window into
+    /// the wheel, so the heap stays small. Costs one peek per fired event
+    /// unless the heap top is due.
+    fn migrate_due(&mut self) {
         let now_bucket = Self::bucket_of(self.now);
-        while let Some(top) = self.far.peek() {
-            if Self::bucket_of(top.at) - now_bucket < WHEEL_SLOTS as u64 {
-                let e = self.far.pop().expect("peeked entry vanished");
-                self.push_wheel(e.slot);
-            } else {
-                break;
-            }
+        while self
+            .far
+            .peek()
+            .is_some_and(|top| Self::bucket_of(top.at) - now_bucket < WHEEL_SLOTS as u64)
+        {
+            let e = self.far.pop().expect("peeked entry vanished");
+            self.push_wheel(e.slot, e.at, e.seq);
         }
     }
 
     /// Slab capacity (high-water mark of simultaneously pending events) —
     /// instrumentation for allocation tests.
     pub fn slab_capacity(&self) -> usize {
-        self.slots.len()
+        self.keys.len()
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -389,28 +361,25 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let occupied = Slot::Occupied(Entry {
-            at,
-            seq,
-            next: NIL,
-            event,
-        });
+        let key = Key { at, seq, next: NIL };
         let slot = if self.free_head == NIL {
-            debug_assert!(self.slots.len() < NIL as usize, "slab full");
-            self.slots.push(occupied);
-            (self.slots.len() - 1) as u32
+            debug_assert!(self.keys.len() < NIL as usize, "slab full");
+            self.keys.push(key);
+            self.events.push(Some(event));
+            (self.keys.len() - 1) as u32
         } else {
             let slot = self.free_head;
-            match std::mem::replace(&mut self.slots[slot as usize], occupied) {
-                Slot::Vacant { next_free } => self.free_head = next_free,
-                Slot::Occupied(_) => unreachable!("freelist head was occupied"),
-            }
+            self.free_head = self.keys[slot as usize].next;
+            self.keys[slot as usize] = key;
+            let payload = &mut self.events[slot as usize];
+            debug_assert!(payload.is_none(), "freelist slot holds an event");
+            *payload = Some(event);
             slot
         };
         // `at >= now` (asserted above), so the bucket difference cannot
         // underflow; within the window it goes to the wheel, else far.
         if Self::bucket_of(at) - Self::bucket_of(self.now) < WHEEL_SLOTS as u64 {
-            self.push_wheel(slot);
+            self.push_wheel(slot, at, seq);
         } else {
             self.far.push(HeapEntry { at, seq, slot });
         }
@@ -426,37 +395,24 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     /// Pop and fire the earliest event against `world`. Returns `false` when
     /// the queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let (at, slot) = match self.next_event() {
-            None => return false,
-            Some((at, seq, src)) => {
-                let slot = match src {
-                    Next::Wheel { idx } => {
-                        let slot = self.pop_wheel_head(idx);
-                        debug_assert_eq!(self.entry(slot).seq, seq, "head is not the peeked min");
-                        slot
-                    }
-                    Next::Far => self.far.pop().expect("peeked entry vanished").slot,
-                };
-                (at, slot)
-            }
+        self.step_until(world, SimTime::MAX)
+    }
+
+    /// Pop and fire the earliest event against `world` if it is due at or
+    /// before `horizon`. Returns `false`, with the queue and the clock
+    /// untouched, when nothing is due.
+    fn step_until(&mut self, world: &mut W, horizon: SimTime) -> bool {
+        let Some((at, slot)) = self.pop_due(horizon) else {
+            return false;
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        // Everything strictly before this event's bucket is empty now
-        // (it was the global minimum), so the scan hint may jump forward.
-        let bucket = Self::bucket_of(at);
-        if bucket > self.scan_bucket {
-            self.scan_bucket = bucket;
-        }
         self.fired += 1;
-        self.migrate_far();
-        let freed = Slot::Vacant {
-            next_free: self.free_head,
-        };
-        let event = match std::mem::replace(&mut self.slots[slot as usize], freed) {
-            Slot::Occupied(e) => e.event,
-            Slot::Vacant { .. } => unreachable!("queue entry pointed at a vacant slot"),
-        };
+        self.migrate_due();
+        let event = self.events[slot as usize]
+            .take()
+            .expect("queue entry pointed at a free slot");
+        self.keys[slot as usize].next = self.free_head;
         self.free_head = slot;
         event.fire(world, self);
         true
@@ -544,12 +500,12 @@ impl<W, E: Event<W>> Simulation<W, E> {
             if self.sched.fired() >= self.budget {
                 return RunOutcome::BudgetExhausted;
             }
-            match self.sched.peek_next_at() {
-                None => return RunOutcome::Quiescent,
-                Some(at) if at > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {
-                    self.sched.step(&mut self.world);
-                }
+            if !self.sched.step_until(&mut self.world, horizon) {
+                return if self.sched.pending() == 0 {
+                    RunOutcome::Quiescent
+                } else {
+                    RunOutcome::HorizonReached
+                };
             }
         }
     }
