@@ -10,8 +10,7 @@ use gmsim_gm::{GmConfig, Payload};
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::FaultPlan;
 use gmsim_testbed::{
-    cell_seed, Algorithm, BarrierExperiment, Descriptor, FabricSpec, MultiTenantExperiment,
-    RoutePolicy,
+    cell_seed, Algorithm, BarrierExperiment, Descriptor, FabricSpec, RoutePolicy, TeamId, TeamSet,
 };
 use nic_barrier::advisor::{self, Candidate};
 use nic_barrier::{
@@ -436,7 +435,7 @@ const TEAM_ROUNDS: (u64, u64) = (40, 8);
 /// keyed by (nodes, concurrent teams). At 256 nodes the full grid packs
 /// hundreds of teams onto the cluster, several per node. Smoke keeps
 /// N ≤ 64 and ≤ 4 teams.
-fn multitenant_grid(smoke: bool) -> Vec<((usize, usize), MultiTenantExperiment)> {
+fn multitenant_grid(smoke: bool) -> Vec<((usize, usize), BarrierExperiment)> {
     let mut full = Vec::new();
     for n in [16, 64, 256] {
         let teams = if n == 256 {
@@ -451,51 +450,59 @@ fn multitenant_grid(smoke: bool) -> Vec<((usize, usize), MultiTenantExperiment)>
         full,
         |&(n, teams)| n <= 64 && teams <= 4,
         |_, &(n, teams)| {
-            MultiTenantExperiment::new(n, teams)
-                .team_sizes(4, 8.min(n))
-                .rounds(TEAM_ROUNDS.0, TEAM_ROUNDS.1)
-                .background(true)
+            let random = TeamSet::Random {
+                count: teams,
+                min: 4,
+                max: 8.min(n),
+            };
+            team_pe(n, random).background(true)
         },
     )
+}
+
+/// NIC-PE over `n` nodes for the multi-tenant cells, run by `teams`.
+fn team_pe(n: usize, teams: TeamSet) -> BarrierExperiment {
+    BarrierExperiment::new(n, Algorithm::Nic(Descriptor::Pe))
+        .team(teams)
+        .rounds(TEAM_ROUNDS.0, TEAM_ROUNDS.1)
 }
 
 /// Multi-tenant interference: per-team mean/p99 latency against the
 /// number of concurrent teams; one NIC multiplexes every co-resident
 /// team, and contention shows up in p99 first. The isolated baseline
-/// anchors the chart *and* gates the team plumbing: one whole-cluster team
-/// driven through the multi-tenant path must reproduce the classic global
-/// barrier to within float summation noise.
+/// anchors the chart *and* gates the team plumbing: one random team of
+/// every node, driven through the multi-team loop, must reproduce the
+/// classic global barrier's mean bit for bit.
 pub fn multitenant(ctx: &mut Ctx) -> Result<(), StudyError> {
-    /// The isolated whole-cluster team may differ from the global barrier
-    /// only by float summation order in the aggregation.
-    const BASELINE_TOLERANCE: f64 = 1e-6;
-
     let cells = multitenant_grid(ctx.smoke);
     let mut sizes: Vec<usize> = cells.iter().map(|&((n, _), _)| n).collect();
     sizes.dedup();
-    let (rounds, warmup) = TEAM_ROUNDS;
     let baselines = sweep(&sizes, |&n| {
-        let reference =
-            BarrierExperiment::new(n, Algorithm::Nic(Descriptor::Pe)).rounds(rounds, warmup);
-        let isolated = MultiTenantExperiment::new(n, 1)
-            .team_sizes(n, n)
-            .rounds(rounds, warmup)
-            .run()
-            .map_err(|err| StudyError(format!("cell n={n} isolated team: {err}")))?;
-        Ok((run(&reference)?.mean_us, isolated.mean_us))
+        let reference = team_pe(n, TeamSet::Whole(TeamId::GLOBAL));
+        let isolated = team_pe(
+            n,
+            TeamSet::Random {
+                count: 1,
+                min: n,
+                max: n,
+            },
+        );
+        Ok((run(&reference)?.mean_us, run(&isolated)?.mean_us))
     })?;
     let measured = sweep(&cells, |&((n, teams), e)| {
         e.run()
             .map_err(|err| StudyError(format!("cell n={n} teams={teams}: {err}")))
     })?;
-    ctx.bounds = Row::default().val("baseline", BASELINE_TOLERANCE);
+    // Both runs do the same wire work and the mean sums exact ticks, so
+    // the bound is zero: a one-ulp difference is a team-plumbing bug.
+    ctx.bounds = Row::default().val("baseline", 0);
     for (&n, (reference, isolated)) in sizes.iter().zip(baselines) {
         let row = Row::default()
             .val("nodes", n)
             .num("reference_us", reference, 4)
             .num("isolated_us", isolated, 4);
         let err = (isolated - reference) / reference;
-        ctx.gate("baseline", row, err, BASELINE_TOLERANCE);
+        ctx.gate("baseline", row, err, 0.0);
     }
     let mut one_team = 0.0;
     for (&((n, teams), _), m) in cells.iter().zip(measured) {

@@ -8,8 +8,7 @@ use gmsim_gm::{GmConfig, HostProgram};
 use gmsim_lanai::NicModel;
 use gmsim_testbed::table::{factor, us};
 use gmsim_testbed::{
-    best_gb_dim, Algorithm, BarrierExperiment, Descriptor, FuzzyExperiment, Measurement, Placement,
-    Table,
+    best_gb_dim, Algorithm, BarrierExperiment, Descriptor, Measurement, ProcessLayout, Table,
 };
 use nic_barrier::programs::NicBarrierLoop;
 use nic_barrier::{
@@ -213,9 +212,16 @@ pub fn fuzzy(_: &mut Ctx) -> Result<(), StudyError> {
         "fuzzy period (us)",
         "hidden (us)",
     ]);
+    let period = |compute, overlap| {
+        measure(
+            BarrierExperiment::new(8, Algorithm::Nic(Descriptor::Pe))
+                .compute(compute, overlap)
+                .rounds(120, 20),
+        )
+    };
     for compute in [0u64, 20, 40, 60, 80, 120] {
-        let blocking = FuzzyExperiment::new(8, compute, false).run().mean_us;
-        let fuzzy = FuzzyExperiment::new(8, compute, true).run().mean_us;
+        let blocking = period(compute, false)?;
+        let fuzzy = period(compute, true)?;
         t.row(vec![
             compute.to_string(),
             us(blocking),
@@ -413,7 +419,7 @@ pub fn scan(_: &mut Ctx) -> Result<(), StudyError> {
 pub fn ablate(_: &mut Ctx) -> Result<(), StudyError> {
     use CollectiveWireMode::{Reliable, Unreliable};
     let pe16 = BarrierExperiment::new(16, Algorithm::Nic(Descriptor::Pe));
-    let packed = pe16.placement(Placement::Packed { procs_per_node: 2 });
+    let packed = pe16.layout(ProcessLayout::Packed { procs_per_node: 2 });
     let mut slow = BarrierCosts::GM_1_2_3;
     slow.record_cycles *= 4;
     let mut t = Table::new(vec!["config", "NIC-PE, 16 processes (us)"]);

@@ -1,4 +1,11 @@
 //! Declarative barrier experiments.
+//!
+//! [`BarrierExperiment`] is the one builder for every measured run. The
+//! runs differ only in the host programs it installs: one barrier loop per
+//! process ([`NicBarrierLoop`] or [`HostBarrierLoop`]), one
+//! [`MultiTeamBarrierLoop`] per node for seeded random teams, or the §2.1
+//! [`FuzzyBarrierLoop`]. Validation, the cluster, the checks and the
+//! aggregation into one [`Measurement`] are shared.
 
 use gmsim_des::{Histogram, MetricSet, RunOutcome, SimRng, SimTime, Summary, TraceRecord, Tracer};
 use gmsim_gm::cluster::{Cluster, ClusterBuilder};
@@ -7,10 +14,10 @@ use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram};
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::{FabricSpec, FaultPlan, InvalidFabric, RoutePolicy};
 use nic_barrier::nic::{TURNAROUND_BINS, TURNAROUND_BIN_US};
-use nic_barrier::programs::{decode_note, decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
+use nic_barrier::programs::{decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
 use nic_barrier::{
-    BarrierCosts, BarrierExtension, BarrierGroup, Descriptor, DescriptorError, HostBarrierLoop,
-    Team, TeamId,
+    BarrierCosts, BarrierExtension, BarrierGroup, Descriptor, DescriptorError, FuzzyBarrierLoop,
+    HostBarrierLoop, Team, TeamId,
 };
 use std::fmt;
 
@@ -70,7 +77,7 @@ impl Algorithm {
 
 /// How processes map onto nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
+pub enum ProcessLayout {
     /// One process per node (the paper's testbed).
     OnePerNode,
     /// `procs_per_node` processes packed per node on consecutive ports —
@@ -81,6 +88,34 @@ pub enum Placement {
     },
 }
 
+/// Which teams run the barrier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TeamSet {
+    /// Every process in one team under this id. [`TeamId::GLOBAL`] is the
+    /// classic whole-cluster barrier; any other id runs the identical
+    /// schedule as that team, and in an otherwise idle cluster the
+    /// latencies are bit-identical.
+    Whole(TeamId),
+    /// `count` teams with ids `1..=count`, each a seeded random subset of
+    /// `min..=max` nodes (one process per node, port 1), all running their
+    /// barriers concurrently: the §3.4 multi-tenant workload. Teams overlap
+    /// freely, so one NIC typically serves several of them at once.
+    Random {
+        /// Number of teams.
+        count: usize,
+        /// Smallest team size (inclusive).
+        min: usize,
+        /// Largest team size (inclusive).
+        max: usize,
+    },
+}
+
+impl From<TeamId> for TeamSet {
+    fn from(id: TeamId) -> Self {
+        TeamSet::Whole(id)
+    }
+}
+
 /// Why an experiment could not produce a [`Measurement`].
 ///
 /// Configuration errors are caught by validation before the simulation is
@@ -89,7 +124,8 @@ pub enum Placement {
 /// fault plan harsh enough to defeat GM's retransmission).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExperimentError {
-    /// `procs == 0`: an empty barrier group has no meaning.
+    /// `procs == 0` or no random teams: an empty barrier group has no
+    /// meaning.
     ZeroProcs,
     /// `rounds == 0`: nothing to measure.
     ZeroRounds,
@@ -118,11 +154,18 @@ pub enum ExperimentError {
     /// A send-token pool override of zero: a port with no send tokens can
     /// never post a message, so the run would hang by construction.
     ZeroSendTokens,
-    /// Packed placement with `procs_per_node` outside `1..=7` (GM exposes
-    /// 8 ports per NIC and port 0 is reserved).
-    InvalidPlacement {
+    /// A packed layout with `procs_per_node` outside `1..=7` (GM exposes 8
+    /// ports per NIC and port 0 is reserved).
+    InvalidLayout {
         /// The offending processes-per-node count.
         procs_per_node: usize,
+    },
+    /// Options no host program runs together: random teams run only NIC
+    /// barriers, one process per node; the fuzzy compute loop runs only
+    /// NIC-PE over the global team; background traffic needs port 2 free.
+    Unsupported {
+        /// The rejected combination.
+        what: &'static str,
     },
     /// The simulation stopped without draining: the barrier hung.
     Hung {
@@ -138,17 +181,7 @@ pub enum ExperimentError {
         /// The peer it could not reach.
         peer: u32,
     },
-    /// The team-attributed form of [`ExperimentError::PeerUnreachable`]: in
-    /// a multi-tenant run the failed node is reported as a member of the
-    /// first team it belongs to, so the caller knows which communicator's
-    /// barrier can never complete.
-    TeamPeerUnreachable {
-        /// The affected team.
-        team: TeamId,
-        /// The failed member's rank within that team.
-        rank: u32,
-    },
-    /// A multi-tenant run placed no teams, or sizes outside `2..=nodes`.
+    /// Random team sizes outside `2..=nodes`, or `min > max`.
     InvalidTeamSizes {
         /// Requested minimum team size.
         min: usize,
@@ -157,9 +190,9 @@ pub enum ExperimentError {
         /// Available nodes.
         nodes: usize,
     },
-    /// A multi-tenant run with more teams than the 16-bit team field of
-    /// note and message tags can tell apart (team ids run `1..=teams`, at
-    /// most [`TeamId::MAX`]).
+    /// More random teams than the 16-bit team field of note and message
+    /// tags can tell apart (team ids run `1..=teams`, at most
+    /// [`TeamId::MAX`]).
     TooManyTeams {
         /// Requested team count.
         teams: usize,
@@ -190,7 +223,7 @@ pub enum ExperimentError {
         round: u64,
         /// Completions observed.
         completed: u64,
-        /// Completions expected (`procs`).
+        /// Completions expected (the team's size).
         expected: u64,
     },
 }
@@ -214,20 +247,17 @@ impl fmt::Display for ExperimentError {
             ExperimentError::ZeroSendTokens => {
                 write!(f, "send-token pool override of 0 (a port could never send)")
             }
-            ExperimentError::InvalidPlacement { procs_per_node } => write!(
+            ExperimentError::InvalidLayout { procs_per_node } => write!(
                 f,
-                "packed placement with {procs_per_node} procs/node (GM supports 1..=7)"
+                "packed layout with {procs_per_node} procs/node (GM supports 1..=7)"
             ),
+            ExperimentError::Unsupported { what } => write!(f, "unsupported: {what}"),
             ExperimentError::Hung { outcome } => {
                 write!(f, "simulation did not drain: {outcome:?}")
             }
             ExperimentError::PeerUnreachable { node, peer } => write!(
                 f,
                 "node {node} exhausted its retransmit budget against node {peer}"
-            ),
-            ExperimentError::TeamPeerUnreachable { team, rank } => write!(
-                f,
-                "rank {rank} of team {team:?} became unreachable (retransmit budget exhausted)"
             ),
             ExperimentError::InvalidTeamSizes { min, max, nodes } => write!(
                 f,
@@ -273,18 +303,27 @@ impl std::error::Error for ExperimentError {}
 ///     .run()
 ///     .unwrap();
 /// assert!((m.mean_us - 102.14).abs() / 102.14 < 0.05);
+///
+/// // Six overlapping teams of 2–4 nodes on the same 8 NICs.
+/// let m = BarrierExperiment::new(8, Algorithm::Nic(Descriptor::Pe))
+///     .team(TeamSet::Random { count: 6, min: 2, max: 4 })
+///     .rounds(30, 5)
+///     .run()
+///     .unwrap();
+/// assert_eq!(m.teams.len(), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BarrierExperiment {
-    /// Number of participating processes.
+    /// Number of participating processes (with random teams: the nodes
+    /// the teams are drawn from).
     pub procs: usize,
     /// Implementation under test.
     pub algorithm: Algorithm,
     /// NIC hardware model.
     pub nic: NicModel,
-    /// Process placement.
-    pub placement: Placement,
-    /// Consecutive barriers to run.
+    /// How processes map onto nodes.
+    pub layout: ProcessLayout,
+    /// Consecutive barriers to run (per team).
     pub rounds: u64,
     /// Leading rounds excluded from the mean (start-up transient).
     pub warmup: u64,
@@ -293,7 +332,7 @@ pub struct BarrierExperiment {
     pub layer_factor: f64,
     /// Random start skew bound in µs (0 = synchronized start).
     pub max_skew_us: u64,
-    /// RNG seed for skew (and fault injection, when enabled).
+    /// RNG seed for skew, random teams and fault injection.
     pub seed: u64,
     /// How barrier packets travel (reliable stream vs the paper's
     /// unreliable prototype — the reliability-overhead ablation).
@@ -313,11 +352,9 @@ pub struct BarrierExperiment {
     pub send_tokens: Option<u32>,
     /// Structured-trace ring capacity (`None` = tracing disabled).
     pub trace_capacity: Option<usize>,
-    /// The team label the barrier runs under. [`TeamId::GLOBAL`] (the
-    /// default) is the classic whole-cluster barrier; any other id runs the
-    /// identical schedule as that team — in an otherwise idle cluster the
-    /// latencies must be bit-identical (the refactor's safety property).
-    pub team: TeamId,
+    /// The teams that run the barrier ([`TeamSet::Whole`] of
+    /// [`TeamId::GLOBAL`] by default).
+    pub teams: TeamSet,
     /// Worker threads for the conservative parallel engine; `<= 1` runs the
     /// classic serial scheduler. Any value produces bit-identical
     /// measurements (DESIGN.md §15) — this knob only trades wall-clock
@@ -329,7 +366,18 @@ pub struct BarrierExperiment {
     pub fabric: FabricSpec,
     /// How worms are routed across the fabric's spines (DESIGN.md §18).
     pub routing: RoutePolicy,
+    /// Background point-to-point load: every node streams 200 messages of
+    /// 512 bytes to its ring neighbour from port 2.
+    pub background: bool,
+    /// `Some((us, overlap))` runs the §2.1 fuzzy-barrier loop: `us` µs of
+    /// host computation per round, overlapped with the NIC barrier when
+    /// `overlap` holds and before it otherwise.
+    pub compute: Option<(u64, bool)>,
 }
+
+/// Messages each node sends to its ring neighbour under
+/// [`BarrierExperiment::background`].
+const BACKGROUND_MESSAGES: u64 = 200;
 
 impl BarrierExperiment {
     /// A default experiment: `procs` processes, one per node, on LANai 4.3.
@@ -338,7 +386,7 @@ impl BarrierExperiment {
             procs,
             algorithm,
             nic: NicModel::LANAI_4_3,
-            placement: Placement::OnePerNode,
+            layout: ProcessLayout::OnePerNode,
             rounds: 220,
             warmup: 20,
             layer_factor: 1.0,
@@ -350,10 +398,12 @@ impl BarrierExperiment {
             fault_plan: FaultPlan::NONE,
             send_tokens: None,
             trace_capacity: None,
-            team: TeamId::GLOBAL,
+            teams: TeamSet::Whole(TeamId::GLOBAL),
             parallel: 1,
             fabric: FabricSpec::Auto,
             routing: RoutePolicy::Dispersed,
+            background: false,
+            compute: None,
         }
     }
 
@@ -375,10 +425,11 @@ impl BarrierExperiment {
         self
     }
 
-    /// Run the barrier under a team label other than the global one.
+    /// Run the barrier under a team label other than the global one
+    /// (a [`TeamId`]), or as seeded random teams ([`TeamSet::Random`]).
     #[must_use]
-    pub fn team(mut self, team: TeamId) -> Self {
-        self.team = team;
+    pub fn team(mut self, teams: impl Into<TeamSet>) -> Self {
+        self.teams = teams.into();
         self
     }
 
@@ -418,10 +469,10 @@ impl BarrierExperiment {
         self
     }
 
-    /// Override the placement.
+    /// Override the process layout.
     #[must_use]
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
+    pub fn layout(mut self, layout: ProcessLayout) -> Self {
+        self.layout = layout;
         self
     }
 
@@ -465,6 +516,22 @@ impl BarrierExperiment {
         self
     }
 
+    /// Enable/disable background point-to-point traffic next to the
+    /// barriers.
+    #[must_use]
+    pub fn background(mut self, on: bool) -> Self {
+        self.background = on;
+        self
+    }
+
+    /// Run the §2.1 fuzzy-barrier loop with `us` µs of computation per
+    /// round, overlapped with the NIC barrier (`overlap`) or before it.
+    #[must_use]
+    pub fn compute(mut self, us: u64, overlap: bool) -> Self {
+        self.compute = Some((us, overlap));
+        self
+    }
+
     /// Check the configuration without running anything.
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if self.procs == 0 {
@@ -482,7 +549,8 @@ impl BarrierExperiment {
         // Descriptors built through the named constructors are always
         // valid; re-checking here is defense in depth for descriptors
         // deserialized or constructed inside the core crate.
-        match self.algorithm.descriptor().validate() {
+        let desc = self.algorithm.descriptor();
+        match desc.validate() {
             Ok(()) => {}
             Err(DescriptorError::ZeroDim) => return Err(ExperimentError::ZeroDim),
             Err(DescriptorError::InvalidRadix { radix }) => {
@@ -499,13 +567,61 @@ impl BarrierExperiment {
                 return Err(ExperimentError::InvalidProbability { what, value });
             }
         }
-        if let Placement::Packed { procs_per_node } = self.placement {
-            if !(1..=7).contains(&procs_per_node) {
-                return Err(ExperimentError::InvalidPlacement { procs_per_node });
+        let packed = match self.layout {
+            ProcessLayout::OnePerNode => false,
+            ProcessLayout::Packed { procs_per_node } if (1..=7).contains(&procs_per_node) => true,
+            ProcessLayout::Packed { procs_per_node } => {
+                return Err(ExperimentError::InvalidLayout { procs_per_node })
             }
-        }
+        };
         if self.send_tokens == Some(0) {
             return Err(ExperimentError::ZeroSendTokens);
+        }
+        if let TeamSet::Random { count, min, max } = self.teams {
+            if count == 0 {
+                return Err(ExperimentError::ZeroProcs);
+            }
+            if count > TeamId::MAX.0 as usize {
+                return Err(ExperimentError::TooManyTeams { teams: count });
+            }
+            if min < 2 || min > max || max > self.procs {
+                return Err(ExperimentError::InvalidTeamSizes {
+                    min,
+                    max,
+                    nodes: self.procs,
+                });
+            }
+        }
+        let random = matches!(self.teams, TeamSet::Random { .. });
+        // The multi-team loop counts only barrier completions.
+        let barrier = matches!(
+            desc,
+            Descriptor::Pe | Descriptor::Gb { .. } | Descriptor::Dissemination { .. }
+        );
+        let fuzzy_ok = self.algorithm == Algorithm::Nic(Descriptor::Pe)
+            && self.teams == TeamSet::Whole(TeamId::GLOBAL);
+        for (rejected, what) in [
+            (
+                random && !self.algorithm.is_nic(),
+                "random teams with a host algorithm",
+            ),
+            (
+                random && !barrier,
+                "random teams with a value-carrying collective",
+            ),
+            (random && packed, "random teams with packed processes"),
+            (
+                self.compute.is_some() && !fuzzy_ok,
+                "fuzzy compute with anything but NIC-PE over the global team",
+            ),
+            (
+                self.background && packed,
+                "background traffic with packed processes",
+            ),
+        ] {
+            if rejected {
+                return Err(ExperimentError::Unsupported { what });
+            }
         }
         self.fabric
             .validate()
@@ -520,49 +636,121 @@ impl BarrierExperiment {
         Ok(())
     }
 
-    /// The endpoint group this experiment synchronizes.
-    pub fn group(&self) -> BarrierGroup {
-        match self.placement {
-            Placement::OnePerNode => BarrierGroup::one_per_node(self.procs, 1),
-            Placement::Packed { procs_per_node } => {
-                assert!((1..=7).contains(&procs_per_node));
+    fn node_count(&self) -> usize {
+        match self.layout {
+            ProcessLayout::OnePerNode => self.procs,
+            ProcessLayout::Packed { procs_per_node } => self.procs.div_ceil(procs_per_node),
+        }
+    }
+
+    /// The teams this experiment runs. A whole-cluster team holds every
+    /// process in rank order, packed ones on consecutive ports. Random team
+    /// `i` gets id `TeamId(1 + i)` and a uniform random subset of the nodes
+    /// (partial Fisher–Yates), members in node order.
+    fn team_list(&self) -> Vec<Team> {
+        let (count, min, max) = match (self.teams, self.layout) {
+            (TeamSet::Whole(id), ProcessLayout::OnePerNode) => {
+                return vec![Team::new(id, BarrierGroup::one_per_node(self.procs, 1))]
+            }
+            (TeamSet::Whole(id), ProcessLayout::Packed { procs_per_node }) => {
                 let members = (0..self.procs)
                     .map(|i| GlobalPort::new(i / procs_per_node, 1 + (i % procs_per_node) as u8))
                     .collect();
-                BarrierGroup::new(members)
+                return vec![Team::new(id, BarrierGroup::new(members))];
             }
-        }
+            (TeamSet::Random { count, min, max }, _) => (count, min, max),
+        };
+        let mut rng = SimRng::new(self.seed ^ 0x7EA5);
+        let mut scratch: Vec<usize> = (0..self.procs).collect();
+        let span = (max - min + 1) as u64;
+        (0..count)
+            .map(|i| {
+                let size = min + rng.below(span) as usize;
+                for k in 0..size {
+                    let j = k + rng.below((self.procs - k) as u64) as usize;
+                    scratch.swap(k, j);
+                }
+                let mut members = scratch[..size].to_vec();
+                members.sort_unstable();
+                let ports = members.into_iter().map(|n| GlobalPort::new(n, 1));
+                Team::new(TeamId(1 + i as u32), BarrierGroup::new(ports.collect()))
+            })
+            .collect()
     }
 
-    fn node_count(&self) -> usize {
-        match self.placement {
-            Placement::OnePerNode => self.procs,
-            Placement::Packed { procs_per_node } => self.procs.div_ceil(procs_per_node),
-        }
-    }
-
-    fn make_program(&self, group: &BarrierGroup, rank: usize) -> Box<dyn HostProgram> {
-        let team = Team::new(self.team, group.clone());
-        match self.algorithm {
-            Algorithm::Nic(desc) => {
-                Box::new(NicBarrierLoop::for_team(&team, rank, desc, self.rounds))
+    /// Install the host programs: one barrier loop per process for a
+    /// whole-cluster team, or one [`MultiTeamBarrierLoop`] per node driving
+    /// all of that node's random-team memberships on port 1.
+    fn install(&self, mut builder: ClusterBuilder, teams: &[Team]) -> ClusterBuilder {
+        let mut rng = SimRng::new(self.seed);
+        let mut start = || {
+            if self.max_skew_us == 0 {
+                SimTime::ZERO
+            } else {
+                SimTime::from_us(rng.below(self.max_skew_us + 1))
             }
-            Algorithm::Host(desc) => {
-                Box::new(HostBarrierLoop::for_team(&team, rank, desc, self.rounds))
+        };
+        if let TeamSet::Whole(_) = self.teams {
+            let team = &teams[0];
+            for rank in 0..team.len() {
+                let program: Box<dyn HostProgram> = match (self.compute, self.algorithm) {
+                    (Some((us, overlap)), _) => Box::new(FuzzyBarrierLoop::new(
+                        team.group().clone(),
+                        rank,
+                        self.rounds,
+                        SimTime::from_us(us),
+                        overlap,
+                    )),
+                    (None, Algorithm::Nic(desc)) => {
+                        Box::new(NicBarrierLoop::for_team(team, rank, desc, self.rounds))
+                    }
+                    (None, Algorithm::Host(desc)) => {
+                        Box::new(HostBarrierLoop::for_team(team, rank, desc, self.rounds))
+                    }
+                };
+                builder = builder.program(team.member(rank), program, start());
+            }
+        } else {
+            let mut loops: Vec<MultiTeamBarrierLoop> = (0..self.procs)
+                .map(|_| MultiTeamBarrierLoop::new())
+                .collect();
+            for team in teams {
+                for rank in 0..team.len() {
+                    let node = team.member(rank).node.0;
+                    loops[node].push(team, rank, self.algorithm.descriptor(), self.rounds);
+                }
+            }
+            for (node, barrier_loop) in loops.into_iter().enumerate() {
+                if !barrier_loop.is_empty() {
+                    let port = GlobalPort::new(node, 1);
+                    builder = builder.program(port, Box::new(barrier_loop), start());
+                }
             }
         }
+        let nodes = self.node_count();
+        if self.background && nodes > 1 {
+            for node in 0..nodes {
+                let traffic = BackgroundTraffic {
+                    peer: GlobalPort::new((node + 1) % nodes, 2),
+                    remaining: BACKGROUND_MESSAGES,
+                };
+                builder =
+                    builder.program(GlobalPort::new(node, 2), Box::new(traffic), SimTime::ZERO);
+            }
+        }
+        builder
     }
 
     /// Run the experiment to completion and aggregate the measurement.
     ///
     /// # Errors
     /// Configuration errors ([`BarrierExperiment::validate`]) are returned
-    /// before anything runs; [`ExperimentError::Hung`] and
+    /// before anything runs; [`ExperimentError::Hung`],
+    /// [`ExperimentError::PeerUnreachable`] and
     /// [`ExperimentError::IncompleteRound`] report a simulation that
     /// failed to synchronize.
     pub fn run(&self) -> Result<Measurement, ExperimentError> {
         self.validate()?;
-        let group = self.group();
         let mut config = GmConfig::paper_host(self.nic).with_layer_overhead(self.layer_factor);
         config.collective_wire = self.wire;
         config.same_nic_optimization = self.same_nic_opt;
@@ -584,15 +772,8 @@ impl BarrierExperiment {
         if let Some(capacity) = self.trace_capacity {
             builder = builder.tracer(Tracer::bounded(capacity));
         }
-        let mut rng = SimRng::new(self.seed);
-        for rank in 0..self.procs {
-            let start = if self.max_skew_us == 0 {
-                SimTime::ZERO
-            } else {
-                SimTime::from_us(rng.below(self.max_skew_us + 1))
-            };
-            builder = builder.program(group.member(rank), self.make_program(&group, rank), start);
-        }
+        let teams = self.team_list();
+        let builder = self.install(builder, &teams);
         let (outcome, events, cluster) = run_cluster(builder, self.parallel);
         if outcome != RunOutcome::Quiescent {
             return Err(ExperimentError::Hung { outcome });
@@ -609,37 +790,66 @@ impl BarrierExperiment {
             }
         }
 
-        // A round completes when its *last* participant's completion note
+        // A team's round completes when its *last* member's completion note
         // lands; consecutive-barrier latency is the gap between rounds.
-        let mut round_done = vec![SimTime::ZERO; self.rounds as usize];
-        let mut counts = vec![0u64; self.rounds as usize];
+        let rounds = self.rounds as usize;
+        let warmup = self.warmup as usize;
+        let mut round_done = vec![SimTime::ZERO; teams.len() * rounds];
+        let mut counts = vec![0u64; teams.len() * rounds];
         for note in &cluster.notes {
-            if let Some(round) = decode_note(note.tag) {
-                let r = round as usize;
-                round_done[r] = round_done[r].max(note.at);
-                counts[r] += 1;
+            if let Some((team, round)) = decode_team_note(note.tag) {
+                // Random team ids run 1..=count; a whole-cluster team owns
+                // every note (the fuzzy loop notes under the global id).
+                let t = match self.teams {
+                    TeamSet::Whole(_) => 0,
+                    TeamSet::Random { .. } => team.0 as usize - 1,
+                };
+                let i = t * rounds + round as usize;
+                round_done[i] = round_done[i].max(note.at);
+                counts[i] += 1;
             }
         }
-        for (r, &c) in counts.iter().enumerate() {
-            if c != self.procs as u64 {
+        // Every team's round gaps, summed as exact ticks: for one team the
+        // sum is the span from the warmup's last round to the final one.
+        let measured = rounds - warmup - 1;
+        let mut per_round = Summary::new();
+        let mut gaps = Vec::with_capacity(teams.len() * measured);
+        let mut total = SimTime::ZERO;
+        let mut first_round = SimTime::ZERO;
+        let mut rows = Vec::with_capacity(teams.len());
+        let per_team = round_done.chunks(rounds).zip(counts.chunks(rounds));
+        for (team, (done, counts)) in teams.iter().zip(per_team) {
+            let expected = team.len() as u64;
+            if let Some(r) = counts.iter().position(|&c| c != expected) {
                 return Err(ExperimentError::IncompleteRound {
                     round: r as u64,
-                    completed: c,
-                    expected: self.procs as u64,
+                    completed: counts[r],
+                    expected,
                 });
             }
+            for r in warmup + 1..rounds {
+                let gap = done[r] - done[r - 1];
+                per_round.record(gap.as_us_f64());
+                gaps.push(gap);
+            }
+            let span = done[rounds - 1] - done[warmup];
+            total += span;
+            first_round = first_round.max(done[0]);
+            rows.push(TeamRow {
+                id: team.id(),
+                size: team.len(),
+                mean_us: span.as_us_f64() / measured as f64,
+            });
         }
-        let mut per_round = Summary::new();
-        for r in (self.warmup as usize + 1)..self.rounds as usize {
-            per_round.record((round_done[r] - round_done[r - 1]).as_us_f64());
-        }
-        let span = round_done[self.rounds as usize - 1] - round_done[self.warmup as usize];
-        let measured_rounds = self.rounds - self.warmup - 1;
+        gaps.sort_unstable();
+        let p99 = gaps[((gaps.len() - 1) as f64 * 0.99).ceil() as usize];
         let (metrics, nic_turnaround) = collect_metrics(&cluster);
         Ok(Measurement {
-            mean_us: span.as_us_f64() / measured_rounds as f64,
-            first_round_us: round_done[0].as_us_f64(),
+            mean_us: total.as_us_f64() / gaps.len() as f64,
+            p99_us: p99.as_us_f64(),
+            first_round_us: first_round.as_us_f64(),
             per_round,
+            teams: rows,
             events,
             metrics,
             nic_turnaround,
@@ -651,7 +861,7 @@ impl BarrierExperiment {
 /// Build and run the assembled cluster on the requested engine: the serial
 /// scheduler for `threads <= 1`, the conservative parallel engine
 /// otherwise. Both return identical worlds — the choice is wall-clock only.
-pub(crate) fn run_cluster(builder: ClusterBuilder, threads: usize) -> (RunOutcome, u64, Cluster) {
+fn run_cluster(builder: ClusterBuilder, threads: usize) -> (RunOutcome, u64, Cluster) {
     if threads > 1 {
         let mut sim = builder.build_parallel(threads);
         let outcome = sim.run();
@@ -666,7 +876,7 @@ pub(crate) fn run_cluster(builder: ClusterBuilder, threads: usize) -> (RunOutcom
 /// Aggregate the cluster's per-component statistics into one [`MetricSet`]
 /// plus the merged per-packet NIC-turnaround histogram. Purely post-run:
 /// nothing here touches the simulation hot path.
-pub(crate) fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
+fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
     let mut m = MetricSet::new();
     let fabric = cluster.fabric.stats();
     m.add(Counter::PacketsSent, fabric.sends);
@@ -717,19 +927,73 @@ pub(crate) fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
     (m, turnaround)
 }
 
+/// Background point-to-point load: a fixed budget of messages to one peer,
+/// paced by `Sent` completions so the NIC always has exactly one background
+/// send in flight. Runs on its own port next to the barrier jobs.
+struct BackgroundTraffic {
+    peer: GlobalPort,
+    remaining: u64,
+}
+
+/// Tag background messages so they never collide with anything meaningful.
+const BACKGROUND_TAG: u64 = 0xB0 << 32;
+
+/// Bytes per background message.
+const BACKGROUND_LEN: usize = 512;
+
+impl HostProgram for BackgroundTraffic {
+    fn on_start(&mut self, ctx: &mut HostCtx) {
+        ctx.provide_recv(BACKGROUND_MESSAGES as u32);
+        self.send_next(ctx);
+    }
+
+    fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
+        if matches!(ev, GmEvent::Sent { .. }) {
+            self.send_next(ctx);
+        }
+    }
+}
+
+impl BackgroundTraffic {
+    fn send_next(&mut self, ctx: &mut HostCtx) {
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            ctx.send_notify(self.peer, BACKGROUND_LEN, BACKGROUND_TAG);
+        }
+    }
+}
+
+/// One team's share of a [`Measurement`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TeamRow {
+    /// The team's cluster-unique id.
+    pub id: TeamId,
+    /// Members in the team.
+    pub size: usize,
+    /// The team's own mean round gap, µs.
+    pub mean_us: f64,
+}
+
 /// The result of one experiment.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Mean steady-state barrier latency, µs (the paper's reported metric).
+    /// Mean steady-state barrier latency over every team's measured round
+    /// gaps, µs (the paper's reported metric).
     pub mean_us: f64,
+    /// 99th-percentile round gap over every team's measured rounds, µs.
+    pub p99_us: f64,
     /// Completion time of the very first barrier (one-shot latency from a
-    /// synchronized cold start), µs.
+    /// synchronized cold start; the latest team's, with several), µs.
     pub first_round_us: f64,
-    /// Distribution of individual round gaps.
+    /// Distribution of individual round gaps, every team's.
     pub per_round: Summary,
+    /// One row per team, in team order.
+    pub teams: Vec<TeamRow>,
     /// Simulation events fired while the experiment ran.
     pub events: u64,
-    /// Aggregated counters across the fabric, every NIC and every host.
+    /// Aggregated counters across the fabric, every NIC and every host,
+    /// including the team counters (`TeamsCreated`, `ConcurrentPeak`,
+    /// `CrossTeamRejects`).
     pub metrics: MetricSet,
     /// Per-packet NIC turnaround (wire arrival → firmware idle), µs,
     /// merged across all NICs. Empty for host-interpreted runs.
@@ -737,349 +1001,6 @@ pub struct Measurement {
     /// Structured event trace (empty unless
     /// [`BarrierExperiment::trace`] enabled it).
     pub trace: Vec<TraceRecord>,
-}
-
-/// Where one team landed: its id and the nodes hosting its members, in
-/// team-rank order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TeamPlacement {
-    /// The team's cluster-unique id.
-    pub id: TeamId,
-    /// Member nodes in rank order (one process per node, port 1).
-    pub members: Vec<usize>,
-}
-
-/// Background point-to-point load: a fixed budget of messages to one peer,
-/// paced by `Sent` completions so the NIC always has exactly one background
-/// send in flight. Runs on its own port next to the barrier jobs.
-struct BackgroundTraffic {
-    peer: GlobalPort,
-    remaining: u64,
-    expected: u32,
-    len: usize,
-}
-
-/// Tag background messages so they never collide with anything meaningful.
-const BACKGROUND_TAG: u64 = 0xB0 << 32;
-
-impl HostProgram for BackgroundTraffic {
-    fn on_start(&mut self, ctx: &mut HostCtx) {
-        ctx.provide_recv(self.expected);
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send_notify(self.peer, self.len, BACKGROUND_TAG);
-        }
-    }
-
-    fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
-        if matches!(ev, GmEvent::Sent { .. }) && self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send_notify(self.peer, self.len, BACKGROUND_TAG);
-        }
-    }
-}
-
-/// A multi-job driver: places `teams` teams of mixed sizes across the
-/// cluster and runs their barriers *concurrently*, optionally under
-/// background point-to-point traffic — the multi-tenant workload the
-/// per-team NIC state exists for. Teams overlap freely: one node typically
-/// hosts several teams' members on the same port, so their runs interleave
-/// inside one firmware extension.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiTenantExperiment {
-    /// Cluster size in nodes.
-    pub nodes: usize,
-    /// Number of concurrent teams.
-    pub teams: usize,
-    /// Smallest team size (inclusive).
-    pub min_team: usize,
-    /// Largest team size (inclusive).
-    pub max_team: usize,
-    /// Barrier rounds per team.
-    pub rounds: u64,
-    /// Leading rounds excluded from the statistics.
-    pub warmup: u64,
-    /// Seed for placement (and the skewless deterministic schedule).
-    pub seed: u64,
-    /// Run background point-to-point traffic on a second port per node.
-    pub background: bool,
-    /// Background messages each node sends to its ring neighbor.
-    pub background_messages: u64,
-    /// NIC hardware model.
-    pub nic: NicModel,
-    /// Firmware extension cost table.
-    pub costs: BarrierCosts,
-    /// Worker threads for the parallel engine (`<= 1` = serial).
-    pub parallel: usize,
-}
-
-impl MultiTenantExperiment {
-    /// `teams` teams of 2..=4 members over `nodes` nodes, LANai 4.3.
-    pub fn new(nodes: usize, teams: usize) -> Self {
-        MultiTenantExperiment {
-            nodes,
-            teams,
-            min_team: 2,
-            max_team: 4.min(nodes),
-            rounds: 60,
-            warmup: 10,
-            seed: 42,
-            background: false,
-            background_messages: 200,
-            nic: NicModel::LANAI_4_3,
-            costs: BarrierCosts::GM_1_2_3,
-            parallel: 1,
-        }
-    }
-
-    /// Run on `threads` worker threads (bit-identical results; wall-clock
-    /// only).
-    #[must_use]
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel = threads;
-        self
-    }
-
-    /// Override the team-size range (inclusive).
-    #[must_use]
-    pub fn team_sizes(mut self, min: usize, max: usize) -> Self {
-        self.min_team = min;
-        self.max_team = max;
-        self
-    }
-
-    /// Override rounds/warmup.
-    #[must_use]
-    pub fn rounds(mut self, rounds: u64, warmup: u64) -> Self {
-        self.rounds = rounds;
-        self.warmup = warmup;
-        self
-    }
-
-    /// Override the placement seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enable/disable background point-to-point traffic.
-    #[must_use]
-    pub fn background(mut self, on: bool) -> Self {
-        self.background = on;
-        self
-    }
-
-    /// Override the NIC model.
-    #[must_use]
-    pub fn nic(mut self, nic: NicModel) -> Self {
-        self.nic = nic;
-        self
-    }
-
-    /// Check the configuration without running anything.
-    pub fn validate(&self) -> Result<(), ExperimentError> {
-        if self.nodes == 0 || self.teams == 0 {
-            return Err(ExperimentError::ZeroProcs);
-        }
-        if self.rounds == 0 {
-            return Err(ExperimentError::ZeroRounds);
-        }
-        if self.warmup + 1 >= self.rounds {
-            return Err(ExperimentError::WarmupNotBelowRounds {
-                rounds: self.rounds,
-                warmup: self.warmup,
-            });
-        }
-        if self.teams > TeamId::MAX.0 as usize {
-            return Err(ExperimentError::TooManyTeams { teams: self.teams });
-        }
-        if self.min_team < 2 || self.min_team > self.max_team || self.max_team > self.nodes {
-            return Err(ExperimentError::InvalidTeamSizes {
-                min: self.min_team,
-                max: self.max_team,
-                nodes: self.nodes,
-            });
-        }
-        Ok(())
-    }
-
-    /// The deterministic placement this experiment runs: team `i` gets id
-    /// `TeamId(1 + i)` and a seeded random subset of nodes.
-    pub fn placement(&self) -> Vec<TeamPlacement> {
-        let mut rng = SimRng::new(self.seed ^ 0x7EA5);
-        let mut scratch: Vec<usize> = (0..self.nodes).collect();
-        let span = (self.max_team - self.min_team + 1) as u64;
-        (0..self.teams)
-            .map(|i| {
-                let size = self.min_team + rng.below(span) as usize;
-                // Partial Fisher–Yates: the first `size` entries become a
-                // uniform random `size`-subset of the nodes.
-                for k in 0..size {
-                    let j = k + rng.below((self.nodes - k) as u64) as usize;
-                    scratch.swap(k, j);
-                }
-                let mut members = scratch[..size].to_vec();
-                members.sort_unstable();
-                TeamPlacement {
-                    id: TeamId(1 + i as u32),
-                    members,
-                }
-            })
-            .collect()
-    }
-
-    /// Run every team's barrier loop concurrently and aggregate per-team
-    /// latencies.
-    ///
-    /// # Errors
-    /// Configuration errors are returned before anything runs;
-    /// [`ExperimentError::Hung`], [`ExperimentError::TeamPeerUnreachable`]
-    /// and [`ExperimentError::IncompleteRound`] report runtime failures.
-    pub fn run(&self) -> Result<MultiTenantMeasurement, ExperimentError> {
-        self.validate()?;
-        let placements = self.placement();
-        let config = GmConfig::paper_host(self.nic);
-        let topology = gmsim_myrinet::TopologyBuilder::for_cluster(self.nodes);
-        let mut builder = ClusterBuilder::new(self.nodes)
-            .config(config)
-            .topology(topology)
-            .extension(BarrierExtension::factory_with_costs(self.costs));
-
-        // One MultiTeamBarrierLoop per node drives all of that node's team
-        // memberships on port 1 — overlapping teams share the extension.
-        let mut loops: Vec<MultiTeamBarrierLoop> = (0..self.nodes)
-            .map(|_| MultiTeamBarrierLoop::new())
-            .collect();
-        for placement in &placements {
-            let group = BarrierGroup::new(
-                placement
-                    .members
-                    .iter()
-                    .map(|&n| GlobalPort::new(n, 1))
-                    .collect(),
-            );
-            let team = Team::new(placement.id, group);
-            for (rank, &node) in placement.members.iter().enumerate() {
-                loops[node].push(&team, rank, Descriptor::Pe, self.rounds);
-            }
-        }
-        for (node, barrier_loop) in loops.into_iter().enumerate() {
-            if !barrier_loop.is_empty() {
-                builder = builder.program(
-                    GlobalPort::new(node, 1),
-                    Box::new(barrier_loop),
-                    SimTime::ZERO,
-                );
-            }
-        }
-        if self.background && self.nodes > 1 {
-            for node in 0..self.nodes {
-                let traffic = BackgroundTraffic {
-                    peer: GlobalPort::new((node + 1) % self.nodes, 2),
-                    remaining: self.background_messages,
-                    expected: self.background_messages as u32,
-                    len: 512,
-                };
-                builder =
-                    builder.program(GlobalPort::new(node, 2), Box::new(traffic), SimTime::ZERO);
-            }
-        }
-
-        let (outcome, events, cluster) = run_cluster(builder, self.parallel);
-        if outcome != RunOutcome::Quiescent {
-            return Err(ExperimentError::Hung { outcome });
-        }
-
-        for (node, n) in cluster.nodes.iter().enumerate() {
-            if let Some(conn) = n.mcp.core.connections().find(|c| c.is_dead()) {
-                // Attribute the failure to the first team the node serves.
-                for placement in &placements {
-                    if let Some(rank) = placement.members.iter().position(|&m| m == node) {
-                        return Err(ExperimentError::TeamPeerUnreachable {
-                            team: placement.id,
-                            rank: rank as u32,
-                        });
-                    }
-                }
-                return Err(ExperimentError::PeerUnreachable {
-                    node: node as u32,
-                    peer: conn.peer().0 as u32,
-                });
-            }
-        }
-
-        // Per-team round completion: a team's round is done when its last
-        // member's note lands; the gap between rounds is that team's
-        // consecutive-barrier latency under contention.
-        let rounds = self.rounds as usize;
-        let mut round_done = vec![vec![SimTime::ZERO; rounds]; self.teams];
-        let mut counts = vec![vec![0u64; rounds]; self.teams];
-        for note in &cluster.notes {
-            if let Some((team, round)) = decode_team_note(note.tag) {
-                let t = (team.0 - 1) as usize;
-                let r = round as usize;
-                round_done[t][r] = round_done[t][r].max(note.at);
-                counts[t][r] += 1;
-            }
-        }
-        let mut per_team_mean_us = Vec::with_capacity(self.teams);
-        let mut gaps: Vec<f64> = Vec::new();
-        for (t, placement) in placements.iter().enumerate() {
-            let expected = placement.members.len() as u64;
-            for (r, &c) in counts[t].iter().enumerate() {
-                if c != expected {
-                    return Err(ExperimentError::IncompleteRound {
-                        round: r as u64,
-                        completed: c,
-                        expected,
-                    });
-                }
-            }
-            let mut team_sum = 0.0;
-            let mut team_rounds = 0u64;
-            for r in (self.warmup as usize + 1)..rounds {
-                let gap = (round_done[t][r] - round_done[t][r - 1]).as_us_f64();
-                gaps.push(gap);
-                team_sum += gap;
-                team_rounds += 1;
-            }
-            per_team_mean_us.push(team_sum / team_rounds as f64);
-        }
-        gaps.sort_unstable_by(|a, b| a.partial_cmp(b).expect("gap is never NaN"));
-        let mean_us = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let p99_us = gaps[((gaps.len() - 1) as f64 * 0.99).ceil() as usize];
-        let (metrics, _) = collect_metrics(&cluster);
-        Ok(MultiTenantMeasurement {
-            nodes: self.nodes,
-            teams: self.teams,
-            mean_us,
-            p99_us,
-            per_team_mean_us,
-            events,
-            metrics,
-        })
-    }
-}
-
-/// The result of one multi-tenant run.
-#[derive(Debug, Clone)]
-pub struct MultiTenantMeasurement {
-    /// Cluster size in nodes.
-    pub nodes: usize,
-    /// Concurrent teams measured.
-    pub teams: usize,
-    /// Mean steady-state barrier latency across every team's rounds, µs.
-    pub mean_us: f64,
-    /// 99th-percentile round latency across every team's rounds, µs.
-    pub p99_us: f64,
-    /// Each team's own mean latency, µs (index = team id - 1).
-    pub per_team_mean_us: Vec<f64>,
-    /// Simulation events fired.
-    pub events: u64,
-    /// Aggregated cluster counters, including the team counters
-    /// (`TeamsCreated`, `ConcurrentPeak`, `CrossTeamRejects`).
-    pub metrics: MetricSet,
 }
 
 #[cfg(test)]
@@ -1175,9 +1096,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_placement_synchronizes_across_ports() {
+    fn packed_layout_synchronizes_across_ports() {
         let m = quick(8, Algorithm::Nic(Descriptor::Pe))
-            .placement(Placement::Packed { procs_per_node: 2 })
+            .layout(ProcessLayout::Packed { procs_per_node: 2 })
             .run()
             .unwrap();
         assert!(m.mean_us > 5.0);
@@ -1264,11 +1185,22 @@ mod tests {
         assert_eq!(
             base(4)
                 .rounds(10, 2)
-                .placement(Placement::Packed { procs_per_node: 9 })
+                .layout(ProcessLayout::Packed { procs_per_node: 9 })
                 .run()
                 .unwrap_err(),
-            E::InvalidPlacement { procs_per_node: 9 }
+            E::InvalidLayout { procs_per_node: 9 }
         );
+        // The fuzzy loop shares the checks: no index underflow, no panic.
+        let fuzzy = base(8).compute(40, true);
+        assert_eq!(fuzzy.rounds(0, 0).run().unwrap_err(), E::ZeroRounds);
+        assert!(matches!(
+            fuzzy.rounds(10, 10).run().unwrap_err(),
+            E::WarmupNotBelowRounds { .. }
+        ));
+        assert!(matches!(
+            fuzzy.rounds(10, 20).run().unwrap_err(),
+            E::WarmupNotBelowRounds { .. }
+        ));
         // gb(0) and dissemination radix < 2 can no longer reach run() at
         // all: the variants are #[non_exhaustive], so the named
         // constructors are the only way to build a descriptor here, and
@@ -1344,18 +1276,16 @@ mod tests {
 
     #[test]
     fn team_error_variants_display_their_context() {
-        let e = ExperimentError::TeamPeerUnreachable {
-            team: TeamId(7),
-            rank: 3,
-        };
-        let s = e.to_string();
-        assert!(s.contains("t7") && s.contains("rank 3"), "{s}");
         let e = ExperimentError::InvalidTeamSizes {
             min: 5,
             max: 3,
             nodes: 4,
         };
         assert!(e.to_string().contains("5..=3"), "{e}");
+        let e = ExperimentError::Unsupported {
+            what: "random teams with packed processes",
+        };
+        assert!(e.to_string().contains("packed processes"), "{e}");
     }
 
     #[test]
@@ -1375,51 +1305,94 @@ mod tests {
         }
     }
 
+    fn random(nodes: usize, count: usize, min: usize, max: usize) -> BarrierExperiment {
+        BarrierExperiment::new(nodes, Algorithm::Nic(Descriptor::Pe))
+            .team(TeamSet::Random { count, min, max })
+            .rounds(30, 5)
+    }
+
     #[test]
-    fn multitenant_placement_is_deterministic_and_in_bounds() {
-        let e = MultiTenantExperiment::new(16, 20).team_sizes(2, 5);
-        let a = e.placement();
-        let b = e.placement();
-        assert_eq!(a, b);
+    fn random_teams_are_deterministic_and_in_bounds() {
+        let e = random(16, 20, 2, 5);
+        let a = e.team_list();
+        assert_eq!(a, e.team_list());
         assert_eq!(a.len(), 20);
-        for (i, p) in a.iter().enumerate() {
-            assert_eq!(p.id, TeamId(1 + i as u32));
-            assert!((2..=5).contains(&p.members.len()));
-            assert!(p.members.windows(2).all(|w| w[0] < w[1]), "{:?}", p.members);
-            assert!(p.members.iter().all(|&n| n < 16));
+        for (i, team) in a.iter().enumerate() {
+            assert_eq!(team.id(), TeamId(1 + i as u32));
+            assert!((2..=5).contains(&team.len()));
+            let nodes: Vec<usize> = team.group().members().iter().map(|p| p.node.0).collect();
+            assert!(nodes.windows(2).all(|w| w[0] < w[1]), "{nodes:?}");
+            assert!(nodes.iter().all(|&n| n < 16));
         }
         // mixed sizes actually occur
-        let sizes: Vec<usize> = a.iter().map(|p| p.members.len()).collect();
+        let sizes: Vec<usize> = a.iter().map(|t| t.len()).collect();
         assert!(sizes.iter().any(|&s| s != sizes[0]), "{sizes:?}");
     }
 
     #[test]
-    fn multitenant_runs_overlapping_teams_concurrently() {
-        let m = MultiTenantExperiment::new(8, 6)
-            .team_sizes(2, 4)
-            .rounds(30, 5)
-            .background(true)
-            .run()
-            .unwrap();
-        assert_eq!(m.per_team_mean_us.len(), 6);
+    fn random_teams_run_overlapping_barriers_concurrently() {
+        let m = random(8, 6, 2, 4).background(true).run().unwrap();
+        assert_eq!(m.teams.len(), 6);
+        for (i, row) in m.teams.iter().enumerate() {
+            assert_eq!(row.id, TeamId(1 + i as u32));
+            assert!((2..=4).contains(&row.size) && row.mean_us > 0.0, "{row:?}");
+        }
         assert!(m.mean_us > 0.0 && m.p99_us >= m.mean_us, "{m:?}");
+        assert_eq!(m.per_round.count(), 6 * 24);
+        assert!(m.events > 0);
         assert_eq!(m.metrics.get(Counter::TeamsCreated), 6);
         // 6 teams of ≥2 members on 8 nodes must overlap somewhere.
         assert!(m.metrics.get(Counter::ConcurrentPeak) >= 2);
     }
 
     #[test]
-    fn multitenant_invalid_configs_are_rejected() {
-        use ExperimentError as E;
-        assert_eq!(
-            MultiTenantExperiment::new(8, 0).run().unwrap_err(),
-            E::ZeroProcs
-        );
-        assert_eq!(
-            MultiTenantExperiment::new(4, 2)
-                .team_sizes(2, 9)
+    fn one_random_team_of_every_node_is_the_classic_barrier() {
+        // The multi-team loop under team 1 against the per-rank loop under
+        // the global id: the same wire work, so the same exact ticks.
+        for n in [4usize, 16] {
+            let classic = quick(n, Algorithm::Nic(Descriptor::Pe)).run().unwrap();
+            let isolated = quick(n, Algorithm::Nic(Descriptor::Pe))
+                .team(TeamSet::Random {
+                    count: 1,
+                    min: n,
+                    max: n,
+                })
                 .run()
-                .unwrap_err(),
+                .unwrap();
+            assert_eq!(
+                classic.mean_us.to_bits(),
+                isolated.mean_us.to_bits(),
+                "n={n}"
+            );
+            assert_eq!(classic.p99_us.to_bits(), isolated.p99_us.to_bits(), "n={n}");
+            assert_eq!(
+                isolated.teams[0].mean_us.to_bits(),
+                isolated.mean_us.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn random_teams_follow_the_fabric() {
+        // A 4:1 oversubscribed Clos in place of the auto-scaled crossbar.
+        let oversubscribed = FabricSpec::Clos {
+            leaves: 4,
+            hosts_per_leaf: 4,
+            spines: 1,
+        };
+        let auto = random(16, 8, 4, 8).background(true);
+        let clos = auto.fabric(oversubscribed, RoutePolicy::Dispersed);
+        let (a, c) = (auto.run().unwrap(), clos.run().unwrap());
+        assert_ne!(a.mean_us.to_bits(), c.mean_us.to_bits());
+        assert_ne!(a.events, c.events);
+    }
+
+    #[test]
+    fn random_team_invalid_configs_are_rejected() {
+        use ExperimentError as E;
+        assert_eq!(random(8, 0, 2, 4).run().unwrap_err(), E::ZeroProcs);
+        assert_eq!(
+            random(4, 2, 2, 9).run().unwrap_err(),
             E::InvalidTeamSizes {
                 min: 2,
                 max: 9,
@@ -1428,12 +1401,99 @@ mod tests {
         );
         // Team ids run 1..=teams through a 16-bit field: 65535 teams fit,
         // one more would alias team 0's tags.
-        assert_eq!(MultiTenantExperiment::new(8, 65_535).validate(), Ok(()));
-        let e = MultiTenantExperiment::new(8, 65_536)
-            .validate()
-            .unwrap_err();
+        assert_eq!(random(8, 65_535, 2, 4).validate(), Ok(()));
+        let e = random(8, 65_536, 2, 4).validate().unwrap_err();
         assert_eq!(e, E::TooManyTeams { teams: 65_536 });
         assert!(e.to_string().contains("65535 team ids"), "{e}");
+        // The multi-team loop runs NIC barriers, one process per node.
+        let host = BarrierExperiment {
+            algorithm: Algorithm::Host(Descriptor::Pe),
+            ..random(8, 2, 2, 4)
+        };
+        let payload = BarrierExperiment {
+            algorithm: Algorithm::Nic(
+                Descriptor::bcast(2).with_payload(gmsim_gm::Payload::eager(64)),
+            ),
+            ..random(8, 2, 2, 4)
+        };
+        let packed = random(8, 2, 2, 4).layout(ProcessLayout::Packed { procs_per_node: 2 });
+        for e in [host, payload, packed] {
+            assert!(
+                matches!(e.run().unwrap_err(), E::Unsupported { .. }),
+                "{e:?}"
+            );
+        }
+        let fuzzy = random(8, 2, 2, 4).compute(40, true);
+        assert!(matches!(fuzzy.validate(), Err(E::Unsupported { .. })));
+    }
+
+    fn fuzzy(procs: usize, compute_us: u64, overlap: bool) -> f64 {
+        BarrierExperiment::new(procs, Algorithm::Nic(Descriptor::Pe))
+            .compute(compute_us, overlap)
+            .rounds(120, 20)
+            .run()
+            .unwrap()
+            .mean_us
+    }
+
+    #[test]
+    fn overlap_hides_compute_inside_barrier() {
+        // Compute smaller than the barrier latency: the fuzzy period should
+        // stay close to the pure barrier latency, while blocking pays
+        // compute + barrier.
+        let barrier_only = fuzzy(8, 0, true);
+        let overlapped = fuzzy(8, 40, true);
+        let blocking = fuzzy(8, 40, false);
+        assert!(
+            overlapped < blocking,
+            "fuzzy {overlapped:.1} must beat blocking {blocking:.1}"
+        );
+        // Hiding is substantial: at least half the compute disappears.
+        assert!(
+            blocking - overlapped > 20.0,
+            "hidden time only {:.1}us",
+            blocking - overlapped
+        );
+        assert!(overlapped >= barrier_only - 1.0);
+    }
+
+    #[test]
+    fn big_compute_dominates_both_modes() {
+        // Compute far larger than the barrier: both periods ≈ compute, and
+        // overlap hides (almost) the whole barrier.
+        let overlapped = fuzzy(4, 1_000, true);
+        let blocking = fuzzy(4, 1_000, false);
+        assert!(overlapped >= 1_000.0);
+        assert!(blocking > overlapped);
+        assert!(
+            overlapped < 1_000.0 + 30.0,
+            "fuzzy overhead too high: {overlapped:.1}"
+        );
+    }
+
+    #[test]
+    fn zero_compute_modes_agree() {
+        assert!((fuzzy(4, 0, true) - fuzzy(4, 0, false)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fuzzy_runs_report_their_events_and_reject_other_loops() {
+        let base = BarrierExperiment::new(4, Algorithm::Nic(Descriptor::Pe)).rounds(30, 5);
+        let m = base.compute(40, true).run().unwrap();
+        assert!(m.events > 0);
+        assert_eq!(m.teams.len(), 1);
+        for e in [
+            base.compute(40, true).team(TeamId(3)),
+            BarrierExperiment {
+                algorithm: Algorithm::Host(Descriptor::Pe),
+                ..base.compute(40, false)
+            },
+        ] {
+            assert!(
+                matches!(e.validate(), Err(ExperimentError::Unsupported { .. })),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]

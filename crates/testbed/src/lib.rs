@@ -1,10 +1,14 @@
 //! Measurement harness for the barrier reproduction.
 //!
 //! The paper's methodology (§6): "we ran 100,000 barriers consecutively and
-//! took the average latency". This crate packages that methodology as a
-//! declarative [`BarrierExperiment`]: pick an algorithm, a cluster size, a
-//! NIC model, and a round count; get back a [`Measurement`] with the mean
-//! steady-state barrier latency in microseconds.
+//! took the average latency". This crate packages that methodology as one
+//! declarative builder, [`BarrierExperiment`]: pick an algorithm, a cluster
+//! size, a NIC model, and a round count; get back a [`Measurement`] with the
+//! mean steady-state barrier latency in microseconds. The same builder runs
+//! the §3.4 concurrent barriers of seeded random teams on shared NICs
+//! ([`TeamSet::Random`], optionally under background traffic) and the §2.1
+//! fuzzy barrier ([`BarrierExperiment::compute`]); every run reports one
+//! row per team, the p99 round gap and the cluster's counters.
 //!
 //! Simulated time is noise-free, so hundreds of rounds reach the same
 //! steady state the paper needed 100 000 wall-clock runs for — a dedicated
@@ -22,17 +26,14 @@
 pub mod diagram;
 pub mod engine;
 pub mod experiment;
-pub mod fuzzy;
 pub mod sweep;
 pub mod table;
 
 pub use diagram::Diagram;
 pub use engine::{cell_seed, SweepEngine};
 pub use experiment::{
-    Algorithm, BarrierExperiment, ExperimentError, Measurement, MultiTenantExperiment,
-    MultiTenantMeasurement, Placement, TeamPlacement,
+    Algorithm, BarrierExperiment, ExperimentError, Measurement, ProcessLayout, TeamRow, TeamSet,
 };
-pub use fuzzy::FuzzyExperiment;
 pub use gmsim_myrinet::{FabricSpec, RoutePolicy};
 pub use nic_barrier::{Descriptor, TeamId};
 pub use sweep::{best_gb_dim, run_all, run_all_with};
@@ -52,10 +53,8 @@ pub use table::Table;
 pub mod prelude {
     pub use crate::engine::{cell_seed, SweepEngine};
     pub use crate::experiment::{
-        Algorithm, BarrierExperiment, ExperimentError, Measurement, MultiTenantExperiment,
-        MultiTenantMeasurement, Placement, TeamPlacement,
+        Algorithm, BarrierExperiment, ExperimentError, Measurement, ProcessLayout, TeamRow, TeamSet,
     };
-    pub use crate::fuzzy::FuzzyExperiment;
     pub use gmsim_des::{Counter, MetricSet, TraceRecord};
     pub use gmsim_lanai::NicModel;
     pub use gmsim_myrinet::{FabricSpec, FaultPlan, RoutePolicy};

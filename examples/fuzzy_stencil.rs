@@ -11,7 +11,19 @@
 //! cargo run --release --example fuzzy_stencil
 //! ```
 
-use nic_barrier_suite::testbed::{FuzzyExperiment, Table};
+use nic_barrier_suite::testbed::{Algorithm, BarrierExperiment, Descriptor, Table};
+
+/// Steady-state period of a compute + NIC-PE barrier loop on `nodes` nodes,
+/// µs per iteration: `compute_us` of work per round, overlapped with the
+/// barrier (the fuzzy barrier) or before it (blocking).
+fn period(nodes: usize, compute_us: u64, overlap: bool) -> f64 {
+    BarrierExperiment::new(nodes, Algorithm::Nic(Descriptor::Pe))
+        .compute(compute_us, overlap)
+        .rounds(120, 20)
+        .run()
+        .expect("fuzzy barrier loop")
+        .mean_us
+}
 
 fn main() {
     const NODES: usize = 8;
@@ -28,14 +40,14 @@ fn main() {
     ]);
     for grain in [25u64, 50, 100, 200, 400] {
         // Blocking: all compute, then the barrier.
-        let blocking = FuzzyExperiment::new(NODES, grain, false).run().mean_us;
+        let blocking = period(NODES, grain, false);
         // Fuzzy: boundary compute happens before the barrier initiation (it
         // produces the halo the neighbours need); interior overlaps. We
         // model the non-overlappable boundary quarter as part of the next
         // round's critical path by overlapping only 75% of the grain.
         let interior = grain * 3 / 4;
         let boundary = grain - interior;
-        let fuzzy = FuzzyExperiment::new(NODES, interior, true).run().mean_us + boundary as f64;
+        let fuzzy = period(NODES, interior, true) + boundary as f64;
         let pure = grain as f64;
         t.row(vec![
             grain.to_string(),

@@ -9,7 +9,7 @@
 //! 1. The full 310-configuration golden fixture (the pre-IR capture that
 //!    `tests/golden_equivalence.rs` guards serially) re-run through the
 //!    parallel path with 2 workers, demanding exact f64 equality.
-//! 2. A property matrix over algorithms × faults × teams × placement ×
+//! 2. A property matrix over algorithms × faults × teams × layout ×
 //!    tracing, comparing every `Measurement` component between serial and
 //!    t ∈ {2, 4, 8}.
 //! 3. The degenerate partitionings: a zero-lookahead fabric and a
@@ -159,7 +159,7 @@ fn assert_identical(serial: &Measurement, par: &Measurement, label: &str) {
 /// Serial ≡ parallel(t) for t ∈ {2, 4, 8} across a configuration matrix
 /// that exercises every mechanism the windowed engine must replay
 /// deterministically: lossy links (fault RNG draw order), teams, packed
-/// placement (same-NIC loopback stays in-LP), skewed starts, and bounded
+/// layout (same-NIC loopback stays in-LP), skewed starts, and bounded
 /// trace rings (eviction order).
 #[test]
 fn parallel_measurements_match_serial_across_configs() {
@@ -181,7 +181,7 @@ fn parallel_measurements_match_serial_across_configs() {
             "nic-gb n=32 packed traced",
             BarrierExperiment::new(32, Algorithm::Nic(Descriptor::gb(4)))
                 .rounds(20, 3)
-                .placement(Placement::Packed { procs_per_node: 2 })
+                .layout(ProcessLayout::Packed { procs_per_node: 2 })
                 .trace(512),
         ),
         (
@@ -241,7 +241,7 @@ fn segmented_payload_streams_replay_bit_identically() {
                 ),
             )
             .rounds(10, 2)
-            .placement(Placement::Packed { procs_per_node: 2 }),
+            .layout(ProcessLayout::Packed { procs_per_node: 2 }),
         ),
         (
             "nic-reduce n=16 eager 16K traced",

@@ -97,12 +97,12 @@ fn team_label_survives_skew_and_packing() {
 
     let packed_global = BarrierExperiment::new(8, Algorithm::Nic(Descriptor::Pe))
         .rounds(30, 5)
-        .placement(Placement::Packed { procs_per_node: 2 })
+        .layout(ProcessLayout::Packed { procs_per_node: 2 })
         .run()
         .expect("packed global");
     let packed_team = BarrierExperiment::new(8, Algorithm::Nic(Descriptor::Pe))
         .rounds(30, 5)
-        .placement(Placement::Packed { procs_per_node: 2 })
+        .layout(ProcessLayout::Packed { procs_per_node: 2 })
         .team(TeamId(7))
         .run()
         .expect("packed team");
