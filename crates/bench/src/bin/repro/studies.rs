@@ -557,7 +557,7 @@ pub fn trace(_: &mut Ctx) -> Result<(), StudyError> {
         println!(
             "  [{:>12}] host{}: barrier complete",
             note.at.as_ns(),
-            note.node.0
+            note.node().0
         );
     }
     Ok(())

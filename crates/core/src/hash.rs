@@ -1,8 +1,7 @@
 //! A deterministic multiplicative hasher (the Fx scheme) for the crate's
-//! small integer-keyed tables: the NIC extension's sent cache and the host
-//! baseline's unexpected set. Both are simulator-internal, so SipHash's
-//! flooding resistance buys nothing, while its cost lands on every packet
-//! sent or received.
+//! small integer-keyed table, the host baseline's unexpected set. It is
+//! simulator-internal, so SipHash's flooding resistance buys nothing, while
+//! its cost lands on every packet received.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

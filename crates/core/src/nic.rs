@@ -40,7 +40,6 @@
 //!   DMAed to the host first, exactly as the paper describes for both the
 //!   root and interior GB nodes.
 
-use crate::hash::MulBuildHasher;
 use crate::unexpected::{RecordMeta, UnexpectedRecord};
 use gmsim_des::trace::{TracePayload, Unit};
 use gmsim_des::{Histogram, SimTime};
@@ -50,7 +49,7 @@ use gmsim_gm::{
     GM_NUM_PORTS,
 };
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 pub use crate::schedule::pkt;
 
@@ -198,13 +197,29 @@ struct Run {
 /// a reduce contribution after the leaf completed locally. Cleared when
 /// the port closes, which is exactly the paper's "but only if the endpoint
 /// that initiated the barrier has not closed since the message was sent".
+/// The kind and segment live in the entry's [`sent_key`].
 #[derive(Debug, Clone, Copy)]
 struct SentRecord {
-    kind: u8,
     epoch: u32,
-    value: u64,
-    seg: u32,
     len: u32,
+    value: u64,
+}
+
+/// Bit offset of the sending port in a [`sent_key`].
+const SENT_KEY_PORT_SHIFT: u32 = 112;
+
+/// The sent cache's key, packed high to low as sending port (8 bits), team
+/// (32), destination node (32), destination port (8), packet kind (8) and
+/// segment (32): one integer compare per binary-search probe instead of a
+/// five-field tuple walk. Node ids fit 32 bits ([`McpCore::new`] asserts
+/// the cluster does).
+fn sent_key(port: PortId, team: TeamId, dst: GlobalPort, kind: u8, seg: u32) -> u128 {
+    (port.0 as u128) << SENT_KEY_PORT_SHIFT
+        | (team.0 as u128) << 80
+        | (dst.node.0 as u32 as u128) << 48
+        | (dst.port.0 as u128) << 40
+        | (kind as u128) << 32
+        | seg as u128
 }
 
 /// A locally-delivered packet awaiting processing (same-NIC optimization).
@@ -239,8 +254,10 @@ pub struct BarrierExtension {
     /// other's flags, and segment-keyed so a rejected pipelined stream
     /// re-sends every rejected segment rather than `segs` copies of the
     /// last one (which would starve the other combine lanes of that
-    /// peer's contribution).
-    sent_cache: HashMap<(u8, TeamId, GlobalPort, u8, u32), SentRecord, MulBuildHasher>,
+    /// peer's contribution). Sorted by [`sent_key`] and grown one entry at
+    /// a time: a PE barrier touches about log2 N keys per port, and
+    /// steady-state rounds only overwrite them.
+    sent_cache: Vec<(u128, SentRecord)>,
     /// Every team that has posted a collective on this NIC, in first-seen
     /// order.
     teams_seen: Vec<TeamId>,
@@ -274,7 +291,7 @@ impl BarrierExtension {
             record: UnexpectedRecord::new(nodes),
             stats: BarrierStats::default(),
             local_queue: VecDeque::new(),
-            sent_cache: HashMap::default(),
+            sent_cache: Vec::new(),
             teams_seen: Vec::new(),
             spare_outstanding: Vec::new(),
             spare_seg_accs: Vec::new(),
@@ -346,16 +363,19 @@ impl BarrierExtension {
             _ => {}
         }
         let epoch = core.port(port).epoch();
-        self.sent_cache.insert(
-            (port.0, team, dst, ext_type, seg),
-            SentRecord {
-                kind: ext_type,
-                epoch,
-                value,
-                seg,
-                len: seg_len,
-            },
-        );
+        let rec = SentRecord {
+            epoch,
+            len: seg_len,
+            value,
+        };
+        let key = sent_key(port, team, dst, ext_type, seg);
+        match self.sent_cache.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.sent_cache[i].1 = rec,
+            Err(i) => {
+                self.sent_cache.reserve_exact(1);
+                self.sent_cache.insert(i, (key, rec));
+            }
+        }
         if dst.node == core.node() && core.config().same_nic_optimization {
             // §3.4: co-located peer — set the flag, skip the wire.
             let t = core.exec(self.costs.local_flag_cycles, ready);
@@ -577,56 +597,48 @@ impl BarrierExtension {
                             run.outstanding.extend_from_slice(peers);
                         }
                     }
-                    // Consume every peer whose packet is already recorded;
-                    // re-scan until a full pass makes no progress.
+                    // Consume every peer whose packet is already recorded, in
+                    // one pass. No record arrives while this call runs, so
+                    // an entry that found none here would find none on a
+                    // second pass either; each entry of a peer owed several
+                    // segments consumes its own record.
                     let mut staged = false;
-                    loop {
-                        let mut consumed_any = false;
-                        let record = &mut self.record;
-                        let costs = &self.costs;
-                        let acc = &mut run.acc;
-                        let seg_accs = &mut run.seg_accs;
-                        run.outstanding.retain(|peer| {
-                            match record.check_clear(port, team, *peer, kind) {
-                                Some(meta) => {
-                                    let cycles = costs.step_cycles(charge);
-                                    if cycles > 0 {
-                                        t = core.exec(cycles, t);
-                                    }
-                                    // Each segment is an independent combine
-                                    // lane, so segmented reductions apply
-                                    // operands in the same per-lane order as
-                                    // the unsegmented oracle.
-                                    let lane = if seg_accs.is_empty() {
-                                        &mut *acc
-                                    } else {
-                                        &mut seg_accs[meta.seg as usize]
-                                    };
-                                    *lane = match combine {
-                                        Some(op) => op.combine(*lane, meta.value),
-                                        None => meta.value,
-                                    };
-                                    let seg_len = payload.seg_len(meta.seg).as_usize();
-                                    if seg_len > 0 {
-                                        // The landed segment crosses to host
-                                        // memory over RDMA. The engine's busy
-                                        // window serializes the completion DMA
-                                        // behind the data, but forwarding runs
-                                        // from NIC SRAM and need not wait — so
-                                        // `t` does not advance here.
-                                        let _ = core.hw.rdma.begin(seg_len, t);
-                                        staged = true;
-                                    }
-                                    consumed_any = true;
-                                    false
-                                }
-                                None => true,
-                            }
-                        });
-                        if run.outstanding.is_empty() || !consumed_any {
-                            break;
+                    let record = &mut self.record;
+                    let costs = &self.costs;
+                    let acc = &mut run.acc;
+                    let seg_accs = &mut run.seg_accs;
+                    run.outstanding.retain(|peer| {
+                        let Some(meta) = record.check_clear(port, team, *peer, kind) else {
+                            return true;
+                        };
+                        let cycles = costs.step_cycles(charge);
+                        if cycles > 0 {
+                            t = core.exec(cycles, t);
                         }
-                    }
+                        // Each segment is an independent combine lane, so
+                        // segmented reductions apply operands in the same
+                        // per-lane order as the unsegmented oracle.
+                        let lane = if seg_accs.is_empty() {
+                            &mut *acc
+                        } else {
+                            &mut seg_accs[meta.seg as usize]
+                        };
+                        *lane = match combine {
+                            Some(op) => op.combine(*lane, meta.value),
+                            None => meta.value,
+                        };
+                        let seg_len = payload.seg_len(meta.seg).as_usize();
+                        if seg_len > 0 {
+                            // The landed segment crosses to host memory over
+                            // RDMA. The engine's busy window serializes the
+                            // completion DMA behind the data, but forwarding
+                            // runs from NIC SRAM and need not wait — so `t`
+                            // does not advance here.
+                            let _ = core.hw.rdma.begin(seg_len, t);
+                            staged = true;
+                        }
+                        false
+                    });
                     if staged {
                         // Wire data is now resident in NIC SRAM: later
                         // SendTo steps (tree forwarding, scan rounds)
@@ -700,15 +712,13 @@ impl BarrierExtension {
         // The sent cache remembers the last message of each (kind, segment)
         // this (still-alive) process sent to the rejecter, whether or not
         // the collective that produced it is still in flight.
-        match self
-            .sent_cache
-            .get(&(port.0, team, rejecter, kind, seg))
-            .copied()
-        {
-            Some(rec) if rec.epoch == epoch => {
+        let key = sent_key(port, team, rejecter, kind, seg);
+        match self.sent_cache.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) if self.sent_cache[i].1.epoch == epoch => {
+                let rec = self.sent_cache[i].1;
                 self.stats.resends += 1;
                 self.emit(
-                    core, port, team, rejecter, rec.kind, rec.value, rec.seg, rec.len, t, out,
+                    core, port, team, rejecter, kind, rec.value, seg, rec.len, t, out,
                 );
             }
             _ => self.stats.stale_rejects += 1,
@@ -842,7 +852,8 @@ impl McpExtension for BarrierExtension {
                 self.spare_seg_accs.push(std::mem::take(&mut run.seg_accs));
             }
         }
-        self.sent_cache.retain(|(p, _, _, _, _), _| *p != port.0);
+        self.sent_cache
+            .retain(|&(key, _)| (key >> SENT_KEY_PORT_SHIFT) as u8 != port.0);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1077,6 +1088,106 @@ mod tests {
         assert!(resent, "PE message must be resent");
         let ext = m.ext().as_any().downcast_ref::<BarrierExtension>().unwrap();
         assert_eq!(ext.stats.resends, 1);
+    }
+
+    /// The sent cache keys every (kind, segment) a process sent a peer: a
+    /// reject after the port reopened resends exactly the rejected segment
+    /// of the rejected kind, with the new process's value, and rejects for
+    /// the closed process or for a kind nobody sent since are stale.
+    #[test]
+    fn reject_after_reopen_resends_the_rejected_kind_and_segment() {
+        use gmsim_gm::{Packet, PacketKind, Payload};
+        let peer = GlobalPort::new(1, 1);
+        let me = GlobalPort::new(0, 1);
+        // Three segments: 4096, 4096 and 100 bytes.
+        let payload = Payload::pipelined(2 * 4096 + 100, 4096);
+        let program = |kinds: &[u8]| {
+            let mut steps: Vec<ScheduleStep> = (kinds.iter())
+                .map(|&kind| ScheduleStep::SendTo {
+                    peers: vec![peer],
+                    kind,
+                    charge: Charge::Free,
+                })
+                .collect();
+            steps.push(ScheduleStep::RecvFrom {
+                peers: vec![peer],
+                kind: pkt::PE,
+                combine: None,
+                charge: Charge::Free,
+            });
+            CollectiveSchedule::new(steps, TokenCharge::Light).with_payload(payload)
+        };
+        let mut m = Mcp::new(
+            McpCore::new(NodeId(0), 2, GmConfig::default()),
+            Box::new(BarrierExtension::new(2)),
+        );
+        let post = |m: &mut Mcp, kinds: &[u8], value: u64, at: SimTime| {
+            m.core.port_mut(PortId(1)).provide_barrier_buffer();
+            let token = CollectiveToken::new(program(kinds)).with_value(value);
+            m.handle_send_token(
+                SendToken::Collective {
+                    src_port: PortId(1),
+                    token,
+                },
+                at,
+            );
+        };
+        m.open_port(PortId(1), SimTime::ZERO);
+        let old_epoch = m.core.port(PortId(1)).epoch();
+        post(
+            &mut m,
+            &[pkt::GATHER, pkt::BCAST, pkt::PE],
+            11,
+            SimTime::ZERO,
+        );
+        m.close_port(PortId(1), SimTime::from_us(100));
+        m.open_port(PortId(1), SimTime::from_us(200));
+        let epoch = m.core.port(PortId(1)).epoch();
+        assert_ne!(epoch, old_epoch);
+        post(&mut m, &[pkt::BCAST, pkt::PE], 22, SimTime::from_us(200));
+
+        let mut seq = 0;
+        let mut reject = |m: &mut Mcp, epoch: u32, kind: u8, seg: u32| {
+            let body = ExtPacket::new(pkt::REJECT, epoch as u64, kind as u64).with_segment(seg, 0);
+            let rej = Packet {
+                src: peer,
+                dst: me,
+                kind: PacketKind::Ext {
+                    seq: Some(seq),
+                    body,
+                },
+            };
+            seq += 1;
+            let outs = m.handle_wire_packet(rej, false, SimTime::from_us(500 + seq));
+            (outs.into_iter())
+                .filter_map(|o| match o {
+                    McpOutput::Transmit { pkt, .. } => match pkt.kind {
+                        PacketKind::Ext { body, .. } => Some(body),
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let resend = |kind: u8, seg: u32| {
+            ExtPacket::new(kind, epoch as u64, 22)
+                .with_segment(seg, payload.seg_len(seg).get() as u32)
+        };
+        assert_eq!(
+            reject(&mut m, epoch, pkt::BCAST, 2),
+            vec![resend(pkt::BCAST, 2)]
+        );
+        assert_eq!(reject(&mut m, epoch, pkt::PE, 1), vec![resend(pkt::PE, 1)]);
+        assert_eq!(
+            reject(&mut m, epoch, pkt::BCAST, 0),
+            vec![resend(pkt::BCAST, 0)]
+        );
+        // The closed process's epoch, and a kind only it sent.
+        assert!(reject(&mut m, old_epoch, pkt::PE, 1).is_empty());
+        assert!(reject(&mut m, epoch, pkt::GATHER, 0).is_empty());
+        let ext = m.ext().as_any().downcast_ref::<BarrierExtension>().unwrap();
+        assert_eq!(ext.stats.resends, 3);
+        assert_eq!(ext.stats.stale_rejects, 2);
     }
 
     #[test]

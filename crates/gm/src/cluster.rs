@@ -13,6 +13,7 @@ use crate::host::{Host, HostAction, HostCtx, HostProgram};
 use crate::ids::{GlobalPort, NodeId, PortId};
 use crate::mcp::{Mcp, McpCore, McpOutput, TimerKind};
 use crate::packet::Packet;
+use crate::parcels::{Handle, Parcels};
 use crate::token::SendToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
 use gmsim_des::{Event, Scheduler, SimTime, Simulation};
@@ -20,17 +21,37 @@ use gmsim_myrinet::fault::Fate;
 use gmsim_myrinet::{Fabric, FaultPlan, Topology, TopologyBuilder};
 
 /// A timestamped measurement mark emitted by a program via
-/// [`HostCtx::note`].
+/// [`HostCtx::note`]. One is kept per rank per round, so the node is
+/// stored as a `u32` (node ids fit one, see [`McpCore::new`]) to keep the
+/// record at 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoteRecord {
     /// When the mark was recorded.
     pub at: SimTime,
-    /// Emitting node.
-    pub node: NodeId,
-    /// Emitting port.
-    pub port: PortId,
     /// Program-defined tag.
     pub tag: u64,
+    node: u32,
+    /// Emitting port.
+    pub port: PortId,
+}
+
+const _: () = assert!(std::mem::size_of::<NoteRecord>() == 24);
+
+impl NoteRecord {
+    /// A mark from `node`'s `port` at `at`.
+    pub fn new(at: SimTime, node: NodeId, port: PortId, tag: u64) -> Self {
+        NoteRecord {
+            at,
+            tag,
+            node: node.0 as u32,
+            port,
+        }
+    }
+
+    /// Emitting node.
+    pub fn node(&self) -> NodeId {
+        NodeId(self.node as usize)
+    }
 }
 
 /// One cluster node: host processor + NIC firmware + its processes.
@@ -60,6 +81,8 @@ pub struct Cluster {
     /// Measurement marks recorded by programs.
     pub notes: Vec<NoteRecord>,
     config: GmConfig,
+    /// Payloads of the serial engine's pending events.
+    parcels: Parcels,
     /// Reusable [`McpOutput`] buffer for firmware handler calls. Taken at
     /// the top of each glue function and put back drained, so steady-state
     /// events allocate nothing. Handlers never re-enter the glue, so one
@@ -86,9 +109,10 @@ impl Cluster {
     }
 }
 
-/// Where a firing event's effects go: the clock, future events, and wire
-/// injections. The glue handlers are generic over this seam so the same
-/// monomorphized code drives both execution engines:
+/// Where a firing event's effects go: the clock, future events, wire
+/// injections, and the store of the pending events' payloads. The glue
+/// handlers are generic over this seam so the same monomorphized code
+/// drives both execution engines:
 ///
 /// * the serial [`Scheduler`] (a `SerialSink`), where `transmit` walks the
 ///   fabric immediately and schedules the delivery, and
@@ -100,19 +124,23 @@ pub trait EventSink {
     fn now(&self) -> SimTime;
     /// Schedule a follow-up event at absolute time `at`.
     fn schedule(&mut self, at: SimTime, ev: ClusterEvent);
-    /// Put a non-loopback packet on the wire at the current time.
-    fn transmit(&mut self, pkt: Packet);
+    /// Put a parked non-loopback packet on the wire at the current time.
+    /// The sink owns the handle from here on.
+    fn transmit(&mut self, pkt: Handle<Packet>);
+    /// Payloads of the events this sink schedules.
+    fn parcels(&mut self) -> &mut Parcels;
 }
 
 /// The serial engine's sink: fabric walks happen inline, follow-ups go to
 /// the global scheduler. This reproduces the classic single-queue semantics
 /// bit for bit.
-struct SerialSink<'a, 'b> {
+struct SerialSink<'a> {
     fabric: &'a mut Fabric,
-    sched: &'b mut ClusterSched,
+    sched: &'a mut ClusterSched,
+    parcels: &'a mut Parcels,
 }
 
-impl EventSink for SerialSink<'_, '_> {
+impl EventSink for SerialSink<'_> {
     fn now(&self) -> SimTime {
         self.sched.now()
     }
@@ -121,32 +149,43 @@ impl EventSink for SerialSink<'_, '_> {
         self.sched.schedule(at, ev);
     }
 
-    fn transmit(&mut self, pkt: Packet) {
+    fn transmit(&mut self, h: Handle<Packet>) {
+        let pkt = *self.parcels.packets.get(h);
         let (src, dst) = (pkt.src.node, pkt.dst.node);
         let delivery =
             self.fabric
                 .send(src.nic(), dst.nic(), pkt.payload_bytes(), self.sched.now());
+        // Fault-injected duplicate: a second intact copy of the same worm,
+        // scheduled after the primary. The receiver's sequence check
+        // discards it as a dup.
+        let dup = delivery
+            .dup_arrival
+            .map(|at| (at, self.parcels.packets.park(pkt)));
         match delivery.fate {
-            Fate::Dropped => {}
+            Fate::Dropped => {
+                self.parcels.packets.take(h);
+            }
             fate => {
                 let corrupted = fate == Fate::Corrupted;
                 self.sched.schedule(
                     delivery.arrival,
-                    ClusterEvent::WireDeliver { pkt, corrupted },
+                    ClusterEvent::WireDeliver { pkt: h, corrupted },
                 );
             }
         }
-        if let Some(at) = delivery.dup_arrival {
-            // Fault-injected duplicate: a second intact copy of the same
-            // worm. The receiver's sequence check discards it as a dup.
+        if let Some((at, copy)) = dup {
             self.sched.schedule(
                 at,
                 ClusterEvent::WireDeliver {
-                    pkt,
+                    pkt: copy,
                     corrupted: false,
                 },
             );
         }
+    }
+
+    fn parcels(&mut self) -> &mut Parcels {
+        self.parcels
     }
 }
 
@@ -187,14 +226,16 @@ pub(crate) type ClusterSched = Scheduler<Cluster, ClusterEvent>;
 /// A typed scheduler event on the cluster — the allocation-free encoding of
 /// everything the cluster schedules, hot path and program installation
 /// alike, so every event runs under both the serial and the parallel
-/// engine.
+/// engine. Packets, host events and send tokens wait in the sink's
+/// [`Parcels`] and travel here as 4-byte handles, so an event is at most
+/// 32 bytes.
 pub enum ClusterEvent {
     /// The SEND machine's wire-injection instant arrived for this packet.
-    Transmit(Packet),
+    Transmit(Handle<Packet>),
     /// A worm fully arrived at its destination NIC.
     WireDeliver {
         /// The packet.
-        pkt: Packet,
+        pkt: Handle<Packet>,
         /// CRC failure injected by the fabric.
         corrupted: bool,
     },
@@ -205,7 +246,7 @@ pub enum ClusterEvent {
         /// Destination port.
         port: PortId,
         /// The delivered event.
-        ev: GmEvent,
+        ev: Handle<GmEvent>,
     },
     /// The host finished processing one `HRecv`.
     HostProcess {
@@ -225,7 +266,7 @@ pub enum ClusterEvent {
         /// The sending node.
         node: NodeId,
         /// The queued token.
-        token: SendToken,
+        token: Handle<SendToken>,
     },
     /// The host finished queueing receive buffers: hand them to the port.
     ProvideRecv {
@@ -256,6 +297,8 @@ pub enum ClusterEvent {
     },
 }
 
+const _: () = assert!(std::mem::size_of::<ClusterEvent>() <= 32);
+
 impl Event<Cluster> for ClusterEvent {
     fn fire(self, cl: &mut Cluster, s: &mut ClusterSched) {
         let Cluster {
@@ -265,6 +308,7 @@ impl Event<Cluster> for ClusterEvent {
             notes,
             mcp_scratch,
             action_scratch,
+            parcels,
             ..
         } = cl;
         let mut ctx = NodeCtx {
@@ -275,7 +319,11 @@ impl Event<Cluster> for ClusterEvent {
             mcp_scratch,
             action_scratch,
         };
-        let mut sink = SerialSink { fabric, sched: s };
+        let mut sink = SerialSink {
+            fabric,
+            sched: s,
+            parcels,
+        };
         fire_ev(self, &mut ctx, &mut sink);
     }
 }
@@ -296,6 +344,7 @@ pub(crate) fn fire_ev<S: EventSink>(ev: ClusterEvent, ctx: &mut NodeCtx, sink: &
             ctx.put_outs(outs);
         }
         ClusterEvent::SendTokenReady { node, token } => {
+            let token = sink.parcels().tokens.take(token);
             let mut outs = ctx.take_outs();
             let now = sink.now();
             ctx.node(node)
@@ -467,6 +516,7 @@ impl ClusterBuilder {
             tracer,
             notes: Vec::new(),
             config: self.config,
+            parcels: Parcels::default(),
             mcp_scratch: Vec::new(),
             action_scratch: Vec::new(),
         };
@@ -497,9 +547,11 @@ pub fn pump<S: EventSink>(node: NodeId, outs: &mut Vec<McpOutput>, sink: &mut S)
     for o in outs.drain(..) {
         match o {
             McpOutput::Transmit { at, pkt } => {
+                let pkt = sink.parcels().packets.park(pkt);
                 sink.schedule(at, ClusterEvent::Transmit(pkt));
             }
             McpOutput::HostEvent { at, port, ev } => {
+                let ev = sink.parcels().events.park(ev);
                 sink.schedule(at, ClusterEvent::HostDeliver { node, port, ev });
             }
             McpOutput::Timer { at, kind } => {
@@ -511,9 +563,9 @@ pub fn pump<S: EventSink>(node: NodeId, outs: &mut Vec<McpOutput>, sink: &mut S)
 
 /// The SEND machine's wire injection instant arrived: put the worm on the
 /// fabric (or loop it back NIC-internally).
-fn transmit_now<S: EventSink>(pkt: Packet, ctx: &mut NodeCtx, sink: &mut S) {
-    let src = pkt.src.node;
-    let dst = pkt.dst.node;
+fn transmit_now<S: EventSink>(h: Handle<Packet>, ctx: &mut NodeCtx, sink: &mut S) {
+    let pkt = sink.parcels().packets.get(h);
+    let (src, dst, kind) = (pkt.src.node, pkt.dst.node, pkt.trace_code());
     let now = sink.now();
     ctx.tracer.record(
         now,
@@ -523,12 +575,13 @@ fn transmit_now<S: EventSink>(pkt: Packet, ctx: &mut NodeCtx, sink: &mut S) {
         },
         TracePayload::WireInject {
             dst: dst.0 as u32,
-            kind: pkt.trace_code(),
+            kind,
         },
     );
     if src == dst {
         // NIC-internal loopback: the packet never touches the wire (and
         // never leaves the partition, so both engines handle it inline).
+        let pkt = sink.parcels().packets.take(h);
         let mut outs = ctx.take_outs();
         ctx.node(dst)
             .mcp
@@ -537,11 +590,12 @@ fn transmit_now<S: EventSink>(pkt: Packet, ctx: &mut NodeCtx, sink: &mut S) {
         ctx.put_outs(outs);
         return;
     }
-    sink.transmit(pkt);
+    sink.transmit(h);
 }
 
 /// A worm fully arrived at its destination NIC: run the RECV machine.
-fn wire_deliver<S: EventSink>(pkt: Packet, corrupted: bool, ctx: &mut NodeCtx, sink: &mut S) {
+fn wire_deliver<S: EventSink>(h: Handle<Packet>, corrupted: bool, ctx: &mut NodeCtx, sink: &mut S) {
+    let pkt = sink.parcels().packets.take(h);
     let dst = pkt.dst.node;
     let now = sink.now();
     ctx.tracer.record(
@@ -568,10 +622,11 @@ fn wire_deliver<S: EventSink>(pkt: Packet, corrupted: bool, ctx: &mut NodeCtx, s
 fn host_deliver<S: EventSink>(
     node: NodeId,
     port: PortId,
-    ev: GmEvent,
+    ev: Handle<GmEvent>,
     ctx: &mut NodeCtx,
     sink: &mut S,
 ) {
+    let ev = sink.parcels().events.take(ev);
     let now = sink.now();
     if let Some(at) = ctx.node(node).host.enqueue(port, ev, now) {
         sink.schedule(at, ClusterEvent::HostProcess { node });
@@ -638,13 +693,13 @@ fn apply_actions<S: EventSink>(
                 let ok = ctx.node(node).mcp.core.port_mut(port).take_send_token();
                 assert!(ok, "send tokens exhausted on {node:?}{port:?}");
                 let at = ctx.node(node).host.reserve_send(now);
-                let token = SendToken::Data {
+                let token = sink.parcels().tokens.park(SendToken::Data {
                     src_port: port,
                     dst,
                     len,
                     tag,
                     notify,
-                };
+                });
                 sink.schedule(at, ClusterEvent::SendTokenReady { node, token });
             }
             HostAction::Collective(token) => {
@@ -659,11 +714,11 @@ fn apply_actions<S: EventSink>(
                 let ok = ctx.node(node).mcp.core.port_mut(port).take_send_token();
                 assert!(ok, "send tokens exhausted on {node:?}{port:?}");
                 let at = ctx.node(node).host.reserve_send(now);
-                let stok = SendToken::Collective {
+                let token = sink.parcels().tokens.park(SendToken::Collective {
                     src_port: port,
                     token,
-                };
-                sink.schedule(at, ClusterEvent::SendTokenReady { node, token: stok });
+                });
+                sink.schedule(at, ClusterEvent::SendTokenReady { node, token });
             }
             HostAction::ProvideRecv(n) => {
                 // Takes effect in program order (after any compute/send the
@@ -675,21 +730,11 @@ fn apply_actions<S: EventSink>(
                 ctx.node(node).host.reserve_compute(dur, now);
             }
             HostAction::Note(tag) => {
-                ctx.notes.push(NoteRecord {
-                    at: now,
-                    node,
-                    port,
-                    tag,
-                });
+                ctx.notes.push(NoteRecord::new(now, node, port, tag));
             }
             HostAction::NoteAtBusy(tag) => {
                 let at = ctx.node(node).host.busy_until().max(now);
-                ctx.notes.push(NoteRecord {
-                    at,
-                    node,
-                    port,
-                    tag,
-                });
+                ctx.notes.push(NoteRecord::new(at, node, port, tag));
             }
             HostAction::ClosePort => {
                 // Takes effect in program order: after the host work the

@@ -27,7 +27,8 @@
 //!   (the paper's *Send* and *HRecv* terms).
 //! * **The cluster** ([`cluster`]) — N nodes over a
 //!   [`gmsim_myrinet::Fabric`], plus the event glue that turns MCP outputs
-//!   into scheduled simulation events.
+//!   into scheduled simulation events, whose packets, host events and send
+//!   tokens wait in [`parcels`].
 
 #![warn(missing_docs)]
 
@@ -42,6 +43,7 @@ pub mod ir;
 pub mod mcp;
 pub mod packet;
 pub mod par;
+pub mod parcels;
 pub mod port;
 pub mod token;
 

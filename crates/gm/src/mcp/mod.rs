@@ -128,7 +128,9 @@ pub struct McpCore {
     /// per touched peer, nothing for the rest of the cluster.
     peer_index: Vec<(u32, u32)>,
     /// Connections in order of first use: a NIC holds state only for the
-    /// peers its traffic reaches (about log2 N under a PE barrier).
+    /// peers its traffic reaches (about log2 N under a PE barrier). Both
+    /// tables grow by exactly one entry per new peer, never doubling past
+    /// what they hold.
     conns: Vec<Connection>,
     /// Counters.
     pub stats: McpStats,
@@ -242,7 +244,9 @@ impl McpCore {
             Ok(i) => self.peer_index[i].1,
             Err(i) => {
                 let slot = self.conns.len() as u32;
+                self.peer_index.reserve_exact(1);
                 self.peer_index.insert(i, (peer.0 as u32, slot));
+                self.conns.reserve_exact(1);
                 self.conns.push(Connection::new(peer));
                 slot
             }

@@ -30,6 +30,7 @@ use crate::cluster::{
 use crate::host::HostAction;
 use crate::mcp::McpOutput;
 use crate::packet::Packet;
+use crate::parcels::{Handle, Parcels};
 use gmsim_des::pdes::{Cause, EvKey, FiredRec, LpQueue, Sequencer, SpinBarrier};
 use gmsim_des::trace::TraceRecord;
 use gmsim_des::{RunOutcome, SimTime, Simulation, Tracer};
@@ -61,6 +62,10 @@ struct Lp {
     notes: Vec<NoteRecord>,
     log: Vec<FiredRec>,
     extras: Vec<Extra>,
+    /// Payloads of this LP's pending events. A packet leaves on its
+    /// `Transmit` and the barrier commit re-parks it in the destination
+    /// LP's store.
+    parcels: Parcels,
     mcp_scratch: Vec<McpOutput>,
     action_scratch: Vec<HostAction>,
 }
@@ -74,6 +79,7 @@ struct LpSink<'a> {
     emission: u32,
     queue: &'a mut LpQueue<ClusterEvent>,
     transmit: &'a mut Option<Packet>,
+    parcels: &'a mut Parcels,
 }
 
 impl EventSink for LpSink<'_> {
@@ -94,12 +100,16 @@ impl EventSink for LpSink<'_> {
         self.queue.push(key, ev);
     }
 
-    fn transmit(&mut self, pkt: Packet) {
+    fn transmit(&mut self, pkt: Handle<Packet>) {
         debug_assert!(
             self.transmit.is_none(),
             "one wire injection per Transmit event"
         );
-        *self.transmit = Some(pkt);
+        *self.transmit = Some(self.parcels.packets.take(pkt));
+    }
+
+    fn parcels(&mut self) -> &mut Parcels {
+        self.parcels
     }
 }
 
@@ -132,6 +142,7 @@ impl Lp {
                     emission: 0,
                     queue: &mut self.queue,
                     transmit: &mut transmit,
+                    parcels: &mut self.parcels,
                 };
                 fire_ev(ev, &mut ctx, &mut sink);
             }
@@ -275,7 +286,7 @@ fn commit_window(
             let delivery = shell
                 .fabric
                 .send(src.nic(), dst.nic(), pkt.payload_bytes(), at);
-            let dlp = lp_of_node[dst.0] as usize;
+            let mut dlp = lps[lp_of_node[dst.0] as usize].lock().unwrap();
             match delivery.fate {
                 Fate::Dropped => {}
                 fate => {
@@ -283,7 +294,8 @@ fn commit_window(
                         delivery.arrival >= window_end,
                         "delivery inside the window that sent it: lookahead violated"
                     );
-                    lps[dlp].lock().unwrap().queue.push(
+                    let pkt = dlp.parcels.packets.park(pkt);
+                    dlp.queue.push(
                         EvKey {
                             at: delivery.arrival,
                             cause: Cause::Ranked { rank, emission: 0 },
@@ -300,7 +312,8 @@ fn commit_window(
                 // sequence check. The emission index only breaks ties among
                 // children of the *same* cause, so using 1 here is correct
                 // even when the primary copy was dropped.
-                lps[dlp].lock().unwrap().queue.push(
+                let pkt = dlp.parcels.packets.park(pkt);
+                dlp.queue.push(
                     EvKey {
                         at: dup_at,
                         cause: Cause::Ranked { rank, emission: 1 },
@@ -597,6 +610,7 @@ impl ClusterBuilder {
                 notes: Vec::new(),
                 log: Vec::new(),
                 extras: Vec::new(),
+                parcels: Parcels::default(),
                 mcp_scratch: Vec::new(),
                 action_scratch: Vec::new(),
             }));
@@ -759,6 +773,55 @@ mod tests {
             tracer.fingerprint()
         };
         assert_eq!(serial_fp, par_fp);
+    }
+
+    /// Every worm arrives corrupted and is duplicated: each intact copy
+    /// must land after its corrupted primary, in both engines. Per directed
+    /// pair, the trace never shows more intact copies than primaries so
+    /// far, and every primary's copy arrives.
+    #[test]
+    fn fault_duplicates_trail_their_primary_in_both_engines() {
+        use gmsim_des::trace::TracePayload;
+        use gmsim_myrinet::FaultPlan;
+        use std::collections::HashMap;
+        let plan = FaultPlan {
+            corrupt_probability: 1.0,
+            duplicate_probability: 1.0,
+            ..FaultPlan::NONE
+        };
+        let run = |threads: usize| {
+            let tracer = Tracer::bounded(1 << 16);
+            let mut sim = builder(40)
+                .faults(plan, 3)
+                .tracer(tracer.clone())
+                .build_parallel(threads);
+            assert_eq!(sim.is_parallel(), threads > 1);
+            assert_eq!(sim.run(), RunOutcome::Quiescent);
+            (tracer.snapshot(), sim.into_world())
+        };
+        let (serial, serial_world) = run(1);
+        let (par, par_world) = run(4);
+        assert_eq!(serial, par);
+        assert_eq!(serial_world.notes, par_world.notes);
+        assert!(!serial_world.notes.is_empty());
+        let fabric = serial_world.fabric.stats();
+        assert!(fabric.sends > 0);
+        assert_eq!(fabric.duplicates, fabric.sends);
+        assert_eq!(fabric.corruptions, fabric.sends);
+        let mut lead: HashMap<(u32, u32), i64> = HashMap::new();
+        for r in &serial {
+            if let TracePayload::WireDeliver { src, corrupted, .. } = r.payload {
+                let ahead = lead.entry((src, r.component.node)).or_default();
+                *ahead += if corrupted { 1 } else { -1 };
+                assert!(*ahead >= 0, "an intact copy overtook its primary: {r:?}");
+            }
+        }
+        assert!(lead.values().all(|&ahead| ahead == 0));
+        // The receivers discarded every primary and delivered its copy.
+        let crc: u64 = (serial_world.nodes.iter())
+            .map(|n| n.mcp.core.stats.crc_drops)
+            .sum();
+        assert_eq!(crc, fabric.sends);
     }
 
     #[test]

@@ -69,9 +69,9 @@ fn overlapping_teams_never_cross_deliver_flags() {
     for note in &cluster.notes {
         let (team, round) = decode_team_note(note.tag).expect("unknown note tag");
         assert!(
-            members[&team].contains(&(note.node.0 as u64)),
+            members[&team].contains(&(note.node().0 as u64)),
             "node {} completed a round of {team:?} it is not a member of",
-            note.node.0
+            note.node().0
         );
         *counts.entry((team, round)).or_default() += 1;
     }
@@ -142,7 +142,7 @@ fn shared_node_keeps_team_flag_arrays_separate_under_skew() {
     let a_on_node3 = cluster
         .notes
         .iter()
-        .filter(|n| n.node == NodeId(3))
+        .filter(|n| n.node() == NodeId(3))
         .filter(|n| decode_team_note(n.tag).unwrap().0 == TEAM_A)
         .count();
     assert_eq!(a_on_node3, 0, "team A flags leaked to non-member node 3");

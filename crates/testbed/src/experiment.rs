@@ -154,6 +154,18 @@ pub enum ExperimentError {
     /// A send-token pool override of zero: a port with no send tokens can
     /// never post a message, so the run would hang by construction.
     ZeroSendTokens,
+    /// A host-layer overhead factor below 1.0, infinite or NaN: an extra
+    /// software layer can only add host overhead.
+    InvalidLayerFactor {
+        /// The offending factor.
+        factor: f64,
+    },
+    /// A whole-cluster team id above [`TeamId::MAX`]: the 16-bit team
+    /// field of note and message tags cannot carry it.
+    InvalidTeamId {
+        /// The offending id.
+        team: TeamId,
+    },
     /// A packed layout with `procs_per_node` outside `1..=7` (GM exposes 8
     /// ports per NIC and port 0 is reserved).
     InvalidLayout {
@@ -247,6 +259,15 @@ impl fmt::Display for ExperimentError {
             ExperimentError::ZeroSendTokens => {
                 write!(f, "send-token pool override of 0 (a port could never send)")
             }
+            ExperimentError::InvalidLayerFactor { factor } => {
+                write!(f, "host-layer factor {factor} (need a finite factor >= 1)")
+            }
+            ExperimentError::InvalidTeamId { team } => write!(
+                f,
+                "team id {} exceeds the largest id a 16-bit team field carries ({})",
+                team.0,
+                TeamId::MAX.0
+            ),
             ExperimentError::InvalidLayout { procs_per_node } => write!(
                 f,
                 "packed layout with {procs_per_node} procs/node (GM supports 1..=7)"
@@ -576,6 +597,16 @@ impl BarrierExperiment {
         };
         if self.send_tokens == Some(0) {
             return Err(ExperimentError::ZeroSendTokens);
+        }
+        if !(self.layer_factor.is_finite() && self.layer_factor >= 1.0) {
+            return Err(ExperimentError::InvalidLayerFactor {
+                factor: self.layer_factor,
+            });
+        }
+        if let TeamSet::Whole(team) = self.teams {
+            if team > TeamId::MAX {
+                return Err(ExperimentError::InvalidTeamId { team });
+            }
         }
         if let TeamSet::Random { count, min, max } = self.teams {
             if count == 0 {
@@ -1286,6 +1317,47 @@ mod tests {
             what: "random teams with packed processes",
         };
         assert!(e.to_string().contains("packed processes"), "{e}");
+        let e = ExperimentError::InvalidTeamId {
+            team: TeamId(70_000),
+        };
+        assert!(e.to_string().contains("70000"), "{e}");
+        let e = ExperimentError::InvalidLayerFactor { factor: 0.5 };
+        assert!(e.to_string().contains("0.5"), "{e}");
+    }
+
+    #[test]
+    fn layer_factors_below_one_or_nan_are_rejected() {
+        let base = || quick(4, Algorithm::Nic(Descriptor::Pe));
+        for factor in [0.5, 0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                base().layer(factor).run().unwrap_err(),
+                ExperimentError::InvalidLayerFactor { factor },
+                "{factor}"
+            );
+        }
+        // NaN never compares equal, so match the variant instead.
+        assert!(matches!(
+            base().layer(f64::NAN).run().unwrap_err(),
+            ExperimentError::InvalidLayerFactor { factor } if factor.is_nan()
+        ));
+        assert!(base().layer(1.0).run().is_ok());
+    }
+
+    #[test]
+    fn whole_team_ids_above_the_tag_field_are_rejected() {
+        let base = || quick(4, Algorithm::Nic(Descriptor::Pe));
+        assert_eq!(
+            base().team(TeamId(70_000)).run().unwrap_err(),
+            ExperimentError::InvalidTeamId {
+                team: TeamId(70_000)
+            }
+        );
+        let max = TeamId::MAX.0 + 1;
+        assert_eq!(
+            base().team(TeamId(max)).run().unwrap_err(),
+            ExperimentError::InvalidTeamId { team: TeamId(max) }
+        );
+        assert!(base().team(TeamId::MAX).run().is_ok());
     }
 
     #[test]

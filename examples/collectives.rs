@@ -53,7 +53,7 @@ fn values(sim: &ClusterSim) -> Vec<(usize, u64)> {
         .notes
         .iter()
         .filter(|n| n.tag & NOTE_COLLECTIVE_VALUE == NOTE_COLLECTIVE_VALUE)
-        .map(|n| (n.node.0, n.tag & 0xFFFF_FFFF))
+        .map(|n| (n.node().0, n.tag & 0xFFFF_FFFF))
         .collect();
     v.sort_unstable();
     v

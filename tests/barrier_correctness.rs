@@ -21,7 +21,7 @@ fn completions(sim: &ClusterSim) -> Vec<(u64, usize, SimTime)> {
     sim.world()
         .notes
         .iter()
-        .filter_map(|n| decode_note(n.tag).map(|r| (r, n.node.0, n.at)))
+        .filter_map(|n| decode_note(n.tag).map(|r| (r, n.node().0, n.at)))
         .collect()
 }
 

@@ -41,7 +41,7 @@ fn results(sim: &ClusterSim) -> Vec<(usize, u64)> {
         .notes
         .iter()
         .filter(|n| n.tag & NOTE_COLLECTIVE_VALUE == NOTE_COLLECTIVE_VALUE)
-        .map(|n| (n.node.0, n.tag & 0xFFFF_FFFF))
+        .map(|n| (n.node().0, n.tag & 0xFFFF_FFFF))
         .collect();
     v.sort_unstable();
     v
@@ -216,7 +216,7 @@ fn broadcast_value_waits_for_late_receiver() {
         .world()
         .notes
         .iter()
-        .find(|nt| nt.node.0 == 2 && nt.tag & NOTE_COLLECTIVE_VALUE == NOTE_COLLECTIVE_VALUE)
+        .find(|nt| nt.node().0 == 2 && nt.tag & NOTE_COLLECTIVE_VALUE == NOTE_COLLECTIVE_VALUE)
         .unwrap();
     assert!(late.at > SimTime::from_ms(2));
 }

@@ -63,12 +63,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-/// Peak live heap a 1024-node NIC-PE barrier may hold, in MiB. The run
-/// peaks at about 10.2 MiB; eagerly allocated turnaround histograms and
-/// four-slot go-back-N windows on every NIC gave 14.8 MiB, a 4-byte-per-peer
-/// index on every NIC adds 4 MiB and an eager all-pairs connection table
-/// about 90 MiB.
-const PEAK_BOUND_MIB: f64 = 14.0;
+/// Peak live heap a 1024-node NIC-PE barrier may hold, in MiB: the
+/// measured 8.34 MiB plus about 10% headroom. 88-byte events carrying
+/// their packets inline, 32-byte notes, doubling connection tables and a
+/// hashed sent cache gave 10.2 MiB; eagerly allocated turnaround histograms and four-slot
+/// go-back-N windows on every NIC gave 14.8 MiB, a 4-byte-per-peer index on
+/// every NIC adds 4 MiB and an eager all-pairs connection table about
+/// 90 MiB.
+const PEAK_BOUND_MIB: f64 = 9.2;
 
 /// Largest allowed ratio of the per-node peak at 1024 nodes to that at 256
 /// nodes. State sized by traffic gives about 1.1 (log2 N connections per

@@ -216,7 +216,7 @@ fn seg_run(sc: &SegScenario, payload: Payload) -> Vec<(usize, u64)> {
         .notes
         .iter()
         .filter(|n| n.tag & NOTE_COLLECTIVE_VALUE == NOTE_COLLECTIVE_VALUE)
-        .map(|n| (n.node.0, n.tag & 0xFFFF_FFFF))
+        .map(|n| (n.node().0, n.tag & 0xFFFF_FFFF))
         .collect();
     out.sort_unstable();
     out

@@ -211,7 +211,7 @@ fn message_before_barrier_arrives_before_barrier_completes() {
         let barrier_at = cl
             .notes
             .iter()
-            .filter(|n| decode_note(n.tag).is_some() && n.node.0 == 1)
+            .filter(|n| decode_note(n.tag).is_some() && n.node().0 == 1)
             .map(|n| n.at)
             .max()
             .expect("barrier must complete at the receiver");
