@@ -17,13 +17,16 @@
 
 use crate::group::{BarrierGroup, Team};
 use crate::hash::MulBuildHasher;
-use crate::programs::note_team_tag;
+use crate::programs::{note_team_tag, shift_team_note};
 use crate::schedule::Descriptor;
 use gmsim_des::trace::TracePayload;
+use gmsim_des::{SimTime, StateHasher};
 use gmsim_gm::{
-    CollectiveSchedule, GlobalPort, GmEvent, HostCtx, HostProgram, ScheduleStep, TeamId,
+    CollectiveSchedule, GlobalPort, GmEvent, HostCtx, HostProgram, ScheduleStep, SteadyProgram,
+    TeamId,
 };
 use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Barrier payload size used by the host baselines (bytes).
 pub const HOST_BARRIER_MSG_BYTES: usize = 8;
@@ -36,6 +39,16 @@ pub const HOST_BARRIER_MSG_BYTES: usize = 8;
 /// before the payload redesign.
 fn step_tag(team: TeamId, round: u64, seg: u32, kind: u8) -> u64 {
     ((team.0 as u64) << 48) | (round << 24) | (u64::from(seg) << 8) | u64::from(kind)
+}
+
+/// The round field of a [`step_tag`].
+const TAG_ROUND: u64 = 0xFF_FFFF << 24;
+
+/// `tag` with its round field made relative to `anchor` (wrapping within
+/// the field).
+fn rebase_step_tag(tag: u64, anchor: u64) -> u64 {
+    let round = (tag & TAG_ROUND) >> 24;
+    (tag & !TAG_ROUND) | ((round.wrapping_sub(anchor) << 24) & TAG_ROUND)
 }
 
 /// Host-based barrier loop: interprets a compiled collective schedule with
@@ -191,6 +204,61 @@ impl HostProgram for HostBarrierLoop {
             _ => {}
         }
     }
+
+    fn steady(&self) -> Option<&dyn SteadyProgram> {
+        Some(self)
+    }
+
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyProgram> {
+        Some(self)
+    }
+}
+
+/// Every tag this loop sends or waits for carries its round, so the
+/// outstanding receives and the early arrivals hash with rebased rounds;
+/// the early-arrival set hashes order-free (a wrapping sum of per-entry
+/// digests), as its iteration order is not part of the behaviour.
+impl SteadyProgram for HostBarrierLoop {
+    fn progress(&self) -> (u64, u64) {
+        (self.round, self.rounds)
+    }
+
+    fn digest(&self, anchor: u64, h: &mut StateHasher) {
+        h.signed(self.round.wrapping_sub(anchor) as i64);
+        (&self.schedule, self.team, self.pc).hash(h);
+        (self.pace_on_send_pc, self.await_sent).hash(h);
+        match &self.outstanding {
+            None => h.word(u64::MAX),
+            Some(waits) => {
+                waits.len().hash(h);
+                for &(peer, tag) in waits {
+                    (peer, rebase_step_tag(tag, anchor)).hash(h);
+                }
+            }
+        }
+        self.unexpected.len().hash(h);
+        let mut early = 0u128;
+        for &(peer, tag) in &self.unexpected {
+            h.item();
+            let mut e = StateHasher::new(SimTime::ZERO);
+            (peer, rebase_step_tag(tag, anchor)).hash(&mut e);
+            early = early.wrapping_add(e.finish128());
+        }
+        h.word(early as u64);
+        h.word((early >> 64) as u64);
+    }
+
+    fn rebase_tag(&self, tag: u64, anchor: u64) -> u64 {
+        rebase_step_tag(tag, anchor)
+    }
+
+    fn skip(&mut self, rounds: u64) {
+        self.rounds -= rounds;
+    }
+
+    fn shift_note(&self, tag: u64, rounds: u64) -> u64 {
+        shift_team_note(tag, rounds)
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +285,18 @@ mod tests {
             .iter()
             .filter_map(|r| decode_note(r.tag).map(|round| (round, r.at)))
             .collect()
+    }
+
+    #[test]
+    fn rebased_tags_keep_team_segment_and_kind() {
+        let tag = step_tag(TeamId(3), 1000, 7, 2);
+        let rebased = rebase_step_tag(tag, 990);
+        assert_eq!(rebased, step_tag(TeamId(3), 10, 7, 2));
+        // A lagging round wraps within the field instead of borrowing
+        // from the team bits.
+        let behind = rebase_step_tag(step_tag(TeamId(3), 5, 0, 1), 6);
+        assert_eq!(behind >> 48, 3);
+        assert_eq!(behind & !TAG_ROUND, step_tag(TeamId(3), 0, 0, 1));
     }
 
     #[test]

@@ -42,14 +42,15 @@
 
 use crate::unexpected::{RecordMeta, UnexpectedRecord};
 use gmsim_des::trace::{TracePayload, Unit};
-use gmsim_des::{Histogram, SimTime};
+use gmsim_des::{Histogram, SimTime, StateHasher};
 use gmsim_gm::{
     Charge, CollectiveSchedule, CollectiveToken, CompletionKind, ExtPacket, GlobalPort, GmConfig,
-    GmEvent, McpCore, McpExtension, McpOutput, NodeId, PortId, ScheduleStep, TeamId, TokenCharge,
-    GM_NUM_PORTS,
+    GmEvent, McpCore, McpExtension, McpOutput, NodeId, PortId, ScheduleStep, SteadyExt, TeamId,
+    TokenCharge, GM_NUM_PORTS,
 };
 use std::any::Any;
 use std::collections::VecDeque;
+use std::hash::Hash;
 
 pub use crate::schedule::pkt;
 
@@ -858,6 +859,67 @@ impl McpExtension for BarrierExtension {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+
+    fn steady(&self) -> Option<&dyn SteadyExt> {
+        Some(self)
+    }
+
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyExt> {
+        Some(self)
+    }
+}
+
+/// The runs, unexpected records and sent cache steer the future; the
+/// local queue is drained before every firmware entry point returns, the
+/// spare buffers only save allocations, and `teams_seen` only feeds a
+/// counter. Barrier packets carry a per-peer flag and a port epoch, no
+/// round number, so nothing here needs rebasing.
+impl SteadyExt for BarrierExtension {
+    fn digest(&self, h: &mut StateHasher) {
+        for runs in &self.slots {
+            runs.len().hash(h);
+            for run in runs {
+                h.item();
+                (run.team, &*run.schedule, run.pc, &run.outstanding).hash(h);
+                (run.parked, run.acc, &run.seg_accs, run.payload_staged).hash(h);
+            }
+        }
+        self.record.digest(h);
+        self.local_queue.len().hash(h);
+        for d in &self.local_queue {
+            h.item();
+            (d.src, d.dst, d.ext_type, d.team, d.epoch, d.value, d.seg).hash(h);
+            h.time(d.at);
+        }
+        self.sent_cache.len().hash(h);
+        for (key, rec) in &self.sent_cache {
+            h.item();
+            (key, rec.epoch, rec.len, rec.value).hash(h);
+        }
+    }
+
+    fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        let s = &mut self.stats;
+        for c in [
+            &mut s.completions,
+            &mut s.pe_msgs,
+            &mut s.gather_msgs,
+            &mut s.bcast_msgs,
+            &mut s.scan_msgs,
+            &mut s.local_flags,
+            &mut s.rejects_sent,
+            &mut s.rejects_received,
+            &mut s.resends,
+            &mut s.stale_rejects,
+            &mut s.aborted,
+            &mut s.cross_team_rejects,
+            &mut s.concurrent_peak,
+        ] {
+            f(c);
+        }
+        self.record.visit_counters(f);
+        self.turnaround.visit_counts(f);
     }
 }
 

@@ -7,8 +7,9 @@
 
 use crate::group::{BarrierGroup, Team};
 use crate::schedule::Descriptor;
-use gmsim_des::SimTime;
-use gmsim_gm::{CollectiveToken, GmEvent, HostCtx, HostProgram, TeamId};
+use gmsim_des::{SimTime, StateHasher};
+use gmsim_gm::{CollectiveToken, GmEvent, HostCtx, HostProgram, SteadyProgram, TeamId};
+use std::hash::Hash;
 
 /// Note-tag marker for a completed barrier round (high 32 bits).
 pub const NOTE_BARRIER_DONE: u64 = 0xBA51 << 32;
@@ -43,6 +44,19 @@ pub fn note_team_tag(team: TeamId, round: u64) -> u64 {
 /// Decode a note tag to `(team, round)`, if it is a barrier-done note.
 pub fn decode_team_note(tag: u64) -> Option<(TeamId, u64)> {
     decode_note(tag).map(|round| (TeamId((tag >> 48) as u32), round))
+}
+
+/// A barrier-done note `rounds` rounds later; any other tag unchanged.
+pub fn shift_team_note(tag: u64, rounds: u64) -> u64 {
+    match decode_team_note(tag) {
+        Some((team, round)) => note_team_tag(team, round + rounds),
+        None => tag,
+    }
+}
+
+/// Hash a posted token by content: the compiled schedule, operand, team.
+fn digest_token(token: &CollectiveToken, h: &mut StateHasher) {
+    (&*token.schedule, token.value, token.team).hash(h);
 }
 
 /// Runs `rounds` consecutive NIC-based collectives of any [`Descriptor`].
@@ -100,6 +114,35 @@ impl HostProgram for NicBarrierLoop {
                 ctx.start_collective(self.token());
             }
         }
+    }
+
+    fn steady(&self) -> Option<&dyn SteadyProgram> {
+        Some(self)
+    }
+
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyProgram> {
+        Some(self)
+    }
+}
+
+/// One collective in flight at a time, the same token every round: the
+/// round counter is all that moves.
+impl SteadyProgram for NicBarrierLoop {
+    fn progress(&self) -> (u64, u64) {
+        (self.round, self.rounds)
+    }
+
+    fn digest(&self, anchor: u64, h: &mut StateHasher) {
+        h.signed(self.round.wrapping_sub(anchor) as i64);
+        digest_token(&self.token, h);
+    }
+
+    fn skip(&mut self, rounds: u64) {
+        self.rounds -= rounds;
+    }
+
+    fn shift_note(&self, tag: u64, rounds: u64) -> u64 {
+        shift_team_note(tag, rounds)
     }
 }
 
@@ -166,6 +209,34 @@ impl HostProgram for FuzzyBarrierLoop {
                 self.begin_round(ctx);
             }
         }
+    }
+
+    fn steady(&self) -> Option<&dyn SteadyProgram> {
+        Some(self)
+    }
+
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyProgram> {
+        Some(self)
+    }
+}
+
+impl SteadyProgram for FuzzyBarrierLoop {
+    fn progress(&self) -> (u64, u64) {
+        (self.round, self.rounds)
+    }
+
+    fn digest(&self, anchor: u64, h: &mut StateHasher) {
+        h.signed(self.round.wrapping_sub(anchor) as i64);
+        digest_token(&self.token, h);
+        (self.compute, self.overlap).hash(h);
+    }
+
+    fn skip(&mut self, rounds: u64) {
+        self.rounds -= rounds;
+    }
+
+    fn shift_note(&self, tag: u64, rounds: u64) -> u64 {
+        shift_team_note(tag, rounds)
     }
 }
 
@@ -304,6 +375,13 @@ mod tests {
             assert_eq!(decode_note(tag), Some(round));
         }
         assert_eq!(decode_team_note(12345), None);
+    }
+
+    #[test]
+    fn shifted_notes_keep_their_team_and_move_their_round() {
+        let tag = note_team_tag(TeamId(9), 41);
+        assert_eq!(shift_team_note(tag, 100), note_team_tag(TeamId(9), 141));
+        assert_eq!(shift_team_note(12345, 100), 12345, "foreign tags stay");
     }
 
     #[test]

@@ -28,10 +28,12 @@
 //! record-then-reject-on-open protocol) and an operand *value* (for
 //! reductions/broadcasts).
 
+use gmsim_des::StateHasher;
 use gmsim_gm::{GlobalPort, PortId, TeamId, GM_NUM_PORTS};
+use std::hash::Hash;
 
 /// Data stored with one recorded message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecordMeta {
     /// The communicator the message belongs to — consumption is
     /// team-keyed so an overlapping team's flag can never satisfy this
@@ -151,6 +153,30 @@ impl UnexpectedRecord {
         let mut out = std::mem::take(&mut self.lists[local.idx()]);
         out.sort_by_key(|(g, m)| (g.node, g.port, m.team, m.kind));
         out
+    }
+
+    /// Fold every per-port list, in order, into a steady-state digest.
+    pub fn digest(&self, h: &mut StateHasher) {
+        for list in &self.lists {
+            list.len().hash(h);
+            for entry in list {
+                h.item();
+                entry.hash(h);
+            }
+        }
+    }
+
+    /// Visit the record counters mutably.
+    pub fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        let s = &mut self.stats;
+        for c in [
+            &mut s.recorded,
+            &mut s.consumed,
+            &mut s.queued_extra,
+            &mut s.superseded,
+        ] {
+            f(c);
+        }
     }
 
     /// Total records currently held (diagnostics).

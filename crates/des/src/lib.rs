@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod digest;
 pub mod metrics;
 pub mod pdes;
 pub mod rng;
@@ -51,6 +52,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use digest::StateHasher;
 pub use metrics::{Counter, MetricSet};
 pub use rng::SimRng;
 pub use scheduler::{Event, RunOutcome, Scheduler, Simulation};

@@ -200,6 +200,13 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         self.fired
     }
 
+    /// Count `n` events as fired without firing them: a fast-forward that
+    /// proved `n` events would have fired identically to ones it already
+    /// simulated (see `gmsim_gm::steady`).
+    pub fn add_fired(&mut self, n: u64) {
+        self.fired += n;
+    }
+
     /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
@@ -210,6 +217,38 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     #[inline]
     pub fn peek_next_at(&self) -> Option<SimTime> {
         self.find_min().map(|(at, _)| at)
+    }
+
+    /// Timestamp of the earliest pending event beyond the timer wheel's
+    /// window (a retransmission timer or a horizon sentinel), if any. One
+    /// peek: steady-state detection reads it as a cheap phase marker.
+    #[inline]
+    pub fn far_next_at(&self) -> Option<SimTime> {
+        self.far.peek().map(|e| e.at)
+    }
+
+    /// Visit every pending event in firing order, `(at, seq)` ascending,
+    /// with its timestamp. `scratch` holds the sorted keys (reused across
+    /// calls, so a caller that keeps it allocates nothing in steady state).
+    pub fn visit_pending(
+        &self,
+        scratch: &mut Vec<(SimTime, u64, u32)>,
+        mut f: impl FnMut(SimTime, &E),
+    ) {
+        scratch.clear();
+        for (slot, ev) in self.events.iter().enumerate() {
+            if ev.is_some() {
+                let k = &self.keys[slot];
+                scratch.push((k.at, k.seq, slot as u32));
+            }
+        }
+        scratch.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        for &(at, _, slot) in scratch.iter() {
+            let ev = self.events[slot as usize]
+                .as_ref()
+                .expect("pending slot holds an event");
+            f(at, ev);
+        }
     }
 
     /// First occupied wheel bucket, as `(wheel_index, head_slot)` — the
@@ -466,6 +505,11 @@ impl<W, E: Event<W>> Simulation<W, E> {
     /// Mutable world access (setup/teardown only — events mutate via firing).
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
+    }
+
+    /// The scheduler, read-only (pending-event inspection).
+    pub fn scheduler(&self) -> &Scheduler<W, E> {
+        &self.sched
     }
 
     /// The scheduler, for seeding initial events.
@@ -732,6 +776,37 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Quiescent);
         assert_eq!(sim.world().len(), 5_000);
         assert_eq!(sim.now(), SimTime::from_ns(2_401 * 4_999));
+    }
+
+    #[test]
+    fn visit_pending_walks_firing_order_across_both_bands() {
+        let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
+        let mut sim = sim();
+        let s = sim.scheduler_mut();
+        s.schedule(window * 3, Ev::Push(4));
+        s.schedule(SimTime::from_ns(50), Ev::Push(1));
+        s.schedule(SimTime::from_ns(50), Ev::Push(2));
+        s.schedule(window * 2, Ev::Push(3));
+        assert_eq!(s.far_next_at(), Some(window * 2));
+        let mut seen = Vec::new();
+        let mut scratch = Vec::new();
+        s.visit_pending(&mut scratch, |at, ev| {
+            let Ev::Push(v) = ev else { unreachable!() };
+            seen.push((at, *v));
+        });
+        assert_eq!(
+            seen,
+            [
+                (SimTime::from_ns(50), 1),
+                (SimTime::from_ns(50), 2),
+                (window * 2, 3),
+                (window * 3, 4)
+            ]
+        );
+        s.add_fired(10);
+        assert_eq!(sim.events_fired(), 10);
+        sim.run();
+        assert_eq!(sim.events_fired(), 14);
     }
 
     #[test]

@@ -204,6 +204,16 @@ impl Histogram {
         self.counts.get(i).copied().unwrap_or(0)
     }
 
+    /// Visit every count (total, underflow, overflow, then each stored
+    /// bin) mutably, for a fast-forward that adds whole periods' worth of
+    /// samples at once. Bins past the stored ones are zero and not visited.
+    pub fn visit_counts(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        f(&mut self.total);
+        f(&mut self.underflow);
+        f(&mut self.overflow);
+        self.counts.iter_mut().for_each(f);
+    }
+
     /// Merge another histogram into this one (per-node aggregation). Both
     /// sides must have the same bin width and bin count.
     ///

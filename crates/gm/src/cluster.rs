@@ -14,6 +14,7 @@ use crate::ids::{GlobalPort, NodeId, PortId};
 use crate::mcp::{Mcp, McpCore, McpOutput, TimerKind};
 use crate::packet::Packet;
 use crate::parcels::{Handle, Parcels};
+use crate::steady::{self, Detector, FastForward, Period};
 use crate::token::SendToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
 use gmsim_des::{Event, Scheduler, SimTime, Simulation};
@@ -60,7 +61,7 @@ pub struct Node {
     pub host: Host,
     /// The NIC firmware (MCP + extension).
     pub mcp: Mcp,
-    programs: Vec<Option<Box<dyn HostProgram>>>,
+    pub(crate) programs: Vec<Option<Box<dyn HostProgram>>>,
 }
 
 impl Node {
@@ -82,7 +83,7 @@ pub struct Cluster {
     pub notes: Vec<NoteRecord>,
     config: GmConfig,
     /// Payloads of the serial engine's pending events.
-    parcels: Parcels,
+    pub(crate) parcels: Parcels,
     /// Reusable [`McpOutput`] buffer for firmware handler calls. Taken at
     /// the top of each glue function and put back drained, so steady-state
     /// events allocate nothing. Handlers never re-enter the glue, so one
@@ -90,6 +91,8 @@ pub struct Cluster {
     mcp_scratch: Vec<McpOutput>,
     /// Reusable [`HostAction`] buffer for program callbacks (same scheme).
     action_scratch: Vec<HostAction>,
+    /// The serial engine's steady-state detector and fast-forward.
+    pub(crate) steady: Detector,
 }
 
 impl Cluster {
@@ -106,6 +109,16 @@ impl Cluster {
     /// Notes with the given tag, in time order.
     pub fn notes_tagged(&self, tag: u64) -> impl Iterator<Item = &NoteRecord> {
         self.notes.iter().filter(move |n| n.tag == tag)
+    }
+
+    /// The steady state the serial engine proved, if any ([`crate::steady`]).
+    pub fn steady(&self) -> Option<Period> {
+        self.steady.period()
+    }
+
+    /// What the serial engine's fast-forward skipped, if it skipped.
+    pub fn fast_forward(&self) -> Option<FastForward> {
+        self.steady.skipped()
     }
 }
 
@@ -324,7 +337,11 @@ impl Event<Cluster> for ClusterEvent {
             sched: s,
             parcels,
         };
+        let noted = ctx.notes.len();
         fire_ev(self, &mut ctx, &mut sink);
+        if cl.notes.len() > noted {
+            steady::after_notes(cl, s, noted);
+        }
     }
 }
 
@@ -519,6 +536,7 @@ impl ClusterBuilder {
             parcels: Parcels::default(),
             mcp_scratch: Vec::new(),
             action_scratch: Vec::new(),
+            steady: Detector::default(),
         };
         (cluster, self.programs)
     }

@@ -10,8 +10,8 @@
 //! This module is a pure state machine — no timing, no scheduling — which
 //! is what makes the retransmission corner cases unit-testable.
 
-use crate::ids::NodeId;
-use crate::packet::{seq_before, Packet, Seq};
+use crate::ids::{GlobalPort, NodeId, PortId};
+use crate::packet::{seq_before, Packet, PacketKind, Seq};
 use gmsim_des::SimTime;
 use std::collections::VecDeque;
 
@@ -29,14 +29,66 @@ pub enum RxVerdict {
     },
 }
 
+/// A transmitted reliable packet minus its two node ids: the connection
+/// knows its peer and the firmware its own node, so a retransmission
+/// rebuilds the full [`Packet`] with [`SentPacket::to_packet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SentPacket {
+    /// Sending port.
+    pub src_port: PortId,
+    /// Receiving port.
+    pub dst_port: PortId,
+    /// Payload discriminant, sequence number included.
+    pub kind: PacketKind,
+}
+
+impl SentPacket {
+    /// The endpoint ports and kind of `pkt`.
+    pub fn of(pkt: &Packet) -> Self {
+        SentPacket {
+            src_port: pkt.src.port,
+            dst_port: pkt.dst.port,
+            kind: pkt.kind,
+        }
+    }
+
+    /// The packet as sent from `node` to `peer`.
+    pub fn to_packet(&self, node: NodeId, peer: NodeId) -> Packet {
+        Packet {
+            src: GlobalPort {
+                node,
+                port: self.src_port,
+            },
+            dst: GlobalPort {
+                node: peer,
+                port: self.dst_port,
+            },
+            kind: self.kind,
+        }
+    }
+
+    /// The sequence number (every recorded packet has one).
+    pub fn seq(&self) -> Option<Seq> {
+        self.kind.seq()
+    }
+
+    /// Payload bytes the packet puts on the wire ([`Packet::payload_bytes`]).
+    pub fn payload_bytes(&self) -> usize {
+        self.kind.payload_bytes()
+    }
+}
+
 /// An unacknowledged transmission.
 #[derive(Debug, Clone, Copy)]
 pub struct SentEntry {
     /// The packet as transmitted (retransmissions copy it).
-    pub packet: Packet,
+    pub packet: SentPacket,
     /// When it was last (re)transmitted — identifies stale timers.
     pub sent_at: SimTime,
 }
+
+// A 1024-node NIC-PE barrier holds about ten thousand of these.
+const _: () = assert!(std::mem::size_of::<SentEntry>() == 64);
 
 /// One reliable connection to a peer NIC.
 #[derive(Debug, Clone)]
@@ -99,6 +151,27 @@ impl Connection {
         self.peer
     }
 
+    /// The sequence number the next transmission will carry.
+    pub fn next_tx(&self) -> Seq {
+        self.next_tx
+    }
+
+    /// The sequence number the receive side waits for next.
+    pub fn expect_rx(&self) -> Seq {
+        self.expect_rx
+    }
+
+    /// Unacknowledged sends, oldest first.
+    pub fn sent_entries(&self) -> impl Iterator<Item = &SentEntry> {
+        self.sent.iter()
+    }
+
+    /// Visit the retransmission counter mutably (steady-state
+    /// fast-forward).
+    pub(crate) fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        f(&mut self.retransmissions);
+    }
+
     /// Allocate the next transmit sequence number. The space wraps; all
     /// orderings go through [`seq_before`], so a wrap is harmless as long
     /// as fewer than half the space is ever in flight (the send-token pool
@@ -116,6 +189,7 @@ impl Connection {
     /// recorded out of order (both are firmware bugs).
     pub fn record_sent(&mut self, packet: Packet, at: SimTime) {
         let seq = packet.seq().expect("recording an unsequenced packet");
+        debug_assert_eq!(packet.dst.node, self.peer, "packet for another connection");
         if let Some(back) = self.sent.back() {
             assert!(
                 seq_before(back.packet.seq().unwrap(), seq),
@@ -126,7 +200,7 @@ impl Connection {
             self.sent.reserve_exact(1);
         }
         self.sent.push_back(SentEntry {
-            packet,
+            packet: SentPacket::of(&packet),
             sent_at: at,
         });
     }
@@ -159,7 +233,7 @@ impl Connection {
 
     /// Go-back-N after a nack: return copies of every unacked packet with
     /// `seq >= expected`, marking them retransmitted at `now`.
-    pub fn on_nack(&mut self, expected: Seq, now: SimTime) -> Vec<Packet> {
+    pub fn on_nack(&mut self, expected: Seq, now: SimTime) -> Vec<SentPacket> {
         let mut out = Vec::new();
         for entry in self.sent.iter_mut() {
             if !seq_before(entry.packet.seq().unwrap(), expected) {
@@ -174,7 +248,7 @@ impl Connection {
     /// Retransmission-timer expiry for the entry `(seq, sent_at)`. If that
     /// exact transmission is still unacknowledged, go-back-N from it;
     /// otherwise the timer is stale and nothing happens.
-    pub fn on_timeout(&mut self, seq: Seq, sent_at: SimTime, now: SimTime) -> Vec<Packet> {
+    pub fn on_timeout(&mut self, seq: Seq, sent_at: SimTime, now: SimTime) -> Vec<SentPacket> {
         let live = self
             .sent
             .iter()
@@ -325,8 +399,6 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::GlobalPort;
-    use crate::packet::PacketKind;
 
     fn pkt(seq: Seq) -> Packet {
         Packet {

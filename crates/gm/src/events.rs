@@ -10,7 +10,7 @@ use crate::ids::{GlobalPort, TeamId};
 /// An event returned by the (modelled) `gm_receive()` poll. `Copy`: all
 /// variants are scalar words, so events move by value through the host
 /// queue without cloning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GmEvent {
     /// A send completed and its send token returned to the process.
     Sent {

@@ -14,8 +14,9 @@
 use crate::ids::{GlobalPort, PortId};
 use crate::mcp::{McpCore, McpOutput};
 use crate::packet::ExtPacket;
+use crate::steady::SteadyExt;
 use crate::token::CollectiveToken;
-use gmsim_des::SimTime;
+use gmsim_des::{SimTime, StateHasher};
 use std::any::Any;
 
 /// Firmware extension entry points.
@@ -75,6 +76,18 @@ pub trait McpExtension: Send {
     /// Downcast support, so tests and benches can read extension-specific
     /// statistics after a run.
     fn as_any(&self) -> &dyn Any;
+
+    /// This extension's steady-state hooks ([`crate::steady`]), if it has
+    /// them. The default `None` keeps every run on this firmware a full
+    /// simulation.
+    fn steady(&self) -> Option<&dyn SteadyExt> {
+        None
+    }
+
+    /// [`McpExtension::steady`], mutably: `Some` exactly when `steady` is.
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyExt> {
+        None
+    }
 }
 
 /// Stock GM: no collective support. Receiving a collective token or packet
@@ -109,4 +122,19 @@ impl McpExtension for NullExtension {
     fn as_any(&self) -> &dyn Any {
         self
     }
+
+    fn steady(&self) -> Option<&dyn SteadyExt> {
+        Some(self)
+    }
+
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyExt> {
+        Some(self)
+    }
+}
+
+/// Stateless, counterless: nothing to hash or advance.
+impl SteadyExt for NullExtension {
+    fn digest(&self, _h: &mut StateHasher) {}
+
+    fn visit_counters(&mut self, _f: &mut dyn FnMut(&mut u64)) {}
 }

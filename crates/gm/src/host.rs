@@ -16,6 +16,7 @@
 use crate::config::GmConfig;
 use crate::events::GmEvent;
 use crate::ids::{GlobalPort, NodeId, PortId};
+use crate::steady::SteadyProgram;
 use crate::token::CollectiveToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
 use gmsim_des::SimTime;
@@ -126,6 +127,26 @@ impl Host {
     /// Events waiting in the poll queue.
     pub fn queue_depth(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The poll queue, oldest first (steady-state digest).
+    pub(crate) fn queued(&self) -> impl Iterator<Item = &(PortId, GmEvent)> {
+        self.pending.iter()
+    }
+
+    /// Whether an `HRecv` is in progress (steady-state digest).
+    pub(crate) fn is_processing(&self) -> bool {
+        self.processing
+    }
+
+    /// Visit the event and send counters and the compute time (as
+    /// nanoseconds) mutably.
+    pub(crate) fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        f(&mut self.stats.events);
+        f(&mut self.stats.sends);
+        let mut compute = self.stats.compute.as_ns();
+        f(&mut compute);
+        self.stats.compute = SimTime::from_ns(compute);
     }
 }
 
@@ -284,6 +305,18 @@ pub trait HostProgram: Send {
 
     /// `gm_receive()` returned `ev`.
     fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx);
+
+    /// This program's steady-state hooks ([`crate::steady`]), if it has
+    /// them. The default `None` keeps every run this program takes part
+    /// in a full simulation.
+    fn steady(&self) -> Option<&dyn SteadyProgram> {
+        None
+    }
+
+    /// [`HostProgram::steady`], mutably: `Some` exactly when `steady` is.
+    fn steady_mut(&mut self) -> Option<&mut dyn SteadyProgram> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -146,7 +146,7 @@ impl Payload {
 }
 
 /// Combining operator for value-carrying collectives (u64 operands).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     /// Wrapping sum.
     Sum,
@@ -179,7 +179,7 @@ impl ReduceOp {
 /// Symbolic firmware cost of executing one step (resolved against the
 /// calibrated `BarrierCosts` table by the NIC interpreter; ignored by the
 /// host interpreter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Charge {
     /// Preparing and queueing one pairwise-exchange-style packet (§5.2's
     /// SDMA-side work).
@@ -197,7 +197,7 @@ pub enum Charge {
 }
 
 /// Symbolic cost of picking up the collective token itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenCharge {
     /// A PE-style token: a flat peer list, cheap to parse.
     Light,
@@ -208,7 +208,7 @@ pub enum TokenCharge {
 
 /// Which completion event a [`ScheduleStep::DeliverCompletion`] DMAs to
 /// the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompletionKind {
     /// `GM_BARRIER_COMPLETED_EVENT`.
     Barrier,
@@ -221,7 +221,7 @@ pub enum CompletionKind {
 }
 
 /// One step of a compiled collective program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ScheduleStep {
     /// Send the accumulator to each peer in order as a packet of `kind`.
     SendTo {
@@ -255,7 +255,7 @@ pub enum ScheduleStep {
 
 /// A compiled per-rank collective program, carried inside the send token
 /// the host posts (§4.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CollectiveSchedule {
     /// The steps, executed in order (receives may park the program).
     pub steps: Vec<ScheduleStep>,

@@ -29,6 +29,9 @@
 //!   [`gmsim_myrinet::Fabric`], plus the event glue that turns MCP outputs
 //!   into scheduled simulation events, whose packets, host events and send
 //!   tokens wait in [`parcels`].
+//! * **Steady-state fast-forward** ([`steady`]) — the serial engine proves
+//!   a run periodic with a rebased state digest and skips the repeated
+//!   rounds, leaving every output bit-identical.
 
 #![warn(missing_docs)]
 
@@ -45,6 +48,7 @@ pub mod packet;
 pub mod par;
 pub mod parcels;
 pub mod port;
+pub mod steady;
 pub mod token;
 
 pub use cluster::{Cluster, ClusterEvent, ClusterSim, Node};
@@ -61,4 +65,5 @@ pub use ir::{
 pub use mcp::{Mcp, McpCore, McpOutput, TimerKind};
 pub use packet::{ExtPacket, Packet, PacketKind};
 pub use par::ParSim;
+pub use steady::{FastForward, Period, SteadyExt, SteadyProgram};
 pub use token::{CollectiveToken, SendToken};

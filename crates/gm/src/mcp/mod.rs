@@ -263,6 +263,33 @@ impl McpCore {
             .map(|&(_, slot)| &self.conns[slot as usize])
     }
 
+    /// Visit every output counter mutably: the firmware counters, each
+    /// connection's retransmissions, then the hardware's.
+    pub(crate) fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        let s = &mut self.stats;
+        for c in [
+            &mut s.data_tx,
+            &mut s.ext_tx,
+            &mut s.retx,
+            &mut s.ack_tx,
+            &mut s.nack_tx,
+            &mut s.data_delivered,
+            &mut s.crc_drops,
+            &mut s.dup_drops,
+            &mut s.rnr_refusals,
+            &mut s.host_events,
+            &mut s.rto_backoffs,
+            &mut s.timer_cancels,
+            &mut s.gave_up,
+        ] {
+            f(c);
+        }
+        for conn in &mut self.conns {
+            conn.visit_counters(f);
+        }
+        self.hw.visit_counters(f);
+    }
+
     /// Current RTO for the connection to `peer`: the base timeout doubled
     /// (`rto_backoff`×) per consecutive genuine timeout, capped at
     /// `rto_max`.
@@ -472,6 +499,11 @@ impl Mcp {
         self.ext.as_ref()
     }
 
+    /// The installed extension, mutably (steady-state fast-forward).
+    pub(crate) fn ext_mut(&mut self) -> &mut dyn McpExtension {
+        self.ext.as_mut()
+    }
+
     /// A process opens `port`.
     pub fn open_port(&mut self, port: PortId, now: SimTime) -> Vec<McpOutput> {
         let mut out = Vec::new();
@@ -565,7 +597,9 @@ impl Mcp {
                     },
                 );
                 let mut last_at = now;
-                for pkt in again {
+                let node = self.core.node();
+                for sent in again {
+                    let pkt = sent.to_packet(node, peer);
                     let send_cycles = self.core.config.nic.costs.send_cycles;
                     let at = self.core.exec(send_cycles, now);
                     // Refresh the connection's record of when this packet
@@ -608,7 +642,7 @@ impl Mcp {
         let abandoned = self.core.conn_mut(peer).mark_dead();
         let mut notified: Vec<PortId> = Vec::new();
         for entry in abandoned {
-            let port = entry.packet.src.port;
+            let port = entry.packet.src_port;
             if matches!(entry.packet.kind, PacketKind::Data { .. }) {
                 self.core.port_mut(port).return_send_token();
             }

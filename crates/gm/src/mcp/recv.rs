@@ -7,7 +7,7 @@
 //! appropriate receive token" (§4.1).
 
 use super::{Mcp, McpOutput};
-use crate::connection::RxVerdict;
+use crate::connection::{RxVerdict, SentPacket};
 use crate::events::GmEvent;
 use crate::ids::{GlobalPort, NodeId, PortId};
 use crate::packet::{Packet, PacketKind, Seq};
@@ -57,7 +57,7 @@ impl Mcp {
                     if let PacketKind::Data { tag, notify, .. } = entry.packet.kind {
                         // The send event's resources are free: the send
                         // token returns to the process.
-                        let port = entry.packet.src.port;
+                        let port = entry.packet.src_port;
                         self.core.port_mut(port).return_send_token();
                         if notify {
                             self.core
@@ -162,12 +162,14 @@ impl Mcp {
     fn retransmit(
         &mut self,
         peer: NodeId,
-        pkts: Vec<Packet>,
+        pkts: Vec<SentPacket>,
         ready: SimTime,
         out: &mut Vec<McpOutput>,
     ) {
         let costs = self.core.config().nic.costs;
-        for pkt in pkts {
+        let node = self.core.node();
+        for sent in pkts {
+            let pkt = sent.to_packet(node, peer);
             let at = self.core.exec(costs.send_cycles, ready);
             let seq = pkt.seq().unwrap();
             self.core.conn_mut(peer).refresh_sent_at(seq, at);

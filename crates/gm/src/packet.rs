@@ -24,7 +24,7 @@ pub fn seq_before(a: Seq, b: Seq) -> bool {
 /// Body of an extension (collective) packet: a type opcode and two small
 /// operand words, enough for barrier round tags and reduce operands. These
 /// stay opaque to the GM core; the firmware extension interprets them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExtPacket {
     /// Extension-defined packet type (e.g. PE-exchange / gather / broadcast).
     pub ext_type: u8,
@@ -115,11 +115,11 @@ pub struct Packet {
     pub kind: PacketKind,
 }
 
-impl Packet {
-    /// Bytes of payload this packet puts on the wire (headers/route bytes
-    /// are added by the fabric's wire format).
+impl PacketKind {
+    /// Bytes of payload a packet of this kind puts on the wire
+    /// (headers/route bytes are added by the fabric's wire format).
     pub fn payload_bytes(&self) -> usize {
-        match &self.kind {
+        match self {
             PacketKind::Data { len, .. } => *len,
             // Real GM puts a small (wrapping) sequence field on the wire;
             // the in-memory `Seq` width is a simulator convenience and does
@@ -129,13 +129,26 @@ impl Packet {
         }
     }
 
-    /// The sequence number, for packets that travel in the reliable stream.
+    /// The sequence number, for kinds that travel in the reliable stream.
     pub fn seq(&self) -> Option<Seq> {
-        match &self.kind {
+        match self {
             PacketKind::Data { seq, .. } => Some(*seq),
             PacketKind::Ext { seq, .. } => *seq,
             _ => None,
         }
+    }
+}
+
+impl Packet {
+    /// Bytes of payload this packet puts on the wire (headers/route bytes
+    /// are added by the fabric's wire format).
+    pub fn payload_bytes(&self) -> usize {
+        self.kind.payload_bytes()
+    }
+
+    /// The sequence number, for packets that travel in the reliable stream.
+    pub fn seq(&self) -> Option<Seq> {
+        self.kind.seq()
     }
 
     /// True for packets that consume a slot in the reliable stream and must

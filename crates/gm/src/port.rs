@@ -10,7 +10,7 @@
 use crate::ids::GM_NUM_PORTS;
 
 /// NIC-side state of one port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct PortState {
     open: bool,
     /// Bumped on every open; lets the firmware reject stale traffic that

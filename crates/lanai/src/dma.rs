@@ -70,6 +70,12 @@ impl DmaEngine {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+
+    /// Visit the transfer and byte counters mutably.
+    pub fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        f(&mut self.transfers);
+        f(&mut self.bytes);
+    }
 }
 
 #[cfg(test)]

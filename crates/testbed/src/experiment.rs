@@ -10,7 +10,7 @@
 use gmsim_des::{Histogram, MetricSet, RunOutcome, SimRng, SimTime, Summary, TraceRecord, Tracer};
 use gmsim_gm::cluster::{Cluster, ClusterBuilder};
 use gmsim_gm::config::CollectiveWireMode;
-use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram};
+use gmsim_gm::{FastForward, GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram, Period};
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::{FabricSpec, FaultPlan, InvalidFabric, RoutePolicy};
 use nic_barrier::nic::{TURNAROUND_BINS, TURNAROUND_BIN_US};
@@ -876,6 +876,8 @@ impl BarrierExperiment {
         let p99 = gaps[((gaps.len() - 1) as f64 * 0.99).ceil() as usize];
         let (metrics, nic_turnaround) = collect_metrics(&cluster);
         Ok(Measurement {
+            steady: cluster.steady(),
+            fast_forward: cluster.fast_forward(),
             mean_us: total.as_us_f64() / gaps.len() as f64,
             p99_us: p99.as_us_f64(),
             first_round_us: first_round.as_us_f64(),
@@ -1032,6 +1034,15 @@ pub struct Measurement {
     /// Structured event trace (empty unless
     /// [`BarrierExperiment::trace`] enabled it).
     pub trace: Vec<TraceRecord>,
+    /// The steady state the serial engine proved: from which round the
+    /// run repeats, with what period (`None` when no period was proven:
+    /// too few rounds, fault injection, a partitioned parallel run, or a
+    /// program without steady-state hooks). A mean without a period is
+    /// not known to be a steady-state mean.
+    pub steady: Option<Period>,
+    /// What the fast-forward skipped (`None` when it simulated every
+    /// round, e.g. with tracing on).
+    pub fast_forward: Option<FastForward>,
 }
 
 #[cfg(test)]

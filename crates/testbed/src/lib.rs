@@ -34,6 +34,7 @@ pub use engine::{cell_seed, SweepEngine};
 pub use experiment::{
     Algorithm, BarrierExperiment, ExperimentError, Measurement, ProcessLayout, TeamRow, TeamSet,
 };
+pub use gmsim_gm::{FastForward, Period};
 pub use gmsim_myrinet::{FabricSpec, RoutePolicy};
 pub use nic_barrier::{Descriptor, TeamId};
 pub use sweep::{best_gb_dim, run_all, run_all_with};

@@ -1,0 +1,372 @@
+//! Steady-state fast-forward must be invisible: a run that proves its
+//! period and skips the repeated rounds reports exactly what a full
+//! simulation of the same configuration reports.
+//!
+//! The reference for every comparison is the same run with a (one-record)
+//! tracer: tracing keeps detection on but disables the skip, so it
+//! simulates every round.
+
+use gmsim_des::{SimTime, Tracer};
+use gmsim_gm::cluster::{Cluster, ClusterBuilder, ClusterEvent, ClusterSim};
+use gmsim_gm::steady::state_digest;
+use gmsim_gm::{GlobalPort, GmConfig, HostProgram, NodeId, Payload, ReduceOp, TimerKind};
+use gmsim_lanai::NicModel;
+use gmsim_testbed::prelude::FaultPlan;
+use gmsim_testbed::{Algorithm, BarrierExperiment, Descriptor, Measurement, ProcessLayout};
+use nic_barrier::{BarrierExtension, BarrierGroup, HostBarrierLoop, NicBarrierLoop, Team, TeamId};
+
+/// One configuration of the equivalence matrix.
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    alg: Algorithm,
+    procs: usize,
+    per_node: usize,
+    skew_us: u64,
+    rounds: u64,
+}
+
+impl Case {
+    fn new(alg: Algorithm, procs: usize) -> Self {
+        Case {
+            alg,
+            procs,
+            per_node: 1,
+            skew_us: 0,
+            rounds: 400,
+        }
+    }
+
+    fn experiment(&self) -> BarrierExperiment {
+        let layout = if self.per_node > 1 {
+            ProcessLayout::Packed {
+                procs_per_node: self.per_node,
+            }
+        } else {
+            ProcessLayout::OnePerNode
+        };
+        BarrierExperiment::new(self.procs, self.alg)
+            .rounds(self.rounds, 10)
+            .layout(layout)
+            .skew(self.skew_us, 11)
+    }
+
+    /// The same team and programs assembled from the layers' public APIs,
+    /// so the notes themselves can be compared.
+    fn cluster(&self, traced: bool) -> ClusterSim {
+        let nodes = self.procs.div_ceil(self.per_node);
+        let members = (0..self.procs)
+            .map(|i| GlobalPort::new(i / self.per_node, 1 + (i % self.per_node) as u8))
+            .collect();
+        let team = Team::new(TeamId::GLOBAL, BarrierGroup::new(members));
+        let mut b = ClusterBuilder::new(nodes)
+            .config(GmConfig::paper_host(NicModel::LANAI_4_3))
+            .extension(BarrierExtension::factory());
+        if traced {
+            b = b.tracer(Tracer::bounded(1));
+        }
+        for rank in 0..team.len() {
+            let program: Box<dyn HostProgram> = match self.alg {
+                Algorithm::Nic(d) => {
+                    Box::new(NicBarrierLoop::for_team(&team, rank, d, self.rounds))
+                }
+                Algorithm::Host(d) => {
+                    Box::new(HostBarrierLoop::for_team(&team, rank, d, self.rounds))
+                }
+            };
+            let start = SimTime::from_us(self.skew_us * (rank as u64 % 3));
+            b = b.program(team.member(rank), program, start);
+        }
+        b.build()
+    }
+}
+
+/// Every counter a collector can read, as text.
+fn counters(cl: &Cluster) -> String {
+    let mut out = format!("{:?}", cl.fabric.stats());
+    for n in &cl.nodes {
+        let hw = &n.mcp.core.hw;
+        out += &format!(
+            "{:?} {} {} {} {} {} {:?}",
+            n.mcp.core.stats,
+            hw.cpu.executed_cycles(),
+            hw.sdma.transfers(),
+            hw.sdma.bytes(),
+            hw.rdma.transfers(),
+            hw.rdma.bytes(),
+            n.host.stats
+        );
+        for c in n.mcp.core.connections() {
+            out += &format!(" r{}", c.retransmissions());
+        }
+        let ext = n.mcp.ext().as_any().downcast_ref::<BarrierExtension>();
+        if let Some(ext) = ext {
+            out += &format!(
+                "{:?} {:?} {:?}",
+                ext.stats,
+                ext.record.stats,
+                ext.turnaround()
+            );
+        }
+    }
+    out
+}
+
+fn assert_same_measurement(got: &Measurement, want: &Measurement, label: &str) {
+    assert_eq!(
+        got.mean_us.to_bits(),
+        want.mean_us.to_bits(),
+        "{label} mean"
+    );
+    assert_eq!(got.p99_us.to_bits(), want.p99_us.to_bits(), "{label} p99");
+    assert_eq!(got.events, want.events, "{label} events");
+    assert_eq!(got.metrics, want.metrics, "{label} metrics");
+    assert_eq!(
+        format!("{:?}", got.nic_turnaround),
+        format!("{:?}", want.nic_turnaround),
+        "{label} turnaround histogram"
+    );
+    assert_eq!(
+        format!("{:?}", got.per_round),
+        format!("{:?}", want.per_round),
+        "{label} per-round summary"
+    );
+    assert_eq!(
+        got.first_round_us.to_bits(),
+        want.first_round_us.to_bits(),
+        "{label} first round"
+    );
+    assert_eq!(got.steady, want.steady, "{label} reported period");
+}
+
+/// Run `case` fast-forwarded and in full, at both levels; true if the
+/// fast-forwarded runs skipped anything.
+fn check(case: Case) -> bool {
+    let label = format!("{case:?}");
+    let e = case.experiment();
+    let got = e.run().unwrap_or_else(|err| panic!("{label}: {err}"));
+    let want = e.trace(1).run().expect("reference run");
+    assert!(want.fast_forward.is_none(), "{label}: traced run skipped");
+    assert_same_measurement(&got, &want, &label);
+
+    let mut fast = case.cluster(false);
+    let mut full = case.cluster(true);
+    fast.run();
+    full.run();
+    assert_eq!(fast.events_fired(), full.events_fired(), "{label} events");
+    assert!(fast.world().notes == full.world().notes, "{label} notes");
+    assert_eq!(
+        counters(fast.world()),
+        counters(full.world()),
+        "{label} counters"
+    );
+    assert_eq!(
+        fast.world().fast_forward().is_some(),
+        got.fast_forward.is_some(),
+        "{label}: the two assemblies disagree on skipping"
+    );
+    got.fast_forward.is_some()
+}
+
+fn collectives() -> Vec<Descriptor> {
+    vec![
+        Descriptor::pe(),
+        Descriptor::gb(2),
+        Descriptor::gb(4),
+        Descriptor::dissemination(),
+        Descriptor::dissemination_radix(3),
+        Descriptor::bcast(2),
+        Descriptor::reduce(ReduceOp::Sum, 2),
+        Descriptor::allreduce(ReduceOp::Max, 3),
+        Descriptor::scan(ReduceOp::Sum),
+    ]
+}
+
+#[test]
+fn every_collective_and_placement_is_exact_under_fast_forward() {
+    let mut skipped = 0;
+    let mut cases = 0;
+    for procs in [2, 3, 8, 16] {
+        for desc in collectives() {
+            for alg in [Algorithm::Nic(desc), Algorithm::Host(desc)] {
+                cases += 1;
+                skipped += check(Case::new(alg, procs)) as usize;
+            }
+        }
+    }
+    // Most cells settle into a period well within 400 rounds; a matrix
+    // that never skipped would prove nothing.
+    assert!(
+        skipped * 2 > cases,
+        "only {skipped} of {cases} cells fast-forwarded"
+    );
+}
+
+#[test]
+fn packed_skewed_and_pipelined_runs_are_exact_under_fast_forward() {
+    let payload = Payload::pipelined(4096, 1024);
+    let cases = [
+        Case {
+            per_node: 2,
+            ..Case::new(Algorithm::Nic(Descriptor::pe()), 8)
+        },
+        Case {
+            per_node: 4,
+            ..Case::new(Algorithm::Host(Descriptor::gb(2)), 16)
+        },
+        Case {
+            skew_us: 40,
+            ..Case::new(Algorithm::Nic(Descriptor::pe()), 16)
+        },
+        Case {
+            skew_us: 25,
+            ..Case::new(Algorithm::Host(Descriptor::pe()), 8)
+        },
+        Case::new(
+            Algorithm::Nic(Descriptor::allreduce(ReduceOp::Sum, 2).with_payload(payload)),
+            8,
+        ),
+        Case::new(
+            Algorithm::Host(Descriptor::bcast(2).with_payload(payload)),
+            8,
+        ),
+    ];
+    for case in cases {
+        check(case);
+    }
+}
+
+/// The two cells a probe found not periodic must stay exact whether or
+/// not anything is skipped.
+#[test]
+fn known_non_periodic_cells_stay_exact() {
+    check(Case {
+        rounds: 120,
+        ..Case::new(Algorithm::Nic(Descriptor::dissemination_radix(3)), 100)
+    });
+    check(Case {
+        rounds: 120,
+        ..Case::new(
+            Algorithm::Nic(Descriptor::bcast(4).with_payload(Payload::for_size(4096))),
+            64,
+        )
+    });
+}
+
+#[test]
+fn nic_pe_at_16_reports_its_period_and_skips() {
+    let m = BarrierExperiment::new(16, Algorithm::Nic(Descriptor::pe()))
+        .rounds(1000, 20)
+        .run()
+        .unwrap();
+    let period = m.steady.expect("NIC-PE at 16 nodes is periodic");
+    assert!(period.rounds >= 1 && period.us > 0.0);
+    let ff = m.fast_forward.expect("and its repeats are skipped");
+    assert!(ff.rounds > 500, "skipped only {} of 1000 rounds", ff.rounds);
+    assert_eq!(ff.rounds, ff.periods * period.rounds);
+    // Every skipped round is one period's worth of exactly equal gaps.
+    assert_eq!(m.per_round.min().to_bits(), m.per_round.max().to_bits());
+    assert!((period.us / period.rounds as f64 - m.mean_us).abs() < 1e-9);
+}
+
+/// Fault injection never repeats, and the partitioned parallel engine
+/// never fast-forwards: neither may claim a period. The parallel run is a
+/// full simulation, so it also checks the serial skip once more.
+#[test]
+fn no_period_is_claimed_under_faults_or_on_the_parallel_engine() {
+    let e = BarrierExperiment::new(32, Algorithm::Nic(Descriptor::pe())).rounds(400, 10);
+    let lossy = e.faults(FaultPlan::drops(1e-3)).run().unwrap();
+    assert!(lossy.steady.is_none() && lossy.fast_forward.is_none());
+    let serial = e.run().unwrap();
+    let parallel = e.parallel(2).run().unwrap();
+    assert!(serial.fast_forward.is_some(), "the serial run skips");
+    assert!(parallel.steady.is_none() && parallel.fast_forward.is_none());
+    assert_same_measurement(
+        &serial,
+        &Measurement {
+            steady: serial.steady,
+            ..parallel
+        },
+        "serial vs parallel(2)",
+    );
+}
+
+/// The paper averages 100 000 consecutive barriers (§6). Fast-forward
+/// makes that affordable: every gap must be equal and the mean must be
+/// the 1000-round run's.
+#[test]
+fn paper_length_nic_pe_run_matches_the_short_run() {
+    let run = |rounds| {
+        BarrierExperiment::new(16, Algorithm::Nic(Descriptor::pe()))
+            .nic(NicModel::LANAI_4_3)
+            .rounds(rounds, 20)
+            .run()
+            .unwrap()
+    };
+    let long = run(100_000);
+    let short = run(1000);
+    assert_eq!(long.per_round.count(), 100_000 - 21);
+    assert_eq!(
+        long.per_round.min().to_bits(),
+        long.per_round.max().to_bits(),
+        "every gap of the 100 000-round run is equal"
+    );
+    assert!(
+        (long.mean_us - short.mean_us).abs() < 1e-9 * short.mean_us,
+        "100 000 rounds: {} us, 1000 rounds: {} us",
+        long.mean_us,
+        short.mean_us
+    );
+    assert!(long.fast_forward.expect("skipped").rounds > 99_000);
+}
+
+/// A 4-node NIC-PE cluster whose programs all start at `start`.
+fn pe4(start: SimTime) -> ClusterSim {
+    let group = BarrierGroup::one_per_node(4, 1);
+    let mut b = ClusterBuilder::new(4)
+        .config(GmConfig::paper_host(NicModel::LANAI_4_3))
+        .extension(BarrierExtension::factory());
+    for rank in 0..4 {
+        let program = NicBarrierLoop::new(group.clone(), rank, Descriptor::pe(), 400);
+        b = b.program(group.member(rank), Box::new(program), start);
+    }
+    b.build()
+}
+
+/// Run until node 0 (the first to note a round) has noted `round + 1`
+/// rounds: the state right after that boundary.
+fn to_round(sim: &mut ClusterSim, round: usize) {
+    sim.run_while(|cl| cl.notes.iter().filter(|n| n.node() == NodeId(0)).count() <= round);
+}
+
+#[test]
+fn digest_is_invariant_under_a_start_delay() {
+    let mut early = pe4(SimTime::ZERO);
+    let mut late = pe4(SimTime::from_ms(1));
+    to_round(&mut early, 12);
+    to_round(&mut late, 12);
+    assert_eq!(early.now() + SimTime::from_ms(1), late.now());
+    let d = state_digest(&early).expect("hashable");
+    assert_eq!(Some(d), state_digest(&late));
+    // One round later the state has moved on.
+    to_round(&mut early, 13);
+    assert_ne!(Some(d), state_digest(&early));
+}
+
+#[test]
+fn digest_sees_a_one_tick_change_to_a_pending_event() {
+    let with_timer = |delay_ns: u64| {
+        let mut sim = pe4(SimTime::ZERO);
+        to_round(&mut sim, 12);
+        let at = sim.now() + SimTime::from_ns(delay_ns);
+        sim.scheduler_mut().schedule(
+            at,
+            ClusterEvent::McpTimer {
+                node: NodeId(2),
+                kind: TimerKind::Rto { peer: NodeId(3) },
+            },
+        );
+        state_digest(&sim).expect("hashable")
+    };
+    assert_eq!(with_timer(5_000), with_timer(5_000));
+    assert_ne!(with_timer(5_000), with_timer(5_001));
+}
