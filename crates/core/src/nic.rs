@@ -42,15 +42,14 @@
 
 use crate::unexpected::{RecordMeta, UnexpectedRecord};
 use gmsim_des::trace::{TracePayload, Unit};
-use gmsim_des::{Histogram, SimTime, StateHasher};
+use gmsim_des::{Counter, Histogram, SimTime, Walk};
 use gmsim_gm::{
     Charge, CollectiveSchedule, CollectiveToken, CompletionKind, ExtPacket, GlobalPort, GmConfig,
-    GmEvent, McpCore, McpExtension, McpOutput, NodeId, PortId, ScheduleStep, SteadyExt, TeamId,
-    TokenCharge, GM_NUM_PORTS,
+    GmEvent, McpCore, McpExtension, McpOutput, NodeId, PortId, ScheduleStep, TeamId, TokenCharge,
+    GM_NUM_PORTS,
 };
 use std::any::Any;
 use std::collections::VecDeque;
-use std::hash::Hash;
 
 pub use crate::schedule::pkt;
 
@@ -170,7 +169,7 @@ pub struct BarrierStats {
 /// copy); `pc` the current step; `outstanding` the peers of the current
 /// receive step still owing a packet (meaningful only while `parked`);
 /// `acc` the value accumulator (operand in, result out).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Run {
     team: TeamId,
     schedule: std::sync::Arc<CollectiveSchedule>,
@@ -199,7 +198,7 @@ struct Run {
 /// the port closes, which is exactly the paper's "but only if the endpoint
 /// that initiated the barrier has not closed since the message was sent".
 /// The kind and segment live in the entry's [`sent_key`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct SentRecord {
     epoch: u32,
     len: u32,
@@ -861,65 +860,51 @@ impl McpExtension for BarrierExtension {
         self
     }
 
-    fn steady(&self) -> Option<&dyn SteadyExt> {
+    fn steady(&self) -> Option<&dyn Walk> {
         Some(self)
     }
 
-    fn steady_mut(&mut self) -> Option<&mut dyn SteadyExt> {
+    fn steady_mut(&mut self) -> Option<&mut dyn Walk> {
         Some(self)
     }
 }
 
-/// The runs, unexpected records and sent cache steer the future; the
-/// local queue is drained before every firmware entry point returns, the
-/// spare buffers only save allocations, and `teams_seen` only feeds a
-/// counter. Barrier packets carry a per-peer flag and a port epoch, no
-/// round number, so nothing here needs rebasing.
-impl SteadyExt for BarrierExtension {
-    fn digest(&self, h: &mut StateHasher) {
-        for runs in &self.slots {
+// Barrier packets carry a per-peer flag and a port epoch, no round number,
+// so nothing here needs rebasing.
+gmsim_des::walk! {
+    impl Walk for BarrierExtension {
+        costs: scratch("fixed at build"),
+        slots: state(h => for runs in slots {
             runs.len().hash(h);
             for run in runs {
                 h.item();
-                (run.team, &*run.schedule, run.pc, &run.outstanding).hash(h);
-                (run.parked, run.acc, &run.seg_accs, run.payload_staged).hash(h);
+                run.hash(h);
             }
-        }
-        self.record.digest(h);
-        self.local_queue.len().hash(h);
-        for d in &self.local_queue {
-            h.item();
-            (d.src, d.dst, d.ext_type, d.team, d.epoch, d.value, d.seg).hash(h);
-            h.time(d.at);
-        }
-        self.sent_cache.len().hash(h);
-        for (key, rec) in &self.sent_cache {
-            h.item();
-            (key, rec.epoch, rec.len, rec.value).hash(h);
-        }
+        }),
+        record, stats, turnaround: walk(),
+        local_queue: scratch("drained before every firmware entry point returns"),
+        sent_cache: state(h => {
+            sent_cache.len().hash(h);
+            for entry in sent_cache {
+                h.item();
+                entry.hash(h);
+            }
+        }),
+        teams_seen: scratch("feeds TeamsCreated, which counts distinct ids"),
+        spare_outstanding, spare_seg_accs: scratch("recycled buffers"),
     }
+}
 
-    fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        let s = &mut self.stats;
-        for c in [
-            &mut s.completions,
-            &mut s.pe_msgs,
-            &mut s.gather_msgs,
-            &mut s.bcast_msgs,
-            &mut s.scan_msgs,
-            &mut s.local_flags,
-            &mut s.rejects_sent,
-            &mut s.rejects_received,
-            &mut s.resends,
-            &mut s.stale_rejects,
-            &mut s.aborted,
-            &mut s.cross_team_rejects,
-            &mut s.concurrent_peak,
-        ] {
-            f(c);
-        }
-        self.record.visit_counters(f);
-        self.turnaround.visit_counts(f);
+gmsim_des::walk! {
+    impl Walk for BarrierStats {
+        pe_msgs, gather_msgs, bcast_msgs, scan_msgs: counter,
+        rejects_received, stale_rejects, aborted: counter,
+        completions: counter(Counter::BarrierCompletions),
+        local_flags: counter(Counter::LocalFlags),
+        rejects_sent: counter(Counter::RejectsSent),
+        resends: counter(Counter::BarrierResends),
+        cross_team_rejects: counter(Counter::CrossTeamRejects),
+        concurrent_peak: scratch("a high-water mark, which a repeated period leaves as it is"),
     }
 }
 

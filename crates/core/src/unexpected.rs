@@ -28,7 +28,7 @@
 //! record-then-reject-on-open protocol) and an operand *value* (for
 //! reductions/broadcasts).
 
-use gmsim_des::StateHasher;
+use gmsim_des::Walk;
 use gmsim_gm::{GlobalPort, PortId, TeamId, GM_NUM_PORTS};
 use std::hash::Hash;
 
@@ -76,6 +76,26 @@ pub struct UnexpectedRecord {
     lists: [Vec<(GlobalPort, RecordMeta)>; GM_NUM_PORTS as usize],
     /// Counters.
     pub stats: RecordStats,
+}
+
+gmsim_des::walk! {
+    impl Walk for UnexpectedRecord {
+        nodes: scratch("fixed at build"),
+        lists: state(h => for list in lists {
+            list.len().hash(h);
+            for entry in list {
+                h.item();
+                entry.hash(h);
+            }
+        }),
+        stats: walk(),
+    }
+}
+
+gmsim_des::walk! {
+    impl Walk for RecordStats {
+        recorded, consumed, queued_extra, superseded: counter,
+    }
 }
 
 /// Does `entry` come from `from` on `team` with packet type `kind`?
@@ -153,30 +173,6 @@ impl UnexpectedRecord {
         let mut out = std::mem::take(&mut self.lists[local.idx()]);
         out.sort_by_key(|(g, m)| (g.node, g.port, m.team, m.kind));
         out
-    }
-
-    /// Fold every per-port list, in order, into a steady-state digest.
-    pub fn digest(&self, h: &mut StateHasher) {
-        for list in &self.lists {
-            list.len().hash(h);
-            for entry in list {
-                h.item();
-                entry.hash(h);
-            }
-        }
-    }
-
-    /// Visit the record counters mutably.
-    pub fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        let s = &mut self.stats;
-        for c in [
-            &mut s.recorded,
-            &mut s.consumed,
-            &mut s.queued_extra,
-            &mut s.superseded,
-        ] {
-            f(c);
-        }
     }
 
     /// Total records currently held (diagnostics).

@@ -51,6 +51,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod time;
 pub mod trace;
+pub mod walk;
 
 pub use digest::StateHasher;
 pub use metrics::{Counter, MetricSet};
@@ -59,3 +60,4 @@ pub use scheduler::{Event, RunOutcome, Scheduler, Simulation};
 pub use stats::{Histogram, Summary};
 pub use time::SimTime;
 pub use trace::{ComponentId, TracePayload, TraceRecord, Tracer, Unit};
+pub use walk::{Visit, Walk};

@@ -6,6 +6,7 @@
 //! allocates only when a sample lands past every bin it has stored.
 
 use crate::time::SimTime;
+use crate::walk::Walk;
 
 /// Streaming mean/min/max/variance (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -134,6 +135,18 @@ pub struct Histogram {
     total: u64,
 }
 
+// Bins past the stored ones are zero and not visited.
+crate::walk! {
+    impl Walk for Histogram {
+        bin_width, bins: scratch("fixed at construction"),
+        counts: with(
+            v => counts.iter().for_each(|&c| v.counter(None, c)),
+            f => counts.iter_mut().for_each(f)
+        ),
+        underflow, overflow, total: counter,
+    }
+}
+
 impl Histogram {
     /// `bins` buckets of width `bin_width`. Allocates nothing until the
     /// first in-range sample.
@@ -202,16 +215,6 @@ impl Histogram {
             self.bins
         );
         self.counts.get(i).copied().unwrap_or(0)
-    }
-
-    /// Visit every count (total, underflow, overflow, then each stored
-    /// bin) mutably, for a fast-forward that adds whole periods' worth of
-    /// samples at once. Bins past the stored ones are zero and not visited.
-    pub fn visit_counts(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        f(&mut self.total);
-        f(&mut self.underflow);
-        f(&mut self.overflow);
-        self.counts.iter_mut().for_each(f);
     }
 
     /// Merge another histogram into this one (per-node aggregation). Both

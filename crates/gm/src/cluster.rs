@@ -14,10 +14,10 @@ use crate::ids::{GlobalPort, NodeId, PortId};
 use crate::mcp::{Mcp, McpCore, McpOutput, TimerKind};
 use crate::packet::Packet;
 use crate::parcels::{Handle, Parcels};
-use crate::steady::{self, Detector, FastForward, Period};
+use crate::steady::{self, Detector, FastForward, Period, Rebase};
 use crate::token::SendToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
-use gmsim_des::{Event, Scheduler, SimTime, Simulation};
+use gmsim_des::{Counter, Event, Scheduler, SimTime, Simulation};
 use gmsim_myrinet::fault::Fate;
 use gmsim_myrinet::{Fabric, FaultPlan, Topology, TopologyBuilder};
 
@@ -64,6 +64,25 @@ pub struct Node {
     pub(crate) programs: Vec<Option<Box<dyn HostProgram>>>,
 }
 
+gmsim_des::walk! {
+    pub(crate) fn walk(cx: &mut Rebase) for Node {
+        host: walk(cx),
+        mcp: walk(cx),
+        programs: state(h => {
+            h.item();
+            for slot in programs {
+                match slot {
+                    None => h.word(0),
+                    Some(p) => {
+                        h.item();
+                        cx.program(p.as_ref(), h);
+                    }
+                }
+            }
+        }),
+    }
+}
+
 impl Node {
     /// The program owning `port`, for post-run inspection.
     pub fn program(&self, port: PortId) -> Option<&dyn HostProgram> {
@@ -95,7 +114,31 @@ pub struct Cluster {
     pub(crate) steady: Detector,
 }
 
+// The pending events' payloads are hashed with the events, in
+// `steady::digest`.
+gmsim_des::walk! {
+    pub(crate) fn walk(cx: &mut Rebase) for Cluster {
+        nodes: with(
+            v => nodes.iter().for_each(|n| n.walk(cx, v)),
+            f => nodes.iter_mut().for_each(|n| n.walk_mut(f))
+        ),
+        fabric: walk(cx.ranks),
+        tracer: scratch("records, never steers"),
+        notes: scratch("outputs, which a skip extends itself"),
+        config: scratch("fixed at build"),
+        parcels: scratch("hashed with the pending events"),
+        mcp_scratch, action_scratch: scratch("drained by every event"),
+        steady: scratch("the detector itself"),
+    }
+}
+
 impl Cluster {
+    /// Every output counter of the fabric and the nodes, with the
+    /// [`Counter`] it feeds if it feeds one.
+    pub fn counters(&self, mut f: impl FnMut(Option<Counter>, u64)) {
+        self.walk(&mut Rebase::new(&self.nodes, 0, &mut Vec::new()), &mut f);
+    }
+
     /// Cluster configuration.
     pub fn config(&self) -> &GmConfig {
         &self.config

@@ -12,6 +12,7 @@
 
 use crate::ids::{GlobalPort, NodeId, PortId};
 use crate::packet::{seq_before, Packet, PacketKind, Seq};
+use crate::steady::Rebase;
 use gmsim_des::SimTime;
 use std::collections::VecDeque;
 
@@ -164,12 +165,6 @@ impl Connection {
     /// Unacknowledged sends, oldest first.
     pub fn sent_entries(&self) -> impl Iterator<Item = &SentEntry> {
         self.sent.iter()
-    }
-
-    /// Visit the retransmission counter mutably (steady-state
-    /// fast-forward).
-    pub(crate) fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        f(&mut self.retransmissions);
     }
 
     /// Allocate the next transmit sequence number. The space wraps; all
@@ -393,6 +388,40 @@ impl Connection {
     pub fn mark_dead(&mut self) -> Vec<SentEntry> {
         self.dead = true;
         self.sent.drain(..).collect()
+    }
+}
+
+// Sequence numbers hash relative to their stream's next one on the sending
+// side: `next_tx` for this side's stream, the peer's for the reverse one.
+gmsim_des::walk! {
+    pub(crate) fn walk(node: NodeId, cx: &mut Rebase) for Connection {
+        peer, timer_armed, backoff_level, attempts, dead: state,
+        next_tx: scratch("the base this stream's sequence numbers hash against"),
+        expect_rx: state(h => expect_rx.wrapping_sub(cx.next_tx(*peer, node)).hash(h)),
+        sent: state(h => {
+            h.item();
+            sent.len().hash(h);
+            for SentEntry { packet, sent_at } in sent {
+                let SentPacket { src_port, dst_port, kind } = packet;
+                h.item();
+                h.time(*sent_at);
+                (src_port, dst_port).hash(h);
+                let src = GlobalPort { node, port: *src_port };
+                cx.reliable_kind(src, kind, *next_tx, h);
+            }
+        }),
+        retransmissions: counter,
+        // The RTO deadline anchors on the later of the oldest unacked
+        // transmission and the peer's last activity. Both only move
+        // forward, so an activity before the oldest send never matters
+        // again, and with nothing in flight no past activity does.
+        last_peer_activity: state(h => match sent.front() {
+            Some(oldest) => {
+                h.word(1);
+                h.time((*last_peer_activity).max(oldest.sent_at));
+            }
+            None => h.word(0),
+        }),
     }
 }
 

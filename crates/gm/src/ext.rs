@@ -14,9 +14,8 @@
 use crate::ids::{GlobalPort, PortId};
 use crate::mcp::{McpCore, McpOutput};
 use crate::packet::ExtPacket;
-use crate::steady::SteadyExt;
 use crate::token::CollectiveToken;
-use gmsim_des::{SimTime, StateHasher};
+use gmsim_des::{SimTime, Walk};
 use std::any::Any;
 
 /// Firmware extension entry points.
@@ -77,15 +76,15 @@ pub trait McpExtension: Send {
     /// statistics after a run.
     fn as_any(&self) -> &dyn Any;
 
-    /// This extension's steady-state hooks ([`crate::steady`]), if it has
-    /// them. The default `None` keeps every run on this firmware a full
-    /// simulation.
-    fn steady(&self) -> Option<&dyn SteadyExt> {
+    /// This extension's state walk, for fast-forward ([`crate::steady`]),
+    /// if it has one. The default `None` keeps every run on this firmware a
+    /// full simulation.
+    fn steady(&self) -> Option<&dyn Walk> {
         None
     }
 
     /// [`McpExtension::steady`], mutably: `Some` exactly when `steady` is.
-    fn steady_mut(&mut self) -> Option<&mut dyn SteadyExt> {
+    fn steady_mut(&mut self) -> Option<&mut dyn Walk> {
         None
     }
 }
@@ -123,18 +122,16 @@ impl McpExtension for NullExtension {
         self
     }
 
-    fn steady(&self) -> Option<&dyn SteadyExt> {
+    fn steady(&self) -> Option<&dyn Walk> {
         Some(self)
     }
 
-    fn steady_mut(&mut self) -> Option<&mut dyn SteadyExt> {
+    fn steady_mut(&mut self) -> Option<&mut dyn Walk> {
         Some(self)
     }
 }
 
-/// Stateless, counterless: nothing to hash or advance.
-impl SteadyExt for NullExtension {
-    fn digest(&self, _h: &mut StateHasher) {}
-
-    fn visit_counters(&mut self, _f: &mut dyn FnMut(&mut u64)) {}
+// Stateless, counterless: nothing to hash or advance.
+gmsim_des::walk! {
+    impl Walk for NullExtension {}
 }

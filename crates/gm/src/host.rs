@@ -16,10 +16,10 @@
 use crate::config::GmConfig;
 use crate::events::GmEvent;
 use crate::ids::{GlobalPort, NodeId, PortId};
-use crate::steady::SteadyProgram;
+use crate::steady::{Rebase, SteadyProgram};
 use crate::token::CollectiveToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
-use gmsim_des::SimTime;
+use gmsim_des::{Counter, SimTime, Walk};
 use std::collections::VecDeque;
 
 /// Host processor counters.
@@ -128,25 +128,29 @@ impl Host {
     pub fn queue_depth(&self) -> usize {
         self.pending.len()
     }
+}
 
-    /// The poll queue, oldest first (steady-state digest).
-    pub(crate) fn queued(&self) -> impl Iterator<Item = &(PortId, GmEvent)> {
-        self.pending.iter()
+gmsim_des::walk! {
+    pub(crate) fn walk(cx: &mut Rebase) for Host {
+        node, send_overhead, recv_overhead: scratch("fixed at build"),
+        busy_until: state(h => h.horizon(*busy_until)),
+        pending: state(h => {
+            pending.len().hash(h);
+            for &(port, ev) in pending {
+                h.item();
+                cx.gm_event(GlobalPort { node: *node, port }, &ev, h);
+            }
+        }),
+        processing: state,
+        stats: walk(),
     }
+}
 
-    /// Whether an `HRecv` is in progress (steady-state digest).
-    pub(crate) fn is_processing(&self) -> bool {
-        self.processing
-    }
-
-    /// Visit the event and send counters and the compute time (as
-    /// nanoseconds) mutably.
-    pub(crate) fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        f(&mut self.stats.events);
-        f(&mut self.stats.sends);
-        let mut compute = self.stats.compute.as_ns();
-        f(&mut compute);
-        self.stats.compute = SimTime::from_ns(compute);
+gmsim_des::walk! {
+    impl Walk for HostStats {
+        events: counter(Counter::HostEvents),
+        sends: counter(Counter::HostSends),
+        compute: counter,
     }
 }
 

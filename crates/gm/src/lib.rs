@@ -65,5 +65,5 @@ pub use ir::{
 pub use mcp::{Mcp, McpCore, McpOutput, TimerKind};
 pub use packet::{ExtPacket, Packet, PacketKind};
 pub use par::ParSim;
-pub use steady::{FastForward, Period, SteadyExt, SteadyProgram};
+pub use steady::{FastForward, Period, SteadyProgram};
 pub use token::{CollectiveToken, SendToken};

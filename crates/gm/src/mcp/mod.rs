@@ -31,8 +31,9 @@ use crate::ext::McpExtension;
 use crate::ids::{GlobalPort, NodeId, PortId};
 use crate::packet::{ExtPacket, Packet, PacketKind};
 use crate::port::{new_port_table, PortState};
+use crate::steady::Rebase;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
-use gmsim_des::SimTime;
+use gmsim_des::{Counter, SimTime, Walk};
 use gmsim_lanai::NicHardware;
 use std::borrow::Cow;
 
@@ -67,7 +68,7 @@ pub enum McpOutput {
 }
 
 /// Firmware timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimerKind {
     /// Retransmission timeout for the connection to `peer`. One timer per
     /// connection, tracking the *oldest unacknowledged* packet: on expiry
@@ -113,6 +114,21 @@ pub struct McpStats {
     pub gave_up: u64,
 }
 
+gmsim_des::walk! {
+    impl Walk for McpStats {
+        data_tx, ext_tx, data_delivered, rnr_refusals: counter,
+        retx: counter(Counter::PacketsRetransmitted),
+        ack_tx: counter(Counter::AcksSent),
+        nack_tx: counter(Counter::NacksSent),
+        crc_drops: counter(Counter::CrcDrops),
+        dup_drops: counter(Counter::DupDrops),
+        host_events: counter(Counter::CompletionDmas),
+        rto_backoffs: counter(Counter::RtoBackoffs),
+        timer_cancels: counter(Counter::TimerCancels),
+        gave_up: counter(Counter::GaveUp),
+    }
+}
+
 /// Everything the MCP knows except the extension itself. Extensions receive
 /// `&mut McpCore`, so the split avoids a double borrow.
 pub struct McpCore {
@@ -137,6 +153,24 @@ pub struct McpCore {
     /// Reusable buffer for acked-entry draining (ack hot path).
     pub(crate) acked_scratch: Vec<SentEntry>,
     tracer: Tracer,
+}
+
+// Connections are walked in peer order, which does not depend on the order
+// of first use.
+gmsim_des::walk! {
+    pub(crate) fn walk(cx: &mut Rebase) for McpCore {
+        node, config, cluster_size: scratch("fixed at build"),
+        hw: walk(),
+        ports: state,
+        peer_index: state(h => peer_index.len().hash(h)),
+        conns: with(
+            v => peer_index.iter().for_each(|&(_, i)| conns[i as usize].walk(*node, cx, v)),
+            f => peer_index.iter().for_each(|&(_, i)| conns[i as usize].walk_mut(f))
+        ),
+        stats: walk(),
+        acked_scratch: scratch("emptied by every ack"),
+        tracer: scratch("records, never steers"),
+    }
 }
 
 impl McpCore {
@@ -261,33 +295,6 @@ impl McpCore {
         self.peer_index
             .iter()
             .map(|&(_, slot)| &self.conns[slot as usize])
-    }
-
-    /// Visit every output counter mutably: the firmware counters, each
-    /// connection's retransmissions, then the hardware's.
-    pub(crate) fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        let s = &mut self.stats;
-        for c in [
-            &mut s.data_tx,
-            &mut s.ext_tx,
-            &mut s.retx,
-            &mut s.ack_tx,
-            &mut s.nack_tx,
-            &mut s.data_delivered,
-            &mut s.crc_drops,
-            &mut s.dup_drops,
-            &mut s.rnr_refusals,
-            &mut s.host_events,
-            &mut s.rto_backoffs,
-            &mut s.timer_cancels,
-            &mut s.gave_up,
-        ] {
-            f(c);
-        }
-        for conn in &mut self.conns {
-            conn.visit_counters(f);
-        }
-        self.hw.visit_counters(f);
     }
 
     /// Current RTO for the connection to `peer`: the base timeout doubled
@@ -488,6 +495,19 @@ pub struct Mcp {
     ext: Box<dyn McpExtension>,
 }
 
+gmsim_des::walk! {
+    pub(crate) fn walk(cx: &mut Rebase) for Mcp {
+        core: walk(cx),
+        ext: with(
+            v => match ext.steady() {
+                Some(ext) => ext.walk(v),
+                None => cx.fail(),
+            },
+            f => if let Some(ext) = ext.steady_mut() { ext.walk_mut(f) }
+        ),
+    }
+}
+
 impl Mcp {
     /// Firmware with `ext` installed.
     pub fn new(core: McpCore, ext: Box<dyn McpExtension>) -> Self {
@@ -497,11 +517,6 @@ impl Mcp {
     /// The installed extension (for post-run inspection in tests).
     pub fn ext(&self) -> &dyn McpExtension {
         self.ext.as_ref()
-    }
-
-    /// The installed extension, mutably (steady-state fast-forward).
-    pub(crate) fn ext_mut(&mut self) -> &mut dyn McpExtension {
-        self.ext.as_mut()
     }
 
     /// A process opens `port`.

@@ -15,31 +15,27 @@
 //!    offset of the far timer band), and a period `p` of boundaries
 //!    becomes a candidate once the last `p` signatures repeat the `p`
 //!    before them.
-//! 2. **Digest.** A candidate is confirmed by hashing every piece of state
-//!    that can steer the future into a 128-bit [`StateHasher`] at two
-//!    boundaries a multiple of `p` apart: the pending events in firing
-//!    order (by payload), the fabric's link horizons, each NIC's hardware
-//!    horizons, ports, connections and RTO state, host queues, the
-//!    extension's state and each program's position. Times hash relative
-//!    to the boundary; go-back-N sequence numbers relative to the sending
-//!    side's next sequence of their stream; round numbers relative to the
-//!    anchor program's round (programs rebase the round fields of their own
-//!    message tags). Output-only counters stay out. A digest is taken only
-//!    once the events fired since the previous one number at least
-//!    [`COST_RATIO`] times the records that one visited.
-//! 3. **Check.** Equal digests prove a period of `rounds` rounds and `us`
-//!    microseconds ([`Period`]). The engine simulates one more period while
-//!    it snapshots every output counter and keeps the notes recorded.
-//! 4. **Skip.** Nothing in the world moves. Each program is told it has
-//!    `m` periods fewer to run ([`SteadyProgram::skip`]), each counter
-//!    grows by `m` times its per-period delta, the scheduler counts the
-//!    skipped events as fired, and the period's notes are appended `m`
-//!    times, copy `j` shifted by `j` periods in time and rounds. Notes
-//!    recorded afterwards are shifted by `m` periods. `m` leaves every
-//!    program at least one period plus one round, so the last rounds and
-//!    the drain run for real. The clock itself is not shifted: the final
-//!    `Simulation::now()` reads `m` periods early, which no collector
-//!    reads.
+//! 2. **Digest.** A candidate is confirmed by a 128-bit [`StateHasher`]
+//!    digest at two boundaries a multiple of `p` apart: the pending events
+//!    by payload, then the cluster's state walk
+//!    ([`walk`](mod@gmsim_des::walk)). Times hash relative to the boundary,
+//!    go-back-N sequence numbers relative to their stream's next one,
+//!    rounds relative to the anchor's (`Rebase`). The same walk snapshots
+//!    every output counter at the first digest and turns the snapshot into
+//!    per-period deltas at the second. A digest is taken only once the
+//!    events fired since the previous one number at least [`COST_RATIO`]
+//!    times the records that one hashed.
+//! 3. **Skip.** Equal digests prove a period of `rounds` rounds and `us`
+//!    microseconds ([`Period`]), and the engine skips right there: each
+//!    program runs `m` periods fewer ([`SteadyProgram::skip`]), each
+//!    counter grows by `m` deltas, the scheduler counts the skipped events
+//!    as fired, and the proving period's notes are appended `m` times,
+//!    copy `j` shifted by `j` periods. Later notes are shifted by `m`
+//!    periods; the clock is not, so the final `Simulation::now()` reads
+//!    `m` periods early, which no collector reads.
+//! 4. **Verify.** `m` leaves every program one period plus one round. The
+//!    first of those periods must repeat the proven rounds and span, or
+//!    the run panics.
 //!
 //! Fast-forward needs no switch. It is off under fault injection (the
 //! fault stream never repeats), on the parallel engine (which never calls
@@ -49,17 +45,16 @@
 
 use crate::cluster::{Cluster, ClusterEvent, ClusterSched, ClusterSim, Node, NoteRecord};
 use crate::events::GmEvent;
-use crate::ids::{GlobalPort, NodeId, PortId, GM_NUM_PORTS};
-use crate::mcp::TimerKind;
+use crate::host::HostProgram;
+use crate::ids::{GlobalPort, NodeId};
 use crate::packet::{Packet, PacketKind, Seq};
 use crate::parcels::Parcels;
 use crate::token::SendToken;
-use gmsim_des::{SimTime, StateHasher};
-use gmsim_myrinet::Fabric;
+use gmsim_des::{Counter, SimTime, StateHasher, Visit};
 use std::hash::Hash;
 
 /// A digest is taken only once the events fired since the previous one
-/// number at least this many times the records the previous one visited:
+/// number at least this many times the records the previous one hashed:
 /// hashing a record costs a small fraction of firing an event, so this
 /// keeps detection to a few percent of a run that never turns periodic.
 pub const COST_RATIO: u64 = 8;
@@ -94,16 +89,6 @@ pub trait SteadyProgram {
     /// `tag`, a note this program recorded, as the same note `rounds`
     /// rounds later.
     fn shift_note(&self, tag: u64, rounds: u64) -> u64;
-}
-
-/// A firmware extension's side of fast-forward.
-pub trait SteadyExt {
-    /// Hash everything that steers the extension's future; times relative
-    /// to [`StateHasher::now`].
-    fn digest(&self, h: &mut StateHasher);
-
-    /// Visit every output counter mutably, in a fixed order.
-    fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64));
 }
 
 /// A proven steady state: from the round with index `from_round` on,
@@ -150,33 +135,39 @@ struct Mark {
     notes: usize,
 }
 
+impl Mark {
+    /// Boundaries, rounds and time since `base`.
+    fn since(self, base: Mark) -> (u64, u64, SimTime) {
+        (
+            self.boundary - base.boundary,
+            self.round - base.round,
+            self.at - base.at,
+        )
+    }
+}
+
+#[derive(Clone, Copy, Default)]
 enum Phase {
     /// No steady state can be proven (or nothing can be skipped).
     Off,
     /// Looking for a candidate period.
+    #[default]
     Watch,
-    /// Hashed at `base`; waiting for a boundary a multiple of `p` later.
+    /// Hashed and counters snapshotted at `base`; waiting for a boundary a
+    /// multiple of `p` later.
     Based { p: u64, base: Mark, digest: u128 },
-    /// Proven; simulating one more period from `base` to measure it.
-    Check {
+    /// Skipped at `base`: the next `period` (boundaries, rounds, time) must
+    /// repeat the proven one.
+    Verify {
         base: Mark,
-        boundaries: u64,
-        rounds: u64,
-        span: SimTime,
-        counters: Vec<u64>,
+        period: (u64, u64, SimTime),
     },
-    /// Skipped, or nothing left to do.
+    /// Verified, or nothing left to do.
     Done,
 }
 
-/// Reusable digest buffers: sorted pending keys and ranked link horizons.
-#[derive(Default)]
-struct Scratch {
-    keys: Vec<(SimTime, u64, u32)>,
-    times: Vec<SimTime>,
-}
-
 /// The serial engine's steady-state detector and fast-forward.
+#[derive(Default)]
 pub(crate) struct Detector {
     phase: Phase,
     /// Whether the one-time capability check has run.
@@ -186,40 +177,14 @@ pub(crate) struct Detector {
     anchor: Option<GlobalPort>,
     last: Option<Mark>,
     boundaries: u64,
-    /// Signature of boundary `b` at `ring[b % len]`.
-    ring: Vec<Sig>,
-    /// `matched[p]`: consecutive boundaries whose signature equals the one
-    /// `p` boundaries earlier.
-    matched: Vec<u32>,
-    /// Events fired at the last digest and the records it visited.
+    /// Events fired at the last digest and the records it hashed.
     digest_fired: u64,
     digest_items: u64,
-    scratch: Scratch,
+    buf: Buffers,
     /// Time and round offset of every note recorded from now on.
     shift: (SimTime, u64),
     period: Option<Period>,
     skipped: Option<FastForward>,
-}
-
-impl Default for Detector {
-    fn default() -> Self {
-        Detector {
-            phase: Phase::Watch,
-            vetted: false,
-            may_skip: false,
-            anchor: None,
-            last: None,
-            boundaries: 0,
-            ring: Vec::new(),
-            matched: Vec::new(),
-            digest_fired: 0,
-            digest_items: 0,
-            scratch: Scratch::default(),
-            shift: (SimTime::ZERO, 0),
-            period: None,
-            skipped: None,
-        }
-    }
 }
 
 impl Detector {
@@ -233,21 +198,17 @@ impl Detector {
 
     /// Record `sig` as boundary `b`'s and update the repeat counters.
     fn push_sig(&mut self, b: u64, sig: Sig) {
-        if self.ring.is_empty() {
-            self.ring = vec![Sig::default(); MAX_PERIOD + 1];
-            self.matched = vec![0; MAX_PERIOD + 1];
+        let Buffers { ring, matched, .. } = &mut self.buf;
+        if ring.is_empty() {
+            *ring = vec![Sig::default(); MAX_PERIOD + 1];
+            *matched = vec![0; MAX_PERIOD + 1];
         }
-        let len = self.ring.len() as u64;
-        let seen = (b as usize).min(MAX_PERIOD);
-        for p in 1..=seen {
-            let earlier = self.ring[((b - p as u64) % len) as usize];
-            self.matched[p] = if earlier == sig {
-                self.matched[p] + 1
-            } else {
-                0
-            };
+        let len = ring.len() as u64;
+        for p in 1..=(b as usize).min(MAX_PERIOD) {
+            let repeats = ring[((b - p as u64) % len) as usize] == sig;
+            matched[p] = if repeats { matched[p] + 1 } else { 0 };
         }
-        self.ring[(b % len) as usize] = sig;
+        ring[(b % len) as usize] = sig;
     }
 
     /// The candidate period with the longest run of repeats (the shortest
@@ -256,13 +217,14 @@ impl Detector {
     /// identical rounds inside a longer period) breaks off, so a refuted
     /// short candidate cannot starve the real one.
     fn candidate(&self, b: u64) -> Option<(u64, u64)> {
-        let len = self.ring.len() as u64;
-        (1..self.matched.len())
-            .filter(|&p| self.matched[p] as usize >= p)
-            .max_by_key(|&p| (self.matched[p], std::cmp::Reverse(p)))
+        let Buffers { ring, matched, .. } = &self.buf;
+        let len = ring.len() as u64;
+        (1..matched.len())
+            .filter(|&p| matched[p] as usize >= p)
+            .max_by_key(|&p| (matched[p], std::cmp::Reverse(p)))
             .map(|p| {
                 let rounds = (0..p as u64)
-                    .map(|i| self.ring[((b - i) % len) as usize].rounds)
+                    .map(|i| ring[((b - i) % len) as usize].rounds)
                     .sum();
                 (p as u64, rounds)
             })
@@ -320,11 +282,9 @@ pub(crate) fn after_notes(cl: &mut Cluster, s: &mut ClusterSched, first: usize) 
     if cl.notes[first..].iter().any(|n| endpoint(n) == anchor) {
         boundary(cl, s, anchor);
         let det = &mut cl.steady;
-        if matches!(det.phase, Phase::Off | Phase::Done) {
+        if !matches!(det.phase, Phase::Watch | Phase::Based { .. }) {
             // Nothing more to detect: give the buffers back.
-            det.ring = Vec::new();
-            det.matched = Vec::new();
-            det.scratch = Scratch::default();
+            det.buf = Buffers::default();
         }
     }
 }
@@ -358,6 +318,17 @@ fn boundary(cl: &mut Cluster, s: &mut ClusterSched, anchor: GlobalPort) {
         notes: cl.notes.len(),
     };
     det.boundaries += 1;
+    if let Phase::Verify { base, period } = det.phase {
+        if mark.boundary - base.boundary == period.0 {
+            let after = mark.since(base);
+            assert_eq!(
+                after, period,
+                "the period after a fast-forward is not the proven one"
+            );
+            det.phase = Phase::Done;
+        }
+        return;
+    }
     let Some(last) = det.last.replace(mark) else {
         return;
     };
@@ -373,14 +344,13 @@ fn boundary(cl: &mut Cluster, s: &mut ClusterSched, anchor: GlobalPort) {
         },
     );
     let left = rounds.saturating_sub(round);
-    let det = &mut cl.steady;
-    match std::mem::replace(&mut det.phase, Phase::Watch) {
+    match std::mem::take(&mut det.phase) {
         Phase::Watch => {
-            // Worth a digest only if a verify, a check and at least one
-            // skipped period still fit.
+            // Worth a digest only if the proof, the verify period, the
+            // margin and at least one skipped period still fit.
             if let Some((p, span)) = det.candidate(mark.boundary) {
                 if span > 0 && left >= 4 * span && det.budget_allows(mark.fired) {
-                    if let Some(digest) = take_digest(cl, s, round) {
+                    if let Some(digest) = take_digest(cl, s, round, false) {
                         cl.steady.phase = Phase::Based {
                             p,
                             base: mark,
@@ -399,42 +369,21 @@ fn boundary(cl: &mut Cluster, s: &mut ClusterSched, anchor: GlobalPort) {
             if !apart.is_multiple_of(p) || !det.budget_allows(mark.fired) {
                 return;
             }
-            match take_digest(cl, s, round) {
-                Some(d) if d == digest => proven(cl, base, mark),
+            match take_digest(cl, s, round, true) {
+                Some(d) if d == digest => proven(cl, s, base, mark),
                 _ => cl.steady.phase = Phase::Watch,
             }
         }
-        Phase::Check {
-            base,
-            boundaries,
-            rounds,
-            span,
-            counters,
-        } => {
-            if mark.boundary - base.boundary < boundaries {
-                cl.steady.phase = Phase::Check {
-                    base,
-                    boundaries,
-                    rounds,
-                    span,
-                    counters,
-                };
-                return;
-            }
-            cl.steady.phase = Phase::Done;
-            if mark.round - base.round == rounds && mark.at - base.at == span {
-                skip(cl, s, base, mark, counters);
-            }
-        }
-        phase @ (Phase::Off | Phase::Done) => det.phase = phase,
+        phase => det.phase = phase,
     }
 }
 
-/// Digests at `base` and `mark` matched: record the period, and snapshot
-/// the counters for the check period if a skip can follow it.
-fn proven(cl: &mut Cluster, base: Mark, mark: Mark) {
-    let rounds = mark.round - base.round;
-    let span = mark.at - base.at;
+/// Digests at `base` and `mark` matched and the counters hold their
+/// deltas over the period between: record the period and skip as many
+/// whole periods as the margin allows.
+fn proven(cl: &mut Cluster, s: &mut ClusterSched, base: Mark, mark: Mark) {
+    let period = mark.since(base);
+    let (_, rounds, span) = period;
     let det = &mut cl.steady;
     if rounds == 0 {
         det.phase = Phase::Off;
@@ -446,20 +395,36 @@ fn proven(cl: &mut Cluster, base: Mark, mark: Mark) {
         us: span.as_us_f64(),
     });
     det.phase = Phase::Done;
-    // A skip of at least one period must fit after the check period plus
-    // the margin of one period and one round.
-    if !det.may_skip || min_left(&cl.nodes) < 3 * rounds + 1 {
+    // Leave every program the verify period plus one round.
+    let periods = (min_left(&cl.nodes).saturating_sub(1) / rounds).saturating_sub(1);
+    if !det.may_skip || periods == 0 {
         return;
     }
-    let mut counters = Vec::new();
-    visit_counters(&mut cl.nodes, &mut cl.fabric, &mut |c| counters.push(*c));
-    cl.steady.phase = Phase::Check {
-        base: mark,
-        boundaries: mark.boundary - base.boundary,
-        rounds,
-        span,
-        counters,
-    };
+    det.phase = Phase::Verify { base: mark, period };
+    det.shift = (span * periods, rounds * periods);
+    let events = periods * (mark.fired - base.fired);
+    det.skipped = Some(FastForward {
+        periods,
+        rounds: rounds * periods,
+        events,
+    });
+    let delta = std::mem::take(&mut det.buf.counters);
+    let mut next = delta.iter();
+    cl.walk_mut(&mut |c| *c += periods * next.next().expect("counters changed shape"));
+    drop(delta);
+    s.add_fired(events);
+    for p in programs_mut(&mut cl.nodes) {
+        p.skip(periods * rounds);
+    }
+    // Pushed one by one, so the notes grow through the same capacities
+    // as in a full run and the peak heap stays the same.
+    for j in 1..=periods {
+        for i in base.notes..mark.notes {
+            let note = cl.notes[i];
+            let copy = shifted(&cl.nodes, &note, span * j, rounds * j);
+            cl.notes.push(copy);
+        }
+    }
 }
 
 /// Rounds left to the program closest to its end.
@@ -473,64 +438,52 @@ fn min_left(nodes: &[Node]) -> u64 {
         .unwrap_or(0)
 }
 
-/// The check period from `base` to `mark` is measured: skip as many whole
-/// periods as the margin allows.
-fn skip(cl: &mut Cluster, s: &mut ClusterSched, base: Mark, mark: Mark, mut delta: Vec<u64>) {
-    let rounds = mark.round - base.round;
-    let span = mark.at - base.at;
-    let mut i = 0;
-    let mut same_shape = true;
-    visit_counters(
-        &mut cl.nodes,
-        &mut cl.fabric,
-        &mut |c| match delta.get_mut(i) {
-            Some(d) => {
-                *d = *c - *d;
-                i += 1;
-            }
-            None => same_shape = false,
-        },
-    );
-    let periods = (min_left(&cl.nodes).saturating_sub(1) / rounds).saturating_sub(1);
-    if !same_shape || i != delta.len() || periods == 0 {
-        return;
-    }
-    let mut i = 0;
-    visit_counters(&mut cl.nodes, &mut cl.fabric, &mut |c| {
-        *c += periods * delta[i];
-        i += 1;
-    });
-    drop(delta);
-    let events = periods * (mark.fired - base.fired);
-    s.add_fired(events);
-    for p in programs_mut(&mut cl.nodes) {
-        p.skip(periods * rounds);
-    }
-    // Pushed one by one, so the notes grow through the same capacities
-    // as in a full run and the peak heap stays the same.
-    let period_notes = base.notes..mark.notes;
-    for j in 1..=periods {
-        for i in period_notes.clone() {
-            let note = cl.notes[i];
-            let copy = shifted(&cl.nodes, &note, span * j, rounds * j);
-            cl.notes.push(copy);
-        }
-    }
-    let det = &mut cl.steady;
-    det.shift = (span * periods, rounds * periods);
-    det.skipped = Some(FastForward {
-        periods,
-        rounds: rounds * periods,
-        events,
-    });
+/// The detector's reusable buffers: the signature of boundary `b` at
+/// `ring[b % len]`; `matched[p]`, the consecutive boundaries whose
+/// signature equals the one `p` earlier; a digest's sorted pending keys
+/// and ranked past link horizons; and every output counter at the base
+/// digest in walk order, which the proving digest turns into its delta.
+#[derive(Default)]
+struct Buffers {
+    ring: Vec<Sig>,
+    matched: Vec<u32>,
+    keys: Vec<(SimTime, u64, u32)>,
+    ranks: Vec<SimTime>,
+    counters: Vec<u64>,
 }
 
-/// Take a digest at the current boundary and charge it to the budget.
-fn take_digest(cl: &mut Cluster, s: &ClusterSched, anchor_round: u64) -> Option<u128> {
-    let mut scratch = std::mem::take(&mut cl.steady.scratch);
-    let (value, items) = digest(cl, s, anchor_round, &mut scratch);
+/// The detector's visitor: hashes future state, and either snapshots every
+/// counter or turns the snapshot into each counter's delta since.
+struct Snap<'a> {
+    h: StateHasher,
+    counters: &'a mut Vec<u64>,
+    delta: bool,
+    /// Counters visited so far.
+    at: usize,
+}
+
+impl Visit for Snap<'_> {
+    fn hasher(&mut self) -> Option<&mut StateHasher> {
+        Some(&mut self.h)
+    }
+
+    fn counter(&mut self, _: Option<Counter>, value: u64) {
+        if !self.delta {
+            self.counters.push(value);
+        } else if let Some(c) = self.counters.get_mut(self.at) {
+            *c = value.wrapping_sub(*c);
+        }
+        self.at += 1;
+    }
+}
+
+/// Take a digest at the current boundary, with the counter snapshot (or,
+/// with `delta`, the deltas since it), and charge it to the budget.
+fn take_digest(cl: &mut Cluster, s: &ClusterSched, anchor: u64, delta: bool) -> Option<u128> {
+    let mut buf = std::mem::take(&mut cl.steady.buf);
+    let (value, items) = digest(cl, s, anchor, &mut buf, delta);
     let det = &mut cl.steady;
-    det.scratch = scratch;
+    det.buf = buf;
     det.digest_fired = s.fired();
     det.digest_items = items;
     value
@@ -543,78 +496,162 @@ fn take_digest(cl: &mut Cluster, s: &ClusterSched, anchor_round: u64) -> Option<
 pub fn state_digest(sim: &ClusterSim) -> Option<u128> {
     let cl = sim.world();
     let (round, _) = program(&cl.nodes, cl.steady.anchor?)?.progress();
-    digest(cl, sim.scheduler(), round, &mut Scratch::default()).0
+    digest(cl, sim.scheduler(), round, &mut Buffers::default(), false).0
 }
 
-/// Fold every piece of state that can steer the future into one digest,
-/// with the records it visited. `None` when some part cannot be hashed (a
-/// program or extension without hooks, a program still waiting to start).
+/// Fold the pending events, then the cluster's walk, into one digest,
+/// with the records it hashed. `None` when some part cannot be hashed (a
+/// program or extension without hooks, a program still waiting to start)
+/// or the deltas do not line up with the snapshot (a histogram grew a bin
+/// since).
 fn digest(
     cl: &Cluster,
     s: &ClusterSched,
     anchor: u64,
-    scratch: &mut Scratch,
+    buf: &mut Buffers,
+    delta: bool,
 ) -> (Option<u128>, u64) {
-    let nodes = &cl.nodes;
-    let mut h = StateHasher::new(s.now());
+    if !delta {
+        buf.counters.clear();
+    }
+    let mut snap = Snap {
+        h: StateHasher::new(s.now()),
+        counters: &mut buf.counters,
+        delta,
+        at: 0,
+    };
+    let mut cx = Rebase::new(&cl.nodes, anchor, &mut buf.ranks);
+    let h = &mut snap.h;
     // Every variable-length list is preceded by its length, so no two
     // states feed the hasher the same words.
-    s.pending().hash(&mut h);
-    let mut ok = true;
-    s.visit_pending(&mut scratch.keys, |at, ev| {
-        if ok {
-            h.item();
-            h.time(at);
-            ok = event(nodes, &cl.parcels, anchor, ev, &mut h).is_some();
-        }
+    s.pending().hash(h);
+    s.visit_pending(&mut buf.keys, |at, ev| {
+        h.item();
+        h.time(at);
+        cx.event(&cl.parcels, ev, h);
     });
-    let ok = ok && {
-        cl.fabric.digest(&mut h, &mut scratch.times);
-        (0..nodes.len()).all(|i| node(nodes, NodeId(i), anchor, &mut h).is_some())
-    };
-    (ok.then(|| h.finish128()), h.items())
+    cl.walk(&mut cx, &mut snap);
+    let ok = cx.ok && snap.at == snap.counters.len();
+    (ok.then(|| snap.h.finish128()), snap.h.items())
 }
 
-/// One pending event, by payload.
-fn event(
-    nodes: &[Node],
-    parcels: &Parcels,
+/// The cross-node side of a walk's rebasing: sequence numbers against
+/// their stream's next one on the sending side, message tags by the
+/// program that sent them, rounds against the anchor's. `ok` turns false
+/// once some part cannot be hashed.
+pub(crate) struct Rebase<'a> {
+    nodes: &'a [Node],
     anchor: u64,
-    ev: &ClusterEvent,
-    h: &mut StateHasher,
-) -> Option<()> {
-    match ev {
-        ClusterEvent::Transmit(pkt) => {
-            h.word(1);
-            packet(nodes, parcels.packets.get(*pkt), anchor, h)
+    /// Past link horizons, ranked by the fabric's walk.
+    pub(crate) ranks: &'a mut Vec<SimTime>,
+    ok: bool,
+}
+
+impl<'a> Rebase<'a> {
+    pub(crate) fn new(nodes: &'a [Node], anchor: u64, ranks: &'a mut Vec<SimTime>) -> Self {
+        Rebase {
+            nodes,
+            anchor,
+            ranks,
+            ok: true,
         }
-        ClusterEvent::WireDeliver { pkt, corrupted } => {
-            h.word(2);
-            corrupted.hash(h);
-            packet(nodes, parcels.packets.get(*pkt), anchor, h)
+    }
+
+    /// Some part of the state cannot be hashed.
+    pub(crate) fn fail(&mut self) {
+        self.ok = false;
+    }
+
+    /// `tag`, sent by the program on `src`, rebased by that program.
+    fn tag(&mut self, src: GlobalPort, tag: u64) -> u64 {
+        let rebased = program(self.nodes, src).map(|p| p.rebase_tag(tag, self.anchor));
+        self.ok &= rebased.is_some();
+        rebased.unwrap_or(0)
+    }
+
+    /// A program's position, rounds relative to the anchor's.
+    pub(crate) fn program(&mut self, p: &dyn HostProgram, h: &mut StateHasher) {
+        match p.steady() {
+            Some(p) => p.digest(self.anchor, h),
+            None => self.fail(),
         }
-        ClusterEvent::HostDeliver { node, port, ev } => {
-            h.word(3);
-            (node, port).hash(h);
-            gm_event(nodes, *node, *port, parcels.events.get(*ev), anchor, h)
+    }
+
+    /// The next sequence number the stream `from -> to` will assign: the
+    /// base its sequence numbers hash against.
+    pub(crate) fn next_tx(&self, from: NodeId, to: NodeId) -> Seq {
+        self.nodes[from.0].mcp.core.conn(to).next_tx()
+    }
+
+    /// A reliable packet's kind, its sequence numbers relative to `base`
+    /// and its tag rebased by the sending program on `src`.
+    pub(crate) fn reliable_kind(
+        &mut self,
+        src: GlobalPort,
+        kind: &PacketKind,
+        base: Seq,
+        h: &mut StateHasher,
+    ) {
+        std::mem::discriminant(kind).hash(h);
+        let rebased = |s: Seq| s.wrapping_sub(base);
+        match *kind {
+            PacketKind::Data {
+                seq,
+                len,
+                tag,
+                notify,
+            } => {
+                (rebased(seq), len, notify).hash(h);
+                h.word(self.tag(src, tag));
+            }
+            PacketKind::Ext { seq, body } => (seq.map(rebased), body).hash(h),
+            // Acks and nacks name sequence numbers of the reverse stream.
+            PacketKind::Ack { ack: seq } | PacketKind::Nack { expected: seq } => {
+                rebased(seq).hash(h)
+            }
         }
-        ClusterEvent::HostProcess { node } => {
-            h.word(4);
-            node.hash(h);
-            Some(())
+    }
+
+    /// A packet anywhere between the SEND machine and the RECV machine.
+    fn packet(&mut self, pkt: &Packet, h: &mut StateHasher) {
+        let (src, dst) = (pkt.src, pkt.dst);
+        (src, dst).hash(h);
+        let (from, to) = match pkt.kind {
+            PacketKind::Ack { .. } | PacketKind::Nack { .. } => (dst.node, src.node),
+            _ => (src.node, dst.node),
+        };
+        self.reliable_kind(src, &pkt.kind, self.next_tx(from, to), h);
+    }
+
+    /// A host event delivered (or on its way) to `to`.
+    pub(crate) fn gm_event(&mut self, to: GlobalPort, ev: &GmEvent, h: &mut StateHasher) {
+        to.hash(h);
+        std::mem::discriminant(ev).hash(h);
+        match *ev {
+            GmEvent::Recv { src, len, tag } => {
+                (src, len).hash(h);
+                h.word(self.tag(src, tag));
+            }
+            GmEvent::Sent { tag } => h.word(self.tag(to, tag)),
+            other => other.hash(h),
         }
-        ClusterEvent::McpTimer {
-            node,
-            kind: TimerKind::Rto { peer },
-        } => {
-            h.word(5);
-            (node, peer).hash(h);
-            Some(())
-        }
-        ClusterEvent::SendTokenReady { node, token } => {
-            h.word(6);
-            node.hash(h);
-            match parcels.tokens.get(*token) {
+    }
+
+    /// One pending event, by payload.
+    fn event(&mut self, parcels: &Parcels, ev: &ClusterEvent, h: &mut StateHasher) {
+        std::mem::discriminant(ev).hash(h);
+        match *ev {
+            ClusterEvent::Transmit(pkt) => self.packet(parcels.packets.get(pkt), h),
+            ClusterEvent::WireDeliver { pkt, corrupted } => {
+                corrupted.hash(h);
+                self.packet(parcels.packets.get(pkt), h);
+            }
+            ClusterEvent::HostDeliver { node, port, ev } => {
+                self.gm_event(GlobalPort { node, port }, parcels.events.get(ev), h)
+            }
+            ClusterEvent::HostProcess { node } => node.hash(h),
+            ClusterEvent::McpTimer { node, kind } => (node, kind).hash(h),
+            ClusterEvent::SendTokenReady { node, token } => match parcels.tokens.get(token) {
                 SendToken::Data {
                     src_port,
                     dst,
@@ -622,200 +659,17 @@ fn event(
                     tag,
                     notify,
                 } => {
-                    let src = GlobalPort {
-                        node: *node,
-                        port: *src_port,
-                    };
-                    (src_port, dst, len, notify).hash(h);
-                    h.word(program(nodes, src)?.rebase_tag(*tag, anchor));
+                    (node, src_port, dst, len, notify).hash(h);
+                    let src = GlobalPort::new(node.0, src_port.0);
+                    h.word(self.tag(src, *tag));
                 }
                 SendToken::Collective { src_port, token } => {
-                    (src_port, &*token.schedule, token.value, token.team).hash(h);
+                    (node, src_port, &*token.schedule, token.value, token.team).hash(h)
                 }
-            }
-            Some(())
-        }
-        ClusterEvent::ProvideRecv { node, port, n } => {
-            h.word(7);
-            (node, port, n).hash(h);
-            Some(())
-        }
-        ClusterEvent::ClosePort { node, port } => {
-            h.word(8);
-            (node, port).hash(h);
-            Some(())
-        }
-        ClusterEvent::StartProgram { .. } => None,
-    }
-}
-
-/// The next sequence number of the stream `from -> to`: every sequence
-/// number of that stream hashes relative to it.
-fn next_tx(nodes: &[Node], from: NodeId, to: NodeId) -> Seq {
-    nodes[from.0].mcp.core.conn(to).next_tx()
-}
-
-fn seq(h: &mut StateHasher, seq: Seq, base: Seq) {
-    h.signed(seq.wrapping_sub(base) as i64);
-}
-
-/// A reliable packet's kind, its sequence number relative to `base` and
-/// its tag rebased by the sending program on `src`.
-fn reliable_kind(
-    nodes: &[Node],
-    src: GlobalPort,
-    kind: &PacketKind,
-    base: Seq,
-    anchor: u64,
-    h: &mut StateHasher,
-) -> Option<()> {
-    match *kind {
-        PacketKind::Data {
-            seq: s,
-            len,
-            tag,
-            notify,
-        } => {
-            h.word(1);
-            seq(h, s, base);
-            (len, notify).hash(h);
-            h.word(program(nodes, src)?.rebase_tag(tag, anchor));
-        }
-        PacketKind::Ext { seq: s, body } => {
-            h.word(4);
-            match s {
-                Some(s) => {
-                    h.word(1);
-                    seq(h, s, base);
-                }
-                None => h.word(0),
-            }
-            body.hash(h);
-        }
-        // Acks and nacks name sequence numbers of the reverse stream.
-        PacketKind::Ack { ack } => {
-            h.word(2);
-            seq(h, ack, base);
-        }
-        PacketKind::Nack { expected } => {
-            h.word(3);
-            seq(h, expected, base);
-        }
-    }
-    Some(())
-}
-
-/// A packet anywhere between the SEND machine and the RECV machine.
-fn packet(nodes: &[Node], pkt: &Packet, anchor: u64, h: &mut StateHasher) -> Option<()> {
-    let (src, dst) = (pkt.src, pkt.dst);
-    (src, dst).hash(h);
-    let base = match pkt.kind {
-        PacketKind::Ack { .. } | PacketKind::Nack { .. } => next_tx(nodes, dst.node, src.node),
-        _ => next_tx(nodes, src.node, dst.node),
-    };
-    reliable_kind(nodes, src, &pkt.kind, base, anchor, h)
-}
-
-/// A host event delivered (or on its way) to `node`'s `port`.
-fn gm_event(
-    nodes: &[Node],
-    node: NodeId,
-    port: PortId,
-    ev: &GmEvent,
-    anchor: u64,
-    h: &mut StateHasher,
-) -> Option<()> {
-    match *ev {
-        GmEvent::Recv { src, len, tag } => {
-            h.word(1);
-            (src, len).hash(h);
-            h.word(program(nodes, src)?.rebase_tag(tag, anchor));
-        }
-        GmEvent::Sent { tag } => {
-            h.word(2);
-            h.word(program(nodes, GlobalPort { node, port })?.rebase_tag(tag, anchor));
-        }
-        other => {
-            h.word(3);
-            other.hash(h);
-        }
-    }
-    Some(())
-}
-
-/// One node: host, NIC hardware, ports, connections, extension, programs.
-fn node(nodes: &[Node], id: NodeId, anchor: u64, h: &mut StateHasher) -> Option<()> {
-    let n = &nodes[id.0];
-    h.item();
-    h.horizon(n.host.busy_until());
-    (n.host.is_processing(), n.host.queue_depth()).hash(h);
-    for &(port, ev) in n.host.queued() {
-        h.item();
-        port.hash(h);
-        gm_event(nodes, id, port, &ev, anchor, h)?;
-    }
-    let core = &n.mcp.core;
-    core.hw.digest(h);
-    for p in 0..GM_NUM_PORTS {
-        core.port(PortId(p)).hash(h);
-    }
-    core.connections().count().hash(h);
-    for conn in core.connections() {
-        let peer = conn.peer();
-        h.item();
-        peer.hash(h);
-        seq(h, conn.expect_rx(), next_tx(nodes, peer, id));
-        (
-            conn.timer_armed(),
-            conn.backoff_level(),
-            conn.attempts(),
-            conn.is_dead(),
-        )
-            .hash(h);
-        // The RTO deadline anchors on the later of the oldest unacked
-        // transmission and the peer's last activity. Both only move
-        // forward, so an activity before the oldest send never matters
-        // again, and with nothing in flight no past activity does.
-        match conn.oldest_unacked() {
-            Some(oldest) => {
-                h.word(1);
-                h.time(conn.last_peer_activity().max(oldest.sent_at));
-            }
-            None => h.word(0),
-        }
-        conn.in_flight().hash(h);
-        for e in conn.sent_entries() {
-            h.item();
-            h.time(e.sent_at);
-            (e.packet.src_port, e.packet.dst_port).hash(h);
-            let src = GlobalPort {
-                node: id,
-                port: e.packet.src_port,
-            };
-            reliable_kind(nodes, src, &e.packet.kind, conn.next_tx(), anchor, h)?;
-        }
-    }
-    n.mcp.ext().steady()?.digest(h);
-    for slot in &n.programs {
-        match slot.as_deref() {
-            None => h.word(0),
-            Some(p) => {
-                h.item();
-                p.steady()?.digest(anchor, h);
-            }
-        }
-    }
-    Some(())
-}
-
-/// Visit every output counter of the cluster, in a fixed order.
-fn visit_counters(nodes: &mut [Node], fabric: &mut Fabric, f: &mut dyn FnMut(&mut u64)) {
-    fabric.visit_counters(f);
-    for n in nodes {
-        n.mcp.core.visit_counters(f);
-        n.host.visit_counters(f);
-        if let Some(ext) = n.mcp.ext_mut().steady_mut() {
-            ext.visit_counters(f);
+            },
+            ClusterEvent::ProvideRecv { node, port, n } => (node, port, n).hash(h),
+            ClusterEvent::ClosePort { node, port } => (node, port).hash(h),
+            ClusterEvent::StartProgram { .. } => self.fail(),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! transfer at a time.
 
 use crate::clock::NicClock;
-use gmsim_des::SimTime;
+use gmsim_des::{Counter, SimTime};
 
 /// One DMA engine (SDMA or RDMA direction).
 #[derive(Debug, Clone)]
@@ -70,11 +70,15 @@ impl DmaEngine {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+}
 
-    /// Visit the transfer and byte counters mutably.
-    pub fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        f(&mut self.transfers);
-        f(&mut self.bytes);
+// The bytes feed the engine's direction's counter, passed in by the NIC.
+gmsim_des::walk! {
+    pub fn walk(bytes_id: Counter) for DmaEngine {
+        clock, startup_cycles, bytes_per_ns: scratch("fixed at build"),
+        busy_until: state(h => h.horizon(*busy_until)),
+        transfers: counter,
+        bytes: counter(bytes_id),
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::clock::NicClock;
 use crate::dma::DmaEngine;
 use crate::model::NicModel;
-use gmsim_des::{SimTime, StateHasher};
+use gmsim_des::{Counter, SimTime, Walk};
 
 /// The LANai firmware processor: a run-to-completion serial executor.
 #[derive(Debug, Clone)]
@@ -85,22 +85,24 @@ impl NicHardware {
     pub fn model(&self) -> &NicModel {
         &self.model
     }
+}
 
-    /// Fold the three busy horizons into a steady-state digest. Every
-    /// charge starts at `max(horizon, earliest)` with `earliest` no
-    /// earlier than the firing event, so a past horizon hashes as idle.
-    pub fn digest(&self, h: &mut StateHasher) {
-        h.horizon(self.cpu.busy_until);
-        h.horizon(self.sdma.busy_until());
-        h.horizon(self.rdma.busy_until());
+// Every charge starts at `max(horizon, earliest)` with `earliest` no
+// earlier than the firing event, so a past horizon hashes as idle.
+gmsim_des::walk! {
+    impl Walk for NicProcessor {
+        clock: scratch("fixed at build"),
+        busy_until: state(h => h.horizon(*busy_until)),
+        executed_cycles: counter(Counter::FirmwareCycles),
     }
+}
 
-    /// Visit every output counter (cycles executed, DMA transfers and
-    /// bytes) mutably.
-    pub fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        f(&mut self.cpu.executed_cycles);
-        self.sdma.visit_counters(f);
-        self.rdma.visit_counters(f);
+gmsim_des::walk! {
+    impl Walk for NicHardware {
+        model: scratch("fixed at build"),
+        cpu: walk(),
+        sdma: walk(Counter::SdmaBytes),
+        rdma: walk(Counter::RdmaBytes),
     }
 }
 

@@ -24,7 +24,7 @@ use crate::fault::{Fate, FaultPlan, FaultState};
 use crate::packet::WireFormat;
 use crate::route::{LinkId, NicId, Vertex};
 use crate::topology::{RoutePolicy, Topology};
-use gmsim_des::{SimRng, SimTime, StateHasher};
+use gmsim_des::{Counter, SimRng, SimTime, Walk};
 
 /// The result of injecting one worm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +94,54 @@ pub struct Fabric {
     route_scratch: Vec<LinkId>,
 }
 
+// A worm enters a link at `max(horizon, head)` with the head never
+// before the send instant, so a past horizon is idle, except under adaptive
+// routing, whose uplink choice compares horizons with each other. Every
+// horizon set from now on lies at or after the digest instant, above every
+// past one, so there only the order of the past horizons matters: each
+// hashes as its dense rank among them (`ranks` holds the sorted past
+// horizons).
+gmsim_des::walk! {
+    pub fn walk(ranks: &mut Vec<SimTime>) for Fabric {
+        topology, format: scratch("fixed at build"),
+        busy: state(h => {
+            let now = h.now();
+            let ranked = topology.route_policy() == RoutePolicy::Adaptive;
+            if ranked {
+                ranks.clear();
+                ranks.extend(busy.iter().copied().filter(|&t| t <= now));
+                ranks.sort_unstable();
+                ranks.dedup();
+            }
+            for &t in busy {
+                h.item();
+                if t > now || !ranked {
+                    h.horizon(t);
+                } else {
+                    let rank = ranks.binary_search(&t).expect("past horizon ranked");
+                    // Tagged, so no rank reads as a horizon offset.
+                    h.word(u64::MAX - 1);
+                    h.word(rank as u64);
+                }
+            }
+        }),
+        faults, fault_state, rng: scratch("fault injection turns fast-forward off"),
+        stats: walk(),
+        entered, route_scratch: scratch("per-send scratch"),
+    }
+}
+
+gmsim_des::walk! {
+    impl Walk for FabricStats {
+        sends: counter(Counter::PacketsSent),
+        drops: counter(Counter::PacketsDropped),
+        corruptions: counter(Counter::PacketsCorrupted),
+        duplicates: counter(Counter::DupRx),
+        reorders: counter(Counter::ReorderRx),
+        payload_bytes, stall_time: counter,
+    }
+}
+
 impl Fabric {
     /// A fault-free fabric over `topology`.
     pub fn new(topology: Topology) -> Self {
@@ -132,55 +180,6 @@ impl Fabric {
     /// so no steady state exists.
     pub fn has_faults(&self) -> bool {
         !self.faults.is_none()
-    }
-
-    /// Fold the per-link busy horizons into a steady-state digest, one
-    /// item per link. A worm enters a link at `max(horizon, head)` with
-    /// the head never before the send instant, so a past horizon is idle
-    /// — except under adaptive routing, whose uplink choice compares
-    /// horizons with each other. Every horizon set from now on lies at or
-    /// after the digest instant, above every past one, so there only the
-    /// order of the past horizons matters: each hashes as its dense rank
-    /// among them (`scratch` holds the sorted past horizons).
-    pub fn digest(&self, h: &mut StateHasher, scratch: &mut Vec<SimTime>) {
-        let now = h.now();
-        let ranked = self.topology.route_policy() == RoutePolicy::Adaptive;
-        if ranked {
-            scratch.clear();
-            scratch.extend(self.busy.iter().copied().filter(|&t| t <= now));
-            scratch.sort_unstable();
-            scratch.dedup();
-        }
-        for &t in &self.busy {
-            h.item();
-            if t > now || !ranked {
-                h.horizon(t);
-            } else {
-                let rank = scratch.binary_search(&t).expect("past horizon ranked");
-                // Tagged, so no rank reads as a horizon offset.
-                h.word(u64::MAX - 1);
-                h.word(rank as u64);
-            }
-        }
-    }
-
-    /// Visit every counter in [`FabricStats`] mutably (the stall time as
-    /// nanoseconds).
-    pub fn visit_counters(&mut self, f: &mut dyn FnMut(&mut u64)) {
-        let s = &mut self.stats;
-        for c in [
-            &mut s.sends,
-            &mut s.drops,
-            &mut s.corruptions,
-            &mut s.duplicates,
-            &mut s.reorders,
-            &mut s.payload_bytes,
-        ] {
-            f(c);
-        }
-        let mut stall = s.stall_time.as_ns();
-        f(&mut stall);
-        s.stall_time = SimTime::from_ns(stall);
     }
 
     /// Inject a worm. See module docs for the timing model.

@@ -911,44 +911,15 @@ fn run_cluster(builder: ClusterBuilder, threads: usize) -> (RunOutcome, u64, Clu
 /// nothing here touches the simulation hot path.
 fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
     let mut m = MetricSet::new();
-    let fabric = cluster.fabric.stats();
-    m.add(Counter::PacketsSent, fabric.sends);
-    m.add(Counter::PacketsDropped, fabric.drops);
-    m.add(Counter::PacketsCorrupted, fabric.corruptions);
-    m.add(Counter::DupRx, fabric.duplicates);
-    m.add(Counter::ReorderRx, fabric.reorders);
+    cluster.counters(|id, v| id.into_iter().for_each(|id| m.add(id, v)));
     let mut turnaround = Histogram::new(TURNAROUND_BIN_US, TURNAROUND_BINS);
     // Team counters aggregate differently from plain sums: the peak is a
     // max across NICs and the team count is the number of *distinct* ids.
     let mut concurrent_peak = 0u64;
     let mut teams: Vec<TeamId> = Vec::new();
     for node in &cluster.nodes {
-        let stats = &node.mcp.core.stats;
-        m.add(Counter::PacketsRetransmitted, stats.retx);
-        m.add(Counter::AcksSent, stats.ack_tx);
-        m.add(Counter::NacksSent, stats.nack_tx);
-        m.add(Counter::CrcDrops, stats.crc_drops);
-        m.add(Counter::DupDrops, stats.dup_drops);
-        m.add(Counter::RtoBackoffs, stats.rto_backoffs);
-        m.add(Counter::TimerCancels, stats.timer_cancels);
-        m.add(Counter::GaveUp, stats.gave_up);
-        m.add(Counter::CompletionDmas, stats.host_events);
-        m.add(
-            Counter::FirmwareCycles,
-            node.mcp.core.hw.cpu.executed_cycles(),
-        );
-        m.add(Counter::SdmaBytes, node.mcp.core.hw.sdma.bytes());
-        m.add(Counter::RdmaBytes, node.mcp.core.hw.rdma.bytes());
-        m.add(Counter::HostSends, node.host.stats.sends);
-        m.add(Counter::HostEvents, node.host.stats.events);
         if let Some(ext) = node.mcp.ext().as_any().downcast_ref::<BarrierExtension>() {
-            let b = &ext.stats;
-            m.add(Counter::LocalFlags, b.local_flags);
-            m.add(Counter::BarrierCompletions, b.completions);
-            m.add(Counter::RejectsSent, b.rejects_sent);
-            m.add(Counter::BarrierResends, b.resends);
-            m.add(Counter::CrossTeamRejects, b.cross_team_rejects);
-            concurrent_peak = concurrent_peak.max(b.concurrent_peak);
+            concurrent_peak = concurrent_peak.max(ext.stats.concurrent_peak);
             teams.extend_from_slice(ext.teams_seen());
             turnaround.merge(ext.turnaround());
         }

@@ -1,10 +1,13 @@
 //! The steady state of every cell of the benchmark's `paper_testbed` grid:
-//! the period the serial engine proves, the rounds it skips, and how many
-//! of the run's events it actually simulated.
+//! the period the serial engine proves, the round that proves it, the
+//! rounds it skips, and how many of the run's events it actually
+//! simulated.
 //!
 //! Exits 1 if any cell stops fast-forwarding — a new piece of state that
 //! breaks periodicity (or a digest that misses a rebasing rule) would
-//! otherwise silently undo the gain.
+//! otherwise silently undo the gain — or skips later than at its proof:
+//! the skip plus the proof round, the verify period and the margin of one
+//! period and one round must cover the run.
 //!
 //! ```text
 //! cargo run --release --example steady_state
@@ -31,10 +34,11 @@ fn main() -> ExitCode {
         (Algorithm::Host(Descriptor::pe()), 8, l72),
     ];
     println!(
-        "{:<24} {:>10} {:>8} {:>11} {:>9} {:>13} {:>11}",
-        "cell", "mean_us", "from", "period", "skipped", "simulated", "events"
+        "{:<24} {:>10} {:>8} {:>11} {:>7} {:>9} {:>13} {:>11}",
+        "cell", "mean_us", "from", "period", "proof", "skipped", "simulated", "events"
     );
     let mut stalled = Vec::new();
+    let mut late = Vec::new();
     for (alg, procs, nic) in cells {
         let label = format!("{}@{procs} {}", alg.name(), nic.name);
         let m = BarrierExperiment::new(procs, alg)
@@ -42,29 +46,39 @@ fn main() -> ExitCode {
             .rounds(ROUNDS, WARMUP)
             .run()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
-        let (from, period) = match m.steady {
+        let (from, period, proof) = match m.steady {
             Some(p) => (
                 p.from_round.to_string(),
                 format!("{}r/{:.0}us", p.rounds, p.us),
+                (p.from_round + p.rounds).to_string(),
             ),
-            None => ("-".into(), "none".into()),
+            None => ("-".into(), "none".into(), "-".into()),
         };
         let (skipped, skipped_events) = m.fast_forward.map_or((0, 0), |f| (f.rounds, f.events));
         println!(
-            "{label:<24} {:>10.3} {from:>8} {period:>11} {skipped:>9} {:>13} {:>11}",
+            "{label:<24} {:>10.3} {from:>8} {period:>11} {proof:>7} {skipped:>9} {:>13} {:>11}",
             m.mean_us,
             m.events - skipped_events,
             m.events
         );
-        if m.fast_forward.is_none() {
-            stalled.push(label);
+        match (m.steady, m.fast_forward) {
+            (Some(p), Some(f)) if f.rounds + p.from_round + 3 * p.rounds + 1 < ROUNDS => {
+                late.push(label)
+            }
+            (_, None) => stalled.push(label),
+            _ => {}
         }
     }
-    if stalled.is_empty() {
-        println!("every cell fast-forwarded");
+    if !stalled.is_empty() {
+        eprintln!("no longer fast-forwarding: {}", stalled.join(", "));
+    }
+    if !late.is_empty() {
+        eprintln!("skipping later than at the proof: {}", late.join(", "));
+    }
+    if stalled.is_empty() && late.is_empty() {
+        println!("every cell fast-forwarded from its proof");
         ExitCode::SUCCESS
     } else {
-        eprintln!("no longer fast-forwarding: {}", stalled.join(", "));
         ExitCode::FAILURE
     }
 }

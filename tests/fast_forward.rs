@@ -6,7 +6,7 @@
 //! tracer: tracing keeps detection on but disables the skip, so it
 //! simulates every round.
 
-use gmsim_des::{SimTime, Tracer};
+use gmsim_des::{Counter, SimTime, Tracer};
 use gmsim_gm::cluster::{Cluster, ClusterBuilder, ClusterEvent, ClusterSim};
 use gmsim_gm::steady::state_digest;
 use gmsim_gm::{GlobalPort, GmConfig, HostProgram, NodeId, Payload, ReduceOp, TimerKind};
@@ -14,6 +14,7 @@ use gmsim_lanai::NicModel;
 use gmsim_testbed::prelude::FaultPlan;
 use gmsim_testbed::{Algorithm, BarrierExperiment, Descriptor, Measurement, ProcessLayout};
 use nic_barrier::{BarrierExtension, BarrierGroup, HostBarrierLoop, NicBarrierLoop, Team, TeamId};
+use std::collections::BTreeSet;
 
 /// One configuration of the equivalence matrix.
 #[derive(Debug, Clone, Copy)]
@@ -138,6 +139,20 @@ fn assert_same_measurement(got: &Measurement, want: &Measurement, label: &str) {
     assert_eq!(got.steady, want.steady, "{label} reported period");
 }
 
+/// A skip starts at the boundary that proves the period: after the proof
+/// at round `from_round + rounds` only the verify period, the margin of
+/// one period and one round, and less than one more period run for real.
+fn assert_skip_starts_at_the_proof(m: &Measurement, rounds: u64, label: &str) {
+    if let (Some(p), Some(ff)) = (m.steady, m.fast_forward) {
+        assert!(
+            ff.rounds + p.from_round + 3 * p.rounds + 1 >= rounds,
+            "{label}: proved at round {}, skipped only {} of {rounds} rounds",
+            p.from_round + p.rounds,
+            ff.rounds
+        );
+    }
+}
+
 /// Run `case` fast-forwarded and in full, at both levels; true if the
 /// fast-forwarded runs skipped anything.
 fn check(case: Case) -> bool {
@@ -147,6 +162,7 @@ fn check(case: Case) -> bool {
     let want = e.trace(1).run().expect("reference run");
     assert!(want.fast_forward.is_none(), "{label}: traced run skipped");
     assert_same_measurement(&got, &want, &label);
+    assert_skip_starts_at_the_proof(&got, case.rounds, &label);
 
     let mut fast = case.cluster(false);
     let mut full = case.cluster(true);
@@ -266,6 +282,50 @@ fn nic_pe_at_16_reports_its_period_and_skips() {
     // Every skipped round is one period's worth of exactly equal gaps.
     assert_eq!(m.per_round.min().to_bits(), m.per_round.max().to_bits());
     assert!((period.us / period.rounds as f64 - m.mean_us).abs() < 1e-9);
+}
+
+/// Every cell of the benchmark's `paper_testbed` grid skips, and from the
+/// boundary that proves its period.
+#[test]
+fn paper_testbed_cells_skip_from_their_proof() {
+    let (l43, l72) = (NicModel::LANAI_4_3, NicModel::LANAI_7_2);
+    let (nic, host) = (Algorithm::Nic, Algorithm::Host);
+    for (alg, procs, model) in [
+        (nic(Descriptor::pe()), 16, l43),
+        (host(Descriptor::pe()), 16, l43),
+        (nic(Descriptor::gb(4)), 16, l43),
+        (host(Descriptor::gb(4)), 16, l43),
+        (nic(Descriptor::pe()), 8, l43),
+        (host(Descriptor::pe()), 8, l43),
+        (nic(Descriptor::pe()), 8, l72),
+        (host(Descriptor::pe()), 8, l72),
+    ] {
+        let label = format!("{}@{procs} {}", alg.name(), model.name);
+        let m = BarrierExperiment::new(procs, alg)
+            .nic(model)
+            .rounds(1000, 20)
+            .run()
+            .unwrap();
+        assert!(m.fast_forward.is_some(), "{label} no longer skips");
+        assert_skip_starts_at_the_proof(&m, 1000, &label);
+    }
+}
+
+/// The walk exports every [`Counter`] but the two that aggregate other
+/// than by sum: the distinct team count and the concurrency peak.
+#[test]
+fn the_walk_exports_every_summed_counter() {
+    let mut sim = pe4(SimTime::ZERO);
+    sim.run();
+    let mut seen = BTreeSet::new();
+    sim.world().counters(|id, _| {
+        seen.extend(id);
+    });
+    let summed: BTreeSet<Counter> = Counter::ALL
+        .into_iter()
+        .filter(|c| !matches!(c, Counter::TeamsCreated | Counter::ConcurrentPeak))
+        .collect();
+    assert_eq!(seen, summed);
 }
 
 /// Fault injection never repeats, and the partitioned parallel engine
