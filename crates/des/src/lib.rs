@@ -44,6 +44,7 @@
 
 pub mod check;
 pub mod digest;
+mod heap;
 pub mod metrics;
 pub mod pdes;
 pub mod rng;
@@ -56,7 +57,7 @@ pub mod walk;
 pub use digest::StateHasher;
 pub use metrics::{Counter, MetricSet};
 pub use rng::SimRng;
-pub use scheduler::{Event, RunOutcome, Scheduler, Simulation};
+pub use scheduler::{Event, EventId, RunOutcome, Scheduler, Simulation};
 pub use stats::{Histogram, Summary};
 pub use time::SimTime;
 pub use trace::{ComponentId, TracePayload, TraceRecord, Tracer, Unit};

@@ -34,6 +34,8 @@
 //! state — wormhole link contention, the fault RNG draw sequence, trace-ring
 //! eviction — evolve exactly as in the serial run.
 
+use crate::heap::SlotHeap;
+use crate::scheduler::EventId;
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
@@ -104,43 +106,24 @@ pub struct EvKey {
     pub cause: Cause,
 }
 
-struct QueueEntry<E> {
-    key: EvKey,
-    ev: E,
-}
-
-impl<E> PartialEq for QueueEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for QueueEntry<E> {}
-impl<E> PartialOrd for QueueEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for QueueEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: BinaryHeap is a max-heap, we want the smallest key on
-        // top. Keys are unique within one LP (Init slots, (rank, emission)
-        // pairs and (pos, emission) pairs each identify one schedule call),
-        // so this never compares equal entries with distinct events.
-        other.key.cmp(&self.key)
-    }
-}
-
-/// Per-LP pending-event queue, split into two bands:
+/// Per-LP pending-event queue: the payloads in a slab, their slots in one
+/// indexed heap by [`EvKey`], and the slots scheduled during the current
+/// window (`Local` keys), which are re-keyed to `Ranked` at the barrier.
 ///
-/// * `main` holds events with window-stable keys (`Init` / `Ranked`);
-/// * `fresh` holds events scheduled during the current window (`Local`
-///   keys), which are re-keyed to `Ranked` at the barrier.
-///
-/// The split means sealing a window only touches the events that window
-/// created, not the (potentially large) backlog of timers and deliveries.
+/// The fresh list means sealing a window only touches the events that
+/// window created, not the (potentially large) backlog of timers and
+/// deliveries; and since the re-key never changes an event's place among
+/// the others, it renames heap entries in place.
 pub struct LpQueue<E> {
-    main: BinaryHeap<QueueEntry<E>>,
-    fresh: BinaryHeap<QueueEntry<E>>,
+    heap: SlotHeap<EvKey>,
+    /// Payload of every slot: `Some` while pending.
+    events: Vec<Option<E>>,
+    /// Every slot's current [`EventId`] stamp, bumped when it is freed.
+    stamps: Vec<u32>,
+    free: Vec<u32>,
+    /// Slots pushed under `Local` keys since the last seal (a slot that
+    /// fired or was cancelled meanwhile is skipped by the seal).
+    fresh: Vec<u32>,
 }
 
 impl<E> Default for LpQueue<E> {
@@ -153,50 +136,73 @@ impl<E> LpQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         LpQueue {
-            main: BinaryHeap::new(),
-            fresh: BinaryHeap::new(),
+            heap: SlotHeap::new(),
+            events: Vec::new(),
+            stamps: Vec::new(),
+            free: Vec::new(),
+            fresh: Vec::new(),
         }
     }
 
-    /// Insert an event under `key`. `Local` keys land in the fresh band and
-    /// MUST be sealed (via [`LpQueue::seal_window`]) before the window they
-    /// were scheduled in ends.
-    pub fn push(&mut self, key: EvKey, ev: E) {
-        let entry = QueueEntry { key, ev };
-        match key.cause {
-            Cause::Local { .. } => self.fresh.push(entry),
-            _ => self.main.push(entry),
+    /// Insert an event under `key`, returning its name for a later
+    /// [`LpQueue::cancel`]. Keys are unique within one LP (Init slots,
+    /// (rank, emission) pairs and (pos, emission) pairs each identify one
+    /// schedule call). `Local` keys MUST be sealed (via
+    /// [`LpQueue::seal_window`]) before the window they were scheduled in
+    /// ends.
+    pub fn push(&mut self, key: EvKey, ev: E) -> EventId {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                self.events.push(Some(ev));
+                self.stamps.push(0);
+                (self.events.len() - 1) as u32
+            }
+        };
+        if let Cause::Local { .. } = key.cause {
+            self.fresh.push(slot);
         }
+        self.heap.push(key, slot);
+        EventId {
+            slot,
+            stamp: self.stamps[slot as usize],
+        }
+    }
+
+    /// Take the pending event `id` out unfired and free its slot. Returns
+    /// `false`, changing nothing, if it already fired or was cancelled.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        let live = self.stamps.get(id.slot as usize) == Some(&id.stamp)
+            && self.heap.remove(id.slot).is_some();
+        if live {
+            self.release(id.slot);
+        }
+        live
+    }
+
+    /// Drop `slot`'s payload and put it on the freelist under a new stamp.
+    fn release(&mut self, slot: u32) -> E {
+        let s = slot as usize;
+        self.stamps[s] = self.stamps[s].wrapping_add(1);
+        self.free.push(slot);
+        self.events[s].take().expect("pending slot holds an event")
     }
 
     /// Firing time of the earliest pending event.
     pub fn next_at(&self) -> Option<SimTime> {
-        match (self.main.peek(), self.fresh.peek()) {
-            (Some(a), Some(b)) => Some(a.key.at.min(b.key.at)),
-            (Some(a), None) => Some(a.key.at),
-            (None, Some(b)) => Some(b.key.at),
-            (None, None) => None,
-        }
+        self.heap.peek().map(|(key, _)| key.at)
     }
 
     /// Pop the earliest event if it fires strictly before `end`.
     pub fn pop_before(&mut self, end: SimTime) -> Option<(EvKey, E)> {
-        let take_fresh = match (self.main.peek(), self.fresh.peek()) {
-            (Some(a), Some(b)) => b.key < a.key,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (None, None) => return None,
-        };
-        let heap = if take_fresh {
-            &mut self.fresh
-        } else {
-            &mut self.main
-        };
-        if heap.peek().map(|e| e.key.at)? >= end {
+        if self.heap.peek()?.0.at >= end {
             return None;
         }
-        let e = heap.pop().expect("peeked entry vanished");
-        Some((e.key, e.ev))
+        let (key, slot) = self.heap.pop().expect("peeked entry vanished");
+        Some((key, self.release(slot)))
     }
 
     /// Pop the earliest event unconditionally (merged-LP mode, where the
@@ -206,8 +212,8 @@ impl<E> LpQueue<E> {
     }
 
     /// End-of-window re-key: every `Local{pos, emission}` key becomes
-    /// `Ranked{pos_rank[pos], emission}` and moves to the main band.
-    /// `pos_rank` is the per-LP slice filled by [`Sequencer::sequence`].
+    /// `Ranked{pos_rank[pos], emission}`. `pos_rank` is the per-LP slice
+    /// filled by [`Sequencer::sequence`].
     ///
     /// Order preservation: a `Local` key sorts after every `Ranked` key at
     /// the same time, and the new ranks (assigned this barrier) are larger
@@ -215,33 +221,36 @@ impl<E> LpQueue<E> {
     /// pending events is unchanged — the patch only swaps in the name the
     /// serial scheduler would have used all along.
     pub fn seal_window(&mut self, pos_rank: &[u64]) {
-        while let Some(QueueEntry { key, ev }) = self.fresh.pop() {
-            let Cause::Local { pos, emission } = key.cause else {
-                unreachable!("fresh band holds only Local keys");
+        for slot in self.fresh.drain(..) {
+            // A fresh slot that fired or was cancelled, then was reused
+            // under a fresh key, is listed twice; the second visit finds
+            // its key already ranked.
+            let Some(EvKey {
+                at,
+                cause: Cause::Local { pos, emission },
+            }) = self.heap.key(slot)
+            else {
+                continue;
             };
             let rank = pos_rank[pos as usize];
             debug_assert_ne!(rank, u64::MAX, "cause was never ranked");
-            self.main.push(QueueEntry {
-                key: EvKey {
-                    at: key.at,
-                    cause: Cause::Ranked { rank, emission },
-                },
-                ev,
-            });
+            let cause = Cause::Ranked { rank, emission };
+            self.heap.rekey(slot, EvKey { at, cause });
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.main.len() + self.fresh.len()
+        self.heap.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.main.is_empty() && self.fresh.is_empty()
+        self.heap.len() == 0
     }
 
-    /// True when the fresh (unsealed) band is non-empty.
+    /// True when some event was pushed under a `Local` key since the last
+    /// seal.
     pub fn needs_seal(&self) -> bool {
         !self.fresh.is_empty()
     }
@@ -614,6 +623,34 @@ mod tests {
         }
         // Rank 2 still precedes rank 7 at the same time.
         assert_eq!(got, ["old-ranked", "was-local"]);
+    }
+
+    #[test]
+    fn cancel_removes_one_event_and_the_seal_skips_it() {
+        let mut q: LpQueue<u32> = LpQueue::new();
+        let local = |pos, at| EvKey {
+            at: t(at),
+            cause: Cause::Local { pos, emission: 0 },
+        };
+        let a = q.push(local(0, 50), 1);
+        let b = q.push(local(1, 40), 2);
+        q.push(local(2, 60), 3);
+        assert!(q.cancel(b));
+        assert!(!q.cancel(b), "a cancelled event cancels once");
+        assert_eq!((q.len(), q.next_at()), (2, Some(t(50))));
+        // The freed slot is reused under a new stamp; the old name fails.
+        let c = q.push(local(3, 45), 4);
+        assert!(!q.cancel(b));
+        assert!(q.cancel(a));
+        q.seal_window(&[10, 11, 12, 13]);
+        assert!(!q.needs_seal());
+        let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let ranked = |rank, at| EvKey {
+            at: t(at),
+            cause: Cause::Ranked { rank, emission: 0 },
+        };
+        assert_eq!(got, [(ranked(13, 45), 4), (ranked(12, 60), 3)]);
+        assert!(!q.cancel(c), "a popped event is gone");
     }
 
     #[test]

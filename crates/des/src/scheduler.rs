@@ -14,7 +14,10 @@
 //! sit apart in an array of their own. Scheduling writes one key and one
 //! payload. Firing runs one min-search over the keys, which also checks
 //! the run's horizon, then reads the payload once and frees the slot.
-//! Steady-state scheduling performs **zero heap allocations** once the
+//! [`Scheduler::schedule`] returns the event's [`EventId`], and
+//! [`Scheduler::cancel`] unlinks that event and frees its slot at once, so
+//! a cancelled event is never fired, counted or seen again. Steady-state
+//! scheduling and cancelling perform **zero heap allocations** once the
 //! slab and queues have grown to the high-water mark.
 //!
 //! # Ordering layer: timer wheel + far heap
@@ -23,7 +26,7 @@
 //! microseconds of `now` (firmware cycles, wire hops, host overheads); only
 //! retransmission timers and horizon sentinels sit further out. The
 //! ordering layer exploits that: a **bucketed timer wheel** of
-//! [`WHEEL_SLOTS`] buckets, each [`BUCKET_NS`] wide (a ~1 ms window sliding
+//! [`WHEEL_SLOTS`] buckets, each [`BUCKET_NS`] wide (a ~2 ms window sliding
 //! with `now`), absorbs the near-future band with O(1) insertion, while a
 //! binary heap holds the far-future remainder. Popping compares the wheel's
 //! earliest entry with the heap's top and takes the global `(time, seq)`
@@ -33,10 +36,12 @@
 //! makes the scan from `now`'s bucket to the next non-empty one a
 //! word-wise skip. Far-heap entries move into the wheel once their bucket
 //! enters the window; each fired event checks only the heap top for that.
+//! Bucket chains are doubly linked, so a cancel unlinks a wheel entry in
+//! O(1); the far heap keeps each slot's position, so a cancel removes any
+//! of its entries in O(log n).
 
+use crate::heap::SlotHeap;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
 /// A schedulable event acting on world `W`.
@@ -53,60 +58,49 @@ pub trait Event<W>: Sized {
 const NIL: u32 = u32::MAX;
 
 /// Width of one timer-wheel bucket, as a power-of-two shift of nanoseconds.
-/// 64 ns is comfortably below every modelled cost (the shortest firmware
-/// step is ~30 ns at 33 MHz, most are hundreds), so a bucket rarely holds
-/// more than a handful of events.
-const BUCKET_SHIFT: u32 = 6;
+/// 128 ns is still below most modelled costs (the shortest firmware step is
+/// ~30 ns at 33 MHz, most are hundreds), so a bucket holds a handful of
+/// events, and it stretches the window past the paper's 2 ms
+/// retransmission timeout (see [`WHEEL_SLOTS`]).
+const BUCKET_SHIFT: u32 = 7;
 
 /// Width of one timer-wheel bucket in nanoseconds.
 pub const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
 
-/// Number of wheel buckets (a power of two). With 64 ns buckets this spans
-/// a ~1.05 ms sliding window — orders of magnitude beyond any per-event
-/// delay in the barrier models, so in practice only retransmission timers
-/// and horizon sentinels fall through to the far heap.
+/// Number of wheel buckets (a power of two). With 128 ns buckets this spans
+/// a ~2.1 ms sliding window — orders of magnitude beyond any per-event
+/// delay in the barrier models, and wide enough that a retransmission timer
+/// armed one 2 ms RTO ahead lands in the wheel, where arming and cancelling
+/// it is O(1). Only backed-off or grace-extended timers and horizon
+/// sentinels fall through to the far heap.
 pub const WHEEL_SLOTS: usize = 1 << 14;
 
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// What the far heap orders: time and tie-break sequence, plus the slab
-/// slot holding the event payload.
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. seq breaks ties FIFO, giving full determinism.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// A pending event's name, returned by [`Scheduler::schedule`] and taken
+/// by [`Scheduler::cancel`]: its slab slot plus a stamp that tells this
+/// event apart from later occupants of the same slot, so a handle kept past
+/// its event's firing or cancel is refused instead of cancelling another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventId {
+    pub(crate) slot: u32,
+    pub(crate) stamp: u32,
 }
 
 /// The scheduler's half of a slab slot: the ordering key and one link.
-/// While the slot is pending in the wheel, `next` is the next slot of its
-/// bucket chain ([`NIL`] = end of chain; unused while the slot waits in the
-/// far heap); while the slot is free, `next` chains the freelist. Keys live in
-/// an array of their own, apart from the payloads, so chain walks and the
-/// min-search read 24-byte records and never touch an event.
+/// While the slot is pending in the wheel, `next` and `prev` are its
+/// neighbours in its bucket chain ([`NIL`] past either end; unused while
+/// the slot waits in the far heap), so a cancel unlinks it in O(1); while
+/// the slot is free, `next` chains the freelist. The low 32 bits of `seq`
+/// are the slot's [`EventId`] stamp. Keys live in an array of their own,
+/// apart from the payloads, so chain walks and the min-search read 24-byte
+/// records and never touch an event.
 struct Key {
     at: SimTime,
     seq: u64,
     next: u32,
+    prev: u32,
 }
 
 /// Where [`Scheduler::find_min`] found the earliest pending event.
@@ -141,9 +135,10 @@ pub struct Scheduler<W, E: Event<W>> {
     occupancy: Vec<u64>,
     /// Number of entries resident in the wheel.
     wheel_len: usize,
-    /// Far-future band: everything scheduled at or beyond the wheel window.
-    /// Entries move to the wheel once their bucket enters the window.
-    far: BinaryHeap<HeapEntry>,
+    /// Far-future band: everything scheduled at or beyond the wheel window,
+    /// by `(at, seq)`. Entries move to the wheel once their bucket enters
+    /// the window; a cancel takes one out from anywhere in the heap.
+    far: SlotHeap<(SimTime, u64)>,
     /// Ordering key and link of every slab slot, indexed like `events`.
     keys: Vec<Key>,
     /// Event payload of every slab slot: `Some` while pending, `None` while
@@ -171,7 +166,7 @@ impl<W, E: Event<W>> Scheduler<W, E> {
             wheel_tail: vec![NIL; WHEEL_SLOTS],
             occupancy: vec![0; BITMAP_WORDS],
             wheel_len: 0,
-            far: BinaryHeap::new(),
+            far: SlotHeap::new(),
             keys: Vec::new(),
             events: Vec::new(),
             free_head: NIL,
@@ -224,7 +219,7 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     /// peek: steady-state detection reads it as a cheap phase marker.
     #[inline]
     pub fn far_next_at(&self) -> Option<SimTime> {
-        self.far.peek().map(|e| e.at)
+        self.far.peek().map(|&((at, _), _)| at)
     }
 
     /// Visit every pending event in firing order, `(at, seq)` ascending,
@@ -285,14 +280,14 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     /// Global earliest pending event by `(at, seq)` across wheel and far
     /// heap — the same total order a single priority queue would give.
     fn find_min(&self) -> Option<(SimTime, Min)> {
-        let far = self.far.peek();
+        let far = self.far.peek().map(|&(key, _)| key);
         if let Some((idx, slot)) = self.wheel_min() {
-            let (at, seq) = self.key_of(slot);
-            if far.is_none_or(|f| (at, seq) < (f.at, f.seq)) {
-                return Some((at, Min::Wheel { idx, slot }));
+            let key = self.key_of(slot);
+            if far.is_none_or(|f| key < f) {
+                return Some((key.0, Min::Wheel { idx, slot }));
             }
         }
-        far.map(|f| (f.at, Min::Far))
+        far.map(|(at, _)| (at, Min::Far))
     }
 
     /// Unlink and return the slot of the earliest pending event, if it is
@@ -307,14 +302,16 @@ impl<W, E: Event<W>> Scheduler<W, E> {
             Min::Wheel { idx, slot } => {
                 let next = self.keys[slot as usize].next;
                 self.wheel[idx] = next;
-                if next == NIL {
+                if next != NIL {
+                    self.keys[next as usize].prev = NIL;
+                } else {
                     self.wheel_tail[idx] = NIL;
                     self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
                 }
                 self.wheel_len -= 1;
                 slot
             }
-            Min::Far => self.far.pop().expect("peeked entry vanished").slot,
+            Min::Far => self.far.pop().expect("peeked entry vanished").1,
         };
         Some((at, slot))
     }
@@ -336,33 +333,39 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     fn push_wheel(&mut self, slot: u32, at: SimTime, seq: u64) {
         let idx = (Self::bucket_of(at) & SLOT_MASK) as usize;
         let head = self.wheel[idx];
-        let mut next = NIL;
-        if head == NIL {
-            self.wheel[idx] = slot;
-            self.wheel_tail[idx] = slot;
+        let tail = self.wheel_tail[idx];
+        // The neighbours the new slot goes between.
+        let (prev, next) = if head == NIL {
             self.occupancy[idx / 64] |= 1 << (idx % 64);
-        } else if (at, seq) > self.key_of(self.wheel_tail[idx]) {
-            let tail = self.wheel_tail[idx];
-            self.keys[tail as usize].next = slot;
-            self.wheel_tail[idx] = slot;
+            (NIL, NIL)
+        } else if (at, seq) > self.key_of(tail) {
+            (tail, NIL)
         } else if (at, seq) < self.key_of(head) {
-            next = head;
-            self.wheel[idx] = slot;
+            (NIL, head)
         } else {
             // Insert mid-chain: find the last node below the new key.
             // Terminates before the tail, whose key is above.
             let mut prev = head;
             loop {
-                next = self.keys[prev as usize].next;
+                let next = self.keys[prev as usize].next;
                 debug_assert!(next != NIL, "insertion scan ran off the chain");
                 if self.key_of(next) > (at, seq) {
-                    self.keys[prev as usize].next = slot;
-                    break;
+                    break (prev, next);
                 }
                 prev = next;
             }
+        };
+        match prev {
+            NIL => self.wheel[idx] = slot,
+            p => self.keys[p as usize].next = slot,
         }
-        self.keys[slot as usize].next = next;
+        match next {
+            NIL => self.wheel_tail[idx] = slot,
+            n => self.keys[n as usize].prev = slot,
+        }
+        let key = &mut self.keys[slot as usize];
+        key.prev = prev;
+        key.next = next;
         self.wheel_len += 1;
     }
 
@@ -374,10 +377,10 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         while self
             .far
             .peek()
-            .is_some_and(|top| Self::bucket_of(top.at) - now_bucket < WHEEL_SLOTS as u64)
+            .is_some_and(|&((at, _), _)| Self::bucket_of(at) - now_bucket < WHEEL_SLOTS as u64)
         {
-            let e = self.far.pop().expect("peeked entry vanished");
-            self.push_wheel(e.slot, e.at, e.seq);
+            let ((at, seq), slot) = self.far.pop().expect("peeked entry vanished");
+            self.push_wheel(slot, at, seq);
         }
     }
 
@@ -387,12 +390,13 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         self.keys.len()
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`, returning its name for a
+    /// later [`Scheduler::cancel`].
     ///
     /// # Panics
     /// Panics if `at` is in the past — scheduling backwards in time is always
     /// a model bug and must fail loudly.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at:?} now={:?}",
@@ -400,7 +404,12 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let key = Key { at, seq, next: NIL };
+        let key = Key {
+            at,
+            seq,
+            next: NIL,
+            prev: NIL,
+        };
         let slot = if self.free_head == NIL {
             debug_assert!(self.keys.len() < NIL as usize, "slab full");
             self.keys.push(key);
@@ -420,15 +429,67 @@ impl<W, E: Event<W>> Scheduler<W, E> {
         if Self::bucket_of(at) - Self::bucket_of(self.now) < WHEEL_SLOTS as u64 {
             self.push_wheel(slot, at, seq);
         } else {
-            self.far.push(HeapEntry { at, seq, slot });
+            self.far.push((at, seq), slot);
+        }
+        EventId {
+            slot,
+            stamp: seq as u32,
         }
     }
 
     /// Schedule `event` `delay` after the current time.
     #[inline]
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
+    pub fn schedule_after(&mut self, delay: SimTime, event: E) -> EventId {
         let at = self.now + delay;
-        self.schedule(at, event);
+        self.schedule(at, event)
+    }
+
+    /// Take the pending event `id` out of the queue unfired, dropping its
+    /// payload and freeing its slot at once. It is never counted in
+    /// [`Scheduler::fired`] and no longer seen by [`Scheduler::pending`],
+    /// [`Scheduler::visit_pending`] or [`Scheduler::far_next_at`]; the
+    /// other events keep their order. Returns `false`, changing nothing,
+    /// if `id` already fired or was cancelled.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        let slot = id.slot as usize;
+        let live = self.events.get(slot).is_some_and(Option::is_some)
+            && self.keys[slot].seq as u32 == id.stamp;
+        if !live {
+            return false;
+        }
+        // Where the slot waits follows from its time: the far heap holds
+        // exactly the events a wheel revolution or more ahead.
+        let ahead = Self::bucket_of(self.keys[slot].at) - Self::bucket_of(self.now);
+        if ahead < WHEEL_SLOTS as u64 {
+            self.unlink_wheel(id.slot);
+        } else {
+            self.far
+                .remove(id.slot)
+                .expect("far event missing from the far heap");
+        }
+        self.events[slot] = None;
+        self.keys[slot].next = self.free_head;
+        self.free_head = id.slot;
+        true
+    }
+
+    /// Unlink the wheel-resident `slot` from its bucket chain, keeping the
+    /// head, the tail, the occupancy bitmap and the length right.
+    fn unlink_wheel(&mut self, slot: u32) {
+        let Key { at, next, prev, .. } = self.keys[slot as usize];
+        let idx = (Self::bucket_of(at) & SLOT_MASK) as usize;
+        match prev {
+            NIL => self.wheel[idx] = next,
+            p => self.keys[p as usize].next = next,
+        }
+        match next {
+            NIL => self.wheel_tail[idx] = prev,
+            n => self.keys[n as usize].prev = prev,
+        }
+        if self.wheel[idx] == NIL {
+            self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
+        }
+        self.wheel_len -= 1;
     }
 
     /// Pop and fire the earliest event against `world`. Returns `false` when
@@ -606,7 +667,9 @@ mod tests {
                         sched.schedule_after(period, next);
                     }
                 }
-                Ev::PushAt { at, v } => sched.schedule(at, Ev::Push(v)),
+                Ev::PushAt { at, v } => {
+                    sched.schedule(at, Ev::Push(v));
+                }
             }
         }
     }
@@ -820,5 +883,30 @@ mod tests {
         assert_eq!(s.peek_next_at(), Some(SimTime::from_ns(10)));
         sim.run();
         assert_eq!(sim.scheduler_mut().pending(), 0);
+    }
+
+    #[test]
+    fn cancel_takes_events_out_of_both_bands_at_once() {
+        let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
+        let mut sim = sim();
+        let s = sim.scheduler_mut();
+        let head = s.schedule(SimTime::from_ns(50), Ev::Push(1));
+        s.schedule(SimTime::from_ns(50), Ev::Push(2));
+        let tail = s.schedule(SimTime::from_ns(50), Ev::Push(3));
+        let far = s.schedule(window * 2, Ev::Push(4));
+        s.schedule(window * 3, Ev::Push(5));
+        assert!(s.cancel(far));
+        assert!(!s.cancel(far), "a cancelled event cancels once");
+        assert_eq!(s.far_next_at(), Some(window * 3));
+        assert!(s.cancel(head) && s.cancel(tail));
+        assert_eq!(s.pending(), 2);
+        // The freed slots are reused, and stale names never match them.
+        let again = s.schedule(SimTime::from_ns(60), Ev::Push(6));
+        assert!(!s.cancel(head) && !s.cancel(tail) && !s.cancel(far));
+        assert_eq!(s.slab_capacity(), 5);
+        sim.run();
+        assert_eq!(*sim.world(), [2, 6, 5]);
+        assert_eq!(sim.events_fired(), 3);
+        assert!(!sim.scheduler_mut().cancel(again), "fired events are gone");
     }
 }

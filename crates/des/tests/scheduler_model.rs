@@ -1,22 +1,25 @@
 //! Model-based test of the scheduler: [`Simulation`] and a reference
-//! `BinaryHeap<Reverse<(at, seq, id)>>` run the same random program, and
-//! after every call they must agree on the fired `(at, id)` sequence, `now`,
-//! `pending()` and `peek_next_at()`.
+//! `BTreeMap<(at, seq), id>` run the same random program, and after every
+//! call they must agree on the fired `(at, id)` sequence, `fired()`, `now`,
+//! `pending()`, `peek_next_at()`, `far_next_at()` and the events
+//! `visit_pending` walks.
 //!
 //! The programs are built to reach every part of the two-band scheduler:
 //! times span four wheel revolutions (`BUCKET_NS × WHEEL_SLOTS`), so events
 //! land in the far heap and fire from it; equal timestamps come in bursts,
 //! including ties between an event queued in the far heap and one queued
 //! later in the wheel; events schedule further events from inside `fire`;
-//! and `run_until` horizons fall before, exactly at and between events.
+//! `run_until` horizons fall before, exactly at and between events; and
+//! `cancel` takes out pending events in either band, or finds the named
+//! event already fired or cancelled. A cancelled event never fires, and the
+//! kids it would have scheduled never exist.
 
 use gmsim_des::check::{forall, Gen};
 use gmsim_des::scheduler::{BUCKET_NS, WHEEL_SLOTS};
-use gmsim_des::{Event, RunOutcome, Scheduler, SimTime, Simulation};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use gmsim_des::{Event, EventId, RunOutcome, Scheduler, SimTime, Simulation};
+use std::collections::BTreeMap;
 
-/// One wheel revolution in nanoseconds (~1.05 ms).
+/// One wheel revolution in nanoseconds (~2.1 ms).
 const WINDOW: u64 = BUCKET_NS * WHEEL_SLOTS as u64;
 
 /// How a nested event is scheduled from inside its parent's `fire`.
@@ -29,10 +32,12 @@ enum Via {
 }
 
 /// The program both sides run: event `id` fires and schedules
-/// `kids[id]` in order, each `delay` ns after its own time.
+/// `kids[id]` in order, each `delay` ns after its own time. `ids[id]` is
+/// the name `schedule` returned for event `id`, once it was scheduled.
 struct World {
     kids: Vec<Vec<(u64, Via, usize)>>,
     fired: Vec<(u64, usize)>,
+    ids: Vec<Option<EventId>>,
 }
 
 struct Ev(usize);
@@ -43,18 +48,20 @@ impl Event<World> for Ev {
         world.fired.push((now.as_ns(), self.0));
         for i in 0..world.kids[self.0].len() {
             let (delay, via, kid) = world.kids[self.0][i];
-            match via {
+            world.ids[kid] = Some(match via {
                 Via::At => sched.schedule(now + SimTime::from_ns(delay), Ev(kid)),
                 Via::After => sched.schedule_after(SimTime::from_ns(delay), Ev(kid)),
-            }
+            });
         }
     }
 }
 
-/// The reference: one binary heap over `(at, seq, id)`, FIFO on ties.
+/// The reference: one ordered map over `(at, seq)`, FIFO on ties, and
+/// the key each event id was scheduled under.
 #[derive(Default)]
 struct Model {
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    queue: BTreeMap<(u64, u64), usize>,
+    keys: BTreeMap<usize, (u64, u64)>,
     seq: u64,
     now: u64,
     fired: Vec<(u64, usize)>,
@@ -62,16 +69,34 @@ struct Model {
 
 impl Model {
     fn schedule(&mut self, at: u64, id: usize) {
-        self.heap.push(Reverse((at, self.seq, id)));
+        self.queue.insert((at, self.seq), id);
+        self.keys.insert(id, (at, self.seq));
         self.seq += 1;
     }
 
+    /// Take event `id` out if it is pending.
+    fn cancel(&mut self, id: usize) -> bool {
+        self.keys
+            .get(&id)
+            .is_some_and(|key| self.queue.remove(key).is_some())
+    }
+
     fn next_at(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.queue.keys().next().map(|&(at, _)| at)
+    }
+
+    /// The earliest pending event beyond the wheel window of `now`: every
+    /// such event sits in the far band (and nothing else does).
+    fn far_next_at(&self) -> Option<u64> {
+        let now_bucket = self.now / BUCKET_NS;
+        self.queue
+            .keys()
+            .map(|&(at, _)| at)
+            .find(|at| at / BUCKET_NS - now_bucket >= WHEEL_SLOTS as u64)
     }
 
     fn step(&mut self, kids: &[Vec<(u64, Via, usize)>]) -> bool {
-        let Some(Reverse((at, _, id))) = self.heap.pop() else {
+        let Some(((at, _), id)) = self.queue.pop_first() else {
             return false;
         };
         self.now = at;
@@ -114,6 +139,9 @@ struct Coverage {
     ties: u64,
     nested: u64,
     horizon_stops: u64,
+    wheel_cancels: u64,
+    far_cancels: u64,
+    stale_cancels: u64,
 }
 
 /// Compare every observable of the simulation with the model.
@@ -124,13 +152,27 @@ fn agree(sim: &mut Simulation<World, Ev>, model: &Model, what: &str) {
         "fired sequence after {what}"
     );
     assert_eq!(sim.now().as_ns(), model.now, "now after {what}");
-    let sched = sim.scheduler_mut();
-    assert_eq!(sched.pending(), model.heap.len(), "pending after {what}");
+    assert_eq!(
+        sim.events_fired(),
+        model.fired.len() as u64,
+        "fired() after {what}"
+    );
+    let sched = sim.scheduler();
+    assert_eq!(sched.pending(), model.queue.len(), "pending after {what}");
     assert_eq!(
         sched.peek_next_at().map(SimTime::as_ns),
         model.next_at(),
         "peek_next_at after {what}"
     );
+    assert_eq!(
+        sched.far_next_at().map(SimTime::as_ns),
+        model.far_next_at(),
+        "far_next_at after {what}"
+    );
+    let mut seen = Vec::new();
+    sched.visit_pending(&mut Vec::new(), |at, ev| seen.push((at.as_ns(), ev.0)));
+    let want: Vec<(u64, usize)> = model.queue.iter().map(|(&(at, _), &id)| (at, id)).collect();
+    assert_eq!(seen, want, "visit_pending after {what}");
 }
 
 fn run_case(g: &mut Gen, cov: &mut Coverage) {
@@ -152,6 +194,7 @@ fn run_case(g: &mut Gen, cov: &mut Coverage) {
     let mut sim: Simulation<World, Ev> = Simulation::new(World {
         kids: kids.clone(),
         fired: Vec::new(),
+        ids: vec![None; n],
     });
     let mut model = Model::default();
     // Absolute times already used, so later roots can tie with them even
@@ -159,7 +202,7 @@ fn run_case(g: &mut Gen, cov: &mut Coverage) {
     let mut anchors: Vec<u64> = Vec::new();
     let mut roots = roots.into_iter().peekable();
     loop {
-        let op = g.usize_in(0, 19);
+        let op = g.usize_in(0, 21);
         if roots.peek().is_some() && op < 9 {
             let id = roots.next().unwrap();
             let live: Vec<u64> = anchors
@@ -177,14 +220,38 @@ fn run_case(g: &mut Gen, cov: &mut Coverage) {
                 cov.far += 1;
             }
             anchors.push(at);
-            sim.scheduler_mut().schedule(SimTime::from_ns(at), Ev(id));
+            let handle = sim.scheduler_mut().schedule(SimTime::from_ns(at), Ev(id));
+            sim.world_mut().ids[id] = Some(handle);
             model.schedule(at, id);
             agree(&mut sim, &model, "schedule");
-        } else if op < 13 {
+        } else if op < 11 {
+            // Cancel any event scheduled so far: pending (in either band),
+            // fired or already cancelled.
+            let named: Vec<usize> = model.keys.keys().copied().collect();
+            if named.is_empty() {
+                continue;
+            }
+            let id = named[g.usize_in(0, named.len() - 1)];
+            let (at, _) = model.keys[&id];
+            let far = (at / BUCKET_NS).saturating_sub(model.now / BUCKET_NS) >= WHEEL_SLOTS as u64;
+            let handle = sim.world().ids[id].expect("scheduled event has a name");
+            let cancelled = model.cancel(id);
+            assert_eq!(
+                sim.scheduler_mut().cancel(handle),
+                cancelled,
+                "cancel result"
+            );
+            match (cancelled, far) {
+                (false, _) => cov.stale_cancels += 1,
+                (true, false) => cov.wheel_cancels += 1,
+                (true, true) => cov.far_cancels += 1,
+            }
+            agree(&mut sim, &model, "cancel");
+        } else if op < 15 {
             let stepped = sim.step();
             assert_eq!(stepped, model.step(&kids), "step result");
             agree(&mut sim, &model, "step");
-        } else if op < 19 {
+        } else if op < 21 {
             let horizon = match (model.next_at(), g.usize_in(0, 3)) {
                 // Before the next event (possibly before `now`).
                 (Some(next), 0) => next.saturating_sub(g.u64_in(1, 3 * BUCKET_NS)),
@@ -227,7 +294,13 @@ fn run_case(g: &mut Gen, cov: &mut Coverage) {
     assert_eq!(sim.run(), RunOutcome::Quiescent);
     while model.step(&kids) {}
     agree(&mut sim, &model, "run");
-    assert_eq!(sim.world().fired.len(), n, "every event fired exactly once");
+    // Every event fired at most once, and every one scheduled and not
+    // cancelled fired.
+    let mut fired: Vec<usize> = sim.world().fired.iter().map(|&(_, id)| id).collect();
+    fired.sort_unstable();
+    fired.dedup();
+    assert_eq!(fired.len(), sim.world().fired.len(), "an event fired twice");
+    assert_eq!(sim.scheduler().pending(), 0);
 }
 
 #[test]
@@ -243,5 +316,17 @@ fn scheduler_matches_a_binary_heap_model() {
         cov.horizon_stops > 500,
         "horizon stops: {}",
         cov.horizon_stops
+    );
+    // And cancels hit both bands and names that no longer match.
+    assert!(
+        cov.wheel_cancels > 500,
+        "wheel cancels: {}",
+        cov.wheel_cancels
+    );
+    assert!(cov.far_cancels > 200, "far cancels: {}", cov.far_cancels);
+    assert!(
+        cov.stale_cancels > 500,
+        "stale cancels: {}",
+        cov.stale_cancels
     );
 }

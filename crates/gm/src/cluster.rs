@@ -17,7 +17,7 @@ use crate::parcels::{Handle, Parcels};
 use crate::steady::{self, Detector, FastForward, Period, Rebase};
 use crate::token::SendToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
-use gmsim_des::{Counter, Event, Scheduler, SimTime, Simulation};
+use gmsim_des::{Counter, Event, EventId, Scheduler, SimTime, Simulation};
 use gmsim_myrinet::fault::Fate;
 use gmsim_myrinet::{Fabric, FaultPlan, Topology, TopologyBuilder};
 
@@ -178,8 +178,12 @@ impl Cluster {
 pub trait EventSink {
     /// Current virtual time (the firing event's timestamp).
     fn now(&self) -> SimTime;
-    /// Schedule a follow-up event at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, ev: ClusterEvent);
+    /// Schedule a follow-up event at absolute time `at`, returning its name
+    /// for [`EventSink::cancel`].
+    fn schedule(&mut self, at: SimTime, ev: ClusterEvent) -> EventId;
+    /// Take the pending event `id`, scheduled through this sink, out of the
+    /// queue unfired.
+    fn cancel(&mut self, id: EventId);
     /// Put a parked non-loopback packet on the wire at the current time.
     /// The sink owns the handle from here on.
     fn transmit(&mut self, pkt: Handle<Packet>);
@@ -201,8 +205,13 @@ impl EventSink for SerialSink<'_> {
         self.sched.now()
     }
 
-    fn schedule(&mut self, at: SimTime, ev: ClusterEvent) {
-        self.sched.schedule(at, ev);
+    fn schedule(&mut self, at: SimTime, ev: ClusterEvent) -> EventId {
+        self.sched.schedule(at, ev)
+    }
+
+    fn cancel(&mut self, id: EventId) {
+        let live = self.sched.cancel(id);
+        debug_assert!(live, "cancelled an event that is no longer pending");
     }
 
     fn transmit(&mut self, h: Handle<Packet>) {
@@ -400,7 +409,7 @@ pub(crate) fn fire_ev<S: EventSink>(ev: ClusterEvent, ctx: &mut NodeCtx, sink: &
             let mut outs = ctx.take_outs();
             let now = sink.now();
             ctx.node(node).mcp.handle_timer_into(kind, now, &mut outs);
-            pump(node, &mut outs, sink);
+            pump(&mut ctx.node(node).mcp.core, &mut outs, sink);
             ctx.put_outs(outs);
         }
         ClusterEvent::SendTokenReady { node, token } => {
@@ -410,7 +419,7 @@ pub(crate) fn fire_ev<S: EventSink>(ev: ClusterEvent, ctx: &mut NodeCtx, sink: &
             ctx.node(node)
                 .mcp
                 .handle_send_token_into(token, now, &mut outs);
-            pump(node, &mut outs, sink);
+            pump(&mut ctx.node(node).mcp.core, &mut outs, sink);
             ctx.put_outs(outs);
         }
         ClusterEvent::ProvideRecv { node, port, n } => {
@@ -422,7 +431,7 @@ pub(crate) fn fire_ev<S: EventSink>(ev: ClusterEvent, ctx: &mut NodeCtx, sink: &
             let mut outs = ctx.take_outs();
             let now = sink.now();
             ctx.node(node).mcp.close_port_into(port, now, &mut outs);
-            pump(node, &mut outs, sink);
+            pump(&mut ctx.node(node).mcp.core, &mut outs, sink);
             ctx.put_outs(outs);
         }
         ClusterEvent::StartProgram {
@@ -602,9 +611,11 @@ impl ClusterBuilder {
     }
 }
 
-/// Schedule the effects of MCP outputs produced by `node`'s firmware,
-/// draining the buffer so it can be reused.
-pub fn pump<S: EventSink>(node: NodeId, outs: &mut Vec<McpOutput>, sink: &mut S) {
+/// Schedule the effects of MCP outputs produced by `core`'s firmware,
+/// draining the buffer so it can be reused. Timers are named back to the
+/// firmware, which hands the name over again to cancel one.
+pub fn pump<S: EventSink>(core: &mut McpCore, outs: &mut Vec<McpOutput>, sink: &mut S) {
+    let node = core.node();
     for o in outs.drain(..) {
         match o {
             McpOutput::Transmit { at, pkt } => {
@@ -616,8 +627,10 @@ pub fn pump<S: EventSink>(node: NodeId, outs: &mut Vec<McpOutput>, sink: &mut S)
                 sink.schedule(at, ClusterEvent::HostDeliver { node, port, ev });
             }
             McpOutput::Timer { at, kind } => {
-                sink.schedule(at, ClusterEvent::McpTimer { node, kind });
+                let id = sink.schedule(at, ClusterEvent::McpTimer { node, kind });
+                core.bind_timer(kind, id);
             }
+            McpOutput::CancelTimer { id } => sink.cancel(id),
         }
     }
 }
@@ -647,7 +660,7 @@ fn transmit_now<S: EventSink>(h: Handle<Packet>, ctx: &mut NodeCtx, sink: &mut S
         ctx.node(dst)
             .mcp
             .handle_wire_packet_into(pkt, false, now, &mut outs);
-        pump(dst, &mut outs, sink);
+        pump(&mut ctx.node(dst).mcp.core, &mut outs, sink);
         ctx.put_outs(outs);
         return;
     }
@@ -675,7 +688,7 @@ fn wire_deliver<S: EventSink>(h: Handle<Packet>, corrupted: bool, ctx: &mut Node
     ctx.node(dst)
         .mcp
         .handle_wire_packet_into(pkt, corrupted, now, &mut outs);
-    pump(dst, &mut outs, sink);
+    pump(&mut ctx.node(dst).mcp.core, &mut outs, sink);
     ctx.put_outs(outs);
 }
 
@@ -719,7 +732,7 @@ fn start_program<S: EventSink>(node: NodeId, port: PortId, ctx: &mut NodeCtx, si
     let now = sink.now();
     let mut outs = ctx.take_outs();
     ctx.node(node).mcp.open_port_into(port, now, &mut outs);
-    pump(node, &mut outs, sink);
+    pump(&mut ctx.node(node).mcp.core, &mut outs, sink);
     ctx.put_outs(outs);
     let mut program = ctx.node(node).programs[port.idx()]
         .take()
@@ -872,6 +885,14 @@ mod tests {
         assert_eq!(cl.nodes[1].mcp.core.conn(NodeId(0)).in_flight(), 0);
         // no retransmissions on a clean fabric
         assert_eq!(cl.nodes[0].mcp.core.stats.retx, 0);
+        // The acks cancelled every RTO timer: none fired, and the run
+        // ended with the last delivery, not one RTO after it.
+        for (node, peer) in [(0, 1), (1, 0)] {
+            let core = &cl.nodes[node].mcp.core;
+            assert!(!core.conn(NodeId(peer)).timer_armed());
+            assert_eq!(core.stats.timer_cancels, 0);
+        }
+        assert!(sim.now() < cl.config().retransmit_timeout);
     }
 
     #[test]

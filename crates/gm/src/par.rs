@@ -33,7 +33,7 @@ use crate::packet::Packet;
 use crate::parcels::{Handle, Parcels};
 use gmsim_des::pdes::{Cause, EvKey, FiredRec, LpQueue, Sequencer, SpinBarrier};
 use gmsim_des::trace::TraceRecord;
-use gmsim_des::{RunOutcome, SimTime, Simulation, Tracer};
+use gmsim_des::{EventId, RunOutcome, SimTime, Simulation, Tracer};
 use gmsim_myrinet::fault::Fate;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +87,7 @@ impl EventSink for LpSink<'_> {
         self.now
     }
 
-    fn schedule(&mut self, at: SimTime, ev: ClusterEvent) {
+    fn schedule(&mut self, at: SimTime, ev: ClusterEvent) -> EventId {
         assert!(at >= self.now, "event scheduled in the past");
         let key = EvKey {
             at,
@@ -97,7 +97,12 @@ impl EventSink for LpSink<'_> {
             },
         };
         self.emission += 1;
-        self.queue.push(key, ev);
+        self.queue.push(key, ev)
+    }
+
+    fn cancel(&mut self, id: EventId) {
+        let live = self.queue.cancel(id);
+        debug_assert!(live, "cancelled an event that is no longer pending");
     }
 
     fn transmit(&mut self, pkt: Handle<Packet>) {

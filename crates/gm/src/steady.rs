@@ -24,7 +24,8 @@
 //!    every output counter at the first digest and turns the snapshot into
 //!    per-period deltas at the second. A digest is taken only once the
 //!    events fired since the previous one number at least [`COST_RATIO`]
-//!    times the records that one hashed.
+//!    times the records that one hashed, and only while a proof could
+//!    still leave a period to skip.
 //! 3. **Skip.** Equal digests prove a period of `rounds` rounds and `us`
 //!    microseconds ([`Period`]), and the engine skips right there: each
 //!    program runs `m` periods fewer ([`SteadyProgram::skip`]), each
@@ -212,21 +213,20 @@ impl Detector {
     }
 
     /// The candidate period with the longest run of repeats (the shortest
-    /// on a tie), once it has repeated in full, and the rounds it spans.
-    /// A true period keeps repeating while a false one (a stretch of
-    /// identical rounds inside a longer period) breaks off, so a refuted
+    /// on a tie), once it has repeated in full, with the rounds and events
+    /// it spans. A true period keeps repeating while a false one (a stretch
+    /// of identical rounds inside a longer period) breaks off, so a refuted
     /// short candidate cannot starve the real one.
-    fn candidate(&self, b: u64) -> Option<(u64, u64)> {
+    fn candidate(&self, b: u64) -> Option<(u64, u64, u64)> {
         let Buffers { ring, matched, .. } = &self.buf;
         let len = ring.len() as u64;
         (1..matched.len())
             .filter(|&p| matched[p] as usize >= p)
             .max_by_key(|&p| (matched[p], std::cmp::Reverse(p)))
             .map(|p| {
-                let rounds = (0..p as u64)
-                    .map(|i| ring[((b - i) % len) as usize].rounds)
-                    .sum();
-                (p as u64, rounds)
+                let sigs = (0..p as u64).map(|i| ring[((b - i) % len) as usize]);
+                let (rounds, events) = sigs.fold((0, 0), |(r, e), s| (r + s.rounds, e + s.events));
+                (p as u64, rounds, events)
             })
     }
 
@@ -347,9 +347,14 @@ fn boundary(cl: &mut Cluster, s: &mut ClusterSched, anchor: GlobalPort) {
     match std::mem::take(&mut det.phase) {
         Phase::Watch => {
             // Worth a digest only if the proof, the verify period, the
-            // margin and at least one skipped period still fit.
-            if let Some((p, span)) = det.candidate(mark.boundary) {
-                if span > 0 && left >= 4 * span && det.budget_allows(mark.fired) {
+            // margin and at least one skipped period still fit. The proof
+            // comes no sooner than the first multiple of the candidate
+            // whose events pay for the digest it follows.
+            let candidate = det.candidate(mark.boundary);
+            if let Some((p, span, events)) = candidate.filter(|_| det.budget_allows(mark.fired)) {
+                let wait = (COST_RATIO * records_at_least(cl, s)).div_ceil(events.max(1));
+                let proof = wait.max(1) * span;
+                if span > 0 && left >= 4 * span && left > 3 * proof {
                     if let Some(digest) = take_digest(cl, s, round, false) {
                         cl.steady.phase = Phase::Based {
                             p,
@@ -425,6 +430,14 @@ fn proven(cl: &mut Cluster, s: &mut ClusterSched, base: Mark, mark: Mark) {
             cl.notes.push(copy);
         }
     }
+}
+
+/// A lower bound on the records a digest of `cl` hashes: one per pending
+/// event and connection, and at least two per node and one per program.
+fn records_at_least(cl: &Cluster, s: &ClusterSched) -> u64 {
+    let per_node =
+        |n: &Node| 2 + n.programs.iter().flatten().count() + n.mcp.core.connections().count();
+    (s.pending() + cl.nodes.iter().map(per_node).sum::<usize>()) as u64
 }
 
 /// Rounds left to the program closest to its end.

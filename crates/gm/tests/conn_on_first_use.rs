@@ -163,7 +163,7 @@ fn reading_an_untouched_peer_stores_nothing() {
         assert_eq!(matches!(conn, Cow::Borrowed(_)), p == 5, "peer {p}");
     }
     let _ = core.rto_for(NodeId(2));
-    let _ = core.ack_grace(NodeId(7));
+    let _ = core.rto_deadline(NodeId(7));
     let peers: Vec<usize> = core.connections().map(|c| c.peer().0).collect();
     assert_eq!(peers, [5]);
 }

@@ -7,7 +7,11 @@
 //! breaks periodicity (or a digest that misses a rebasing rule) would
 //! otherwise silently undo the gain — or skips later than at its proof:
 //! the skip plus the proof round, the verify period and the margin of one
-//! period and one round must cover the run.
+//! period and one round must cover the run. It also exits 1 if a cell
+//! proves its period after round [`MAX_PROOF`] or simulates more than
+//! [`MAX_SIMULATED`] of its rounds: with idle retransmission timers
+//! cancelled, every cell repeats from its first rounds, so a late proof
+//! means some state (a timer left pending, say) sets the period again.
 //!
 //! ```text
 //! cargo run --release --example steady_state
@@ -20,6 +24,12 @@ use std::process::ExitCode;
 /// Rounds per cell and warm-up rounds, as the benchmark runs them.
 const ROUNDS: u64 = 1000;
 const WARMUP: u64 = 20;
+
+/// Latest round by which every cell must have proven its period.
+const MAX_PROOF: u64 = 40;
+
+/// Most rounds of the [`ROUNDS`] a cell may simulate rather than skip.
+const MAX_SIMULATED: u64 = 64;
 
 fn main() -> ExitCode {
     let (l43, l72) = (NicModel::LANAI_4_3, NicModel::LANAI_7_2);
@@ -39,6 +49,7 @@ fn main() -> ExitCode {
     );
     let mut stalled = Vec::new();
     let mut late = Vec::new();
+    let mut slow = Vec::new();
     for (alg, procs, nic) in cells {
         let label = format!("{}@{procs} {}", alg.name(), nic.name);
         let m = BarrierExperiment::new(procs, alg)
@@ -65,6 +76,11 @@ fn main() -> ExitCode {
             (Some(p), Some(f)) if f.rounds + p.from_round + 3 * p.rounds + 1 < ROUNDS => {
                 late.push(label)
             }
+            (Some(p), Some(f))
+                if p.from_round + p.rounds > MAX_PROOF || ROUNDS - f.rounds > MAX_SIMULATED =>
+            {
+                slow.push(label)
+            }
             (_, None) => stalled.push(label),
             _ => {}
         }
@@ -75,7 +91,13 @@ fn main() -> ExitCode {
     if !late.is_empty() {
         eprintln!("skipping later than at the proof: {}", late.join(", "));
     }
-    if stalled.is_empty() && late.is_empty() {
+    if !slow.is_empty() {
+        eprintln!(
+            "proving after round {MAX_PROOF} or simulating more than {MAX_SIMULATED} rounds: {}",
+            slow.join(", ")
+        );
+    }
+    if stalled.is_empty() && late.is_empty() && slow.is_empty() {
         println!("every cell fast-forwarded from its proof");
         ExitCode::SUCCESS
     } else {

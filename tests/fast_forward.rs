@@ -12,7 +12,9 @@ use gmsim_gm::steady::state_digest;
 use gmsim_gm::{GlobalPort, GmConfig, HostProgram, NodeId, Payload, ReduceOp, TimerKind};
 use gmsim_lanai::NicModel;
 use gmsim_testbed::prelude::FaultPlan;
-use gmsim_testbed::{Algorithm, BarrierExperiment, Descriptor, Measurement, ProcessLayout};
+use gmsim_testbed::{
+    Algorithm, BarrierExperiment, Descriptor, FabricSpec, Measurement, ProcessLayout, RoutePolicy,
+};
 use nic_barrier::{BarrierExtension, BarrierGroup, HostBarrierLoop, NicBarrierLoop, Team, TeamId};
 use std::collections::BTreeSet;
 
@@ -251,6 +253,37 @@ fn packed_skewed_and_pipelined_runs_are_exact_under_fast_forward() {
     }
 }
 
+/// Cells whose round boundaries fall while a link and the host are still
+/// busy (host-PE with skewed starts, a pipelined NIC allreduce) on an
+/// oversubscribed Clos with adaptive routing, which ranks past link
+/// horizons. At such a boundary the pending deliveries and host events
+/// still imply every busy horizon, so it takes the direct test below to
+/// fail a digest that drops them.
+#[test]
+fn boundaries_inside_busy_horizons_are_exact() {
+    let clos = FabricSpec::Clos {
+        leaves: 4,
+        hosts_per_leaf: 4,
+        spines: 1,
+    };
+    let payload = Payload::pipelined(4096, 1024);
+    for alg in [
+        Algorithm::Host(Descriptor::pe()),
+        Algorithm::Nic(Descriptor::allreduce(ReduceOp::Sum, 2).with_payload(payload)),
+    ] {
+        let label = format!("{alg:?} on a 4:1 Clos");
+        let e = BarrierExperiment::new(16, alg)
+            .rounds(400, 10)
+            .fabric(clos, RoutePolicy::Adaptive)
+            .skew(25, 11);
+        let got = e.run().unwrap_or_else(|err| panic!("{label}: {err}"));
+        let want = e.trace(1).run().expect("reference run");
+        assert_same_measurement(&got, &want, &label);
+        assert!(got.fast_forward.is_some(), "{label}: nothing skipped");
+        assert_skip_starts_at_the_proof(&got, 400, &label);
+    }
+}
+
 /// The two cells a probe found not periodic must stay exact whether or
 /// not anything is skipped.
 #[test]
@@ -407,9 +440,15 @@ fn digest_is_invariant_under_a_start_delay() {
     assert_eq!(early.now() + SimTime::from_ms(1), late.now());
     let d = state_digest(&early).expect("hashable");
     assert_eq!(Some(d), state_digest(&late));
-    // One round later the state has moved on.
+    // One event later the state has moved on.
+    let mut next = pe4(SimTime::ZERO);
+    to_round(&mut next, 12);
+    next.step();
+    assert_ne!(Some(d), state_digest(&next));
+    // One round later it is back: with the idle RTO timers cancelled, the
+    // state at a boundary repeats every round.
     to_round(&mut early, 13);
-    assert_ne!(Some(d), state_digest(&early));
+    assert_eq!(Some(d), state_digest(&early));
 }
 
 #[test]
@@ -429,4 +468,24 @@ fn digest_sees_a_one_tick_change_to_a_pending_event() {
     };
     assert_eq!(with_timer(5_000), with_timer(5_000));
     assert_ne!(with_timer(5_000), with_timer(5_001));
+}
+
+#[test]
+fn digest_sees_a_busy_host_or_link() {
+    // The host of node 2 busy `host_ns` more, and a worm of `bytes` from
+    // node 1 to node 3 on the wire, both with no pending event for them.
+    let busy = |host_ns: u64, bytes: usize| {
+        let mut sim = pe4(SimTime::ZERO);
+        to_round(&mut sim, 12);
+        let now = sim.now();
+        let cl = sim.world_mut();
+        cl.nodes[2].host.reserve(SimTime::from_ns(host_ns), now);
+        if bytes > 0 {
+            cl.fabric.send(NodeId(1).nic(), NodeId(3).nic(), bytes, now);
+        }
+        state_digest(&sim).expect("hashable")
+    };
+    assert_eq!(busy(5_000, 0), busy(5_000, 0));
+    assert_ne!(busy(5_000, 0), busy(5_001, 0), "host horizon");
+    assert_ne!(busy(0, 4_096), busy(0, 4_097), "link horizons");
 }
