@@ -17,7 +17,7 @@ use crate::parcels::{Handle, Parcels};
 use crate::steady::{self, Detector, FastForward, Period, Rebase};
 use crate::token::SendToken;
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
-use gmsim_des::{Counter, Event, EventId, Scheduler, SimTime, Simulation};
+use gmsim_des::{Counter, Event, EventId, Scheduler, SimTime, Simulation, StateHasher};
 use gmsim_myrinet::fault::Fate;
 use gmsim_myrinet::{Fabric, FaultPlan, Topology, TopologyBuilder};
 
@@ -137,6 +137,28 @@ impl Cluster {
     /// [`Counter`] it feeds if it feeds one.
     pub fn counters(&self, mut f: impl FnMut(Option<Counter>, u64)) {
         self.walk(&mut Rebase::new(&self.nodes, 0, &mut Vec::new()), &mut f);
+    }
+
+    /// A stable 64-bit digest of a run's outputs: the `events` fired, every
+    /// counter in walk order with its id (per node, not summed) and every
+    /// note in order. It hands each counter to `f` on the way, as
+    /// [`Cluster::counters`] does. Trace records, the steady-state reports
+    /// and the final clock, which a skip leaves early, stay out.
+    pub fn output_digest(&self, events: u64, mut f: impl FnMut(Option<Counter>, u64)) -> u64 {
+        let mut h = StateHasher::new(SimTime::ZERO);
+        h.word(events);
+        self.counters(|id, v| {
+            h.word(id.map_or(0, |c| c as u64 + 1));
+            h.word(v);
+            f(id, v);
+        });
+        for n in &self.notes {
+            h.item();
+            for w in [n.at.as_ns(), u64::from(n.node), u64::from(n.port.0), n.tag] {
+                h.word(w);
+            }
+        }
+        h.finish128() as u64
     }
 
     /// Cluster configuration.
@@ -841,6 +863,7 @@ mod tests {
         fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
             if let GmEvent::Recv { tag, .. } = ev {
                 self.log.push((ctx.now, *tag));
+                ctx.note(*tag);
                 ctx.provide_recv(1);
                 if *tag < 3 {
                     ctx.send(self.peer, 64, tag + 1);
@@ -893,6 +916,43 @@ mod tests {
             assert_eq!(core.stats.timer_cancels, 0);
         }
         assert!(sim.now() < cl.config().retransmit_timeout);
+    }
+
+    /// A ping-pong run's output digest after `f` edits its world, and its
+    /// `CompletionDmas` summed over the nodes, as a `MetricSet` keeps it.
+    fn digest_after(f: impl FnOnce(&mut Cluster)) -> (u64, u64) {
+        let mut sim = pingpong_sim();
+        sim.run();
+        f(sim.world_mut());
+        let mut dmas = 0;
+        let digest = sim.world().output_digest(sim.events_fired(), |id, v| {
+            dmas += v * u64::from(id == Some(Counter::CompletionDmas));
+        });
+        (digest, dmas)
+    }
+
+    #[test]
+    fn output_digest_sees_a_count_moved_between_nodes() {
+        let (base, dmas) = digest_after(|_| {});
+        assert_eq!(digest_after(|_| {}), (base, dmas));
+        let (moved, moved_dmas) = digest_after(|cl| {
+            cl.nodes[1].mcp.core.stats.host_events -= 1;
+            cl.nodes[0].mcp.core.stats.host_events += 1;
+        });
+        assert_eq!(moved_dmas, dmas);
+        assert_ne!(moved, base);
+    }
+
+    #[test]
+    fn output_digest_sees_a_note_one_tick_late() {
+        let late = digest_after(|cl| cl.notes[1].at += SimTime::from_ns(1));
+        assert_ne!(late.0, digest_after(|_| {}).0);
+    }
+
+    #[test]
+    fn output_digest_sees_the_order_of_notes() {
+        let swapped = digest_after(|cl| cl.notes.swap(0, 1));
+        assert_ne!(swapped.0, digest_after(|_| {}).0);
     }
 
     #[test]

@@ -874,7 +874,7 @@ impl BarrierExperiment {
         }
         gaps.sort_unstable();
         let p99 = gaps[((gaps.len() - 1) as f64 * 0.99).ceil() as usize];
-        let (metrics, nic_turnaround) = collect_metrics(&cluster);
+        let (metrics, nic_turnaround, digest) = collect_metrics(&cluster, events);
         Ok(Measurement {
             steady: cluster.steady(),
             fast_forward: cluster.fast_forward(),
@@ -887,6 +887,7 @@ impl BarrierExperiment {
             metrics,
             nic_turnaround,
             trace: cluster.tracer.snapshot(),
+            digest,
         })
     }
 }
@@ -907,11 +908,12 @@ fn run_cluster(builder: ClusterBuilder, threads: usize) -> (RunOutcome, u64, Clu
 }
 
 /// Aggregate the cluster's per-component statistics into one [`MetricSet`]
-/// plus the merged per-packet NIC-turnaround histogram. Purely post-run:
+/// plus the merged per-packet NIC-turnaround histogram, and digest the
+/// outputs of a run that fired `events` in the same walk. Purely post-run:
 /// nothing here touches the simulation hot path.
-fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
+fn collect_metrics(cluster: &Cluster, events: u64) -> (MetricSet, Histogram, u64) {
     let mut m = MetricSet::new();
-    cluster.counters(|id, v| id.into_iter().for_each(|id| m.add(id, v)));
+    let digest = cluster.output_digest(events, |id, v| id.into_iter().for_each(|id| m.add(id, v)));
     let mut turnaround = Histogram::new(TURNAROUND_BIN_US, TURNAROUND_BINS);
     // Team counters aggregate differently from plain sums: the peak is a
     // max across NICs and the team count is the number of *distinct* ids.
@@ -928,7 +930,7 @@ fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
     teams.dedup();
     m.add(Counter::TeamsCreated, teams.len() as u64);
     m.add(Counter::ConcurrentPeak, concurrent_peak);
-    (m, turnaround)
+    (m, turnaround, digest)
 }
 
 /// Background point-to-point load: a fixed budget of messages to one peer,
@@ -1014,6 +1016,15 @@ pub struct Measurement {
     /// What the fast-forward skipped (`None` when it simulated every
     /// round, e.g. with tracing on).
     pub fast_forward: Option<FastForward>,
+    digest: u64,
+}
+
+impl Measurement {
+    /// The run's output digest ([`Cluster::output_digest`]): equal digests
+    /// are the same run, whatever the engine, tracer or fast-forward.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
 }
 
 #[cfg(test)]

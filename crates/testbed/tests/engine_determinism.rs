@@ -9,19 +9,6 @@ use gmsim_gm::GmConfig;
 use gmsim_testbed::prelude::*;
 use nic_barrier::{CostModel, FabricModel};
 
-/// The observable surface of a [`Measurement`] that the scaling study
-/// consumes, with floats compared by bit pattern.
-fn fingerprint(m: &Measurement) -> (u64, u64, u64, u64, u64, u64) {
-    (
-        m.mean_us.to_bits(),
-        m.first_round_us.to_bits(),
-        m.events,
-        m.per_round.count(),
-        m.per_round.mean().to_bits(),
-        m.nic_turnaround.total(),
-    )
-}
-
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial_for_every_seed() {
     forall(6, 0x5eed_5eed, |g| {
@@ -45,10 +32,10 @@ fn parallel_sweep_is_bit_identical_to_serial_for_every_seed() {
         .collect();
         let serial = SweepEngine::new()
             .workers(1)
-            .run(&grid, |_, e| fingerprint(&e.run().expect("serial cell")));
+            .run(&grid, |_, e| e.run().expect("serial cell").digest());
         let parallel = SweepEngine::new()
             .workers(workers)
-            .run(&grid, |_, e| fingerprint(&e.run().expect("parallel cell")));
+            .run(&grid, |_, e| e.run().expect("parallel cell").digest());
         assert_eq!(serial, parallel, "workers={workers} base={base:#x}");
     });
 }

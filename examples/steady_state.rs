@@ -12,6 +12,8 @@
 //! [`MAX_SIMULATED`] of its rounds: with idle retransmission timers
 //! cancelled, every cell repeats from its first rounds, so a late proof
 //! means some state (a timer left pending, say) sets the period again.
+//! Each cell also runs its traced twin, which skips nothing, and exits 1
+//! if the two output digests differ: a skip must leave the run as it was.
 //!
 //! ```text
 //! cargo run --release --example steady_state
@@ -50,13 +52,17 @@ fn main() -> ExitCode {
     let mut stalled = Vec::new();
     let mut late = Vec::new();
     let mut slow = Vec::new();
+    let mut differ = Vec::new();
     for (alg, procs, nic) in cells {
         let label = format!("{}@{procs} {}", alg.name(), nic.name);
-        let m = BarrierExperiment::new(procs, alg)
+        let e = BarrierExperiment::new(procs, alg)
             .nic(nic)
-            .rounds(ROUNDS, WARMUP)
-            .run()
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            .rounds(ROUNDS, WARMUP);
+        let m = e.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let full = e.trace(1).run().unwrap_or_else(|e| panic!("{label}: {e}"));
+        if full.digest() != m.digest() {
+            differ.push(label.clone());
+        }
         let (from, period, proof) = match m.steady {
             Some(p) => (
                 p.from_round.to_string(),
@@ -97,8 +103,14 @@ fn main() -> ExitCode {
             slow.join(", ")
         );
     }
-    if stalled.is_empty() && late.is_empty() && slow.is_empty() {
-        println!("every cell fast-forwarded from its proof");
+    if !differ.is_empty() {
+        eprintln!(
+            "output digest differs from the full run: {}",
+            differ.join(", ")
+        );
+    }
+    if stalled.is_empty() && late.is_empty() && slow.is_empty() && differ.is_empty() {
+        println!("every cell fast-forwarded from its proof, with its full run's digest");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -4,10 +4,11 @@
 //!
 //! The reference for every comparison is the same run with a (one-record)
 //! tracer: tracing keeps detection on but disables the skip, so it
-//! simulates every round.
+//! simulates every round. The two must report the same output digest
+//! (events, per-node counters and notes) and the same period.
 
 use gmsim_des::{Counter, SimTime, Tracer};
-use gmsim_gm::cluster::{Cluster, ClusterBuilder, ClusterEvent, ClusterSim};
+use gmsim_gm::cluster::{ClusterBuilder, ClusterEvent, ClusterSim};
 use gmsim_gm::steady::state_digest;
 use gmsim_gm::{GlobalPort, GmConfig, HostProgram, NodeId, Payload, ReduceOp, TimerKind};
 use gmsim_lanai::NicModel;
@@ -83,64 +84,6 @@ impl Case {
     }
 }
 
-/// Every counter a collector can read, as text.
-fn counters(cl: &Cluster) -> String {
-    let mut out = format!("{:?}", cl.fabric.stats());
-    for n in &cl.nodes {
-        let hw = &n.mcp.core.hw;
-        out += &format!(
-            "{:?} {} {} {} {} {} {:?}",
-            n.mcp.core.stats,
-            hw.cpu.executed_cycles(),
-            hw.sdma.transfers(),
-            hw.sdma.bytes(),
-            hw.rdma.transfers(),
-            hw.rdma.bytes(),
-            n.host.stats
-        );
-        for c in n.mcp.core.connections() {
-            out += &format!(" r{}", c.retransmissions());
-        }
-        let ext = n.mcp.ext().as_any().downcast_ref::<BarrierExtension>();
-        if let Some(ext) = ext {
-            out += &format!(
-                "{:?} {:?} {:?}",
-                ext.stats,
-                ext.record.stats,
-                ext.turnaround()
-            );
-        }
-    }
-    out
-}
-
-fn assert_same_measurement(got: &Measurement, want: &Measurement, label: &str) {
-    assert_eq!(
-        got.mean_us.to_bits(),
-        want.mean_us.to_bits(),
-        "{label} mean"
-    );
-    assert_eq!(got.p99_us.to_bits(), want.p99_us.to_bits(), "{label} p99");
-    assert_eq!(got.events, want.events, "{label} events");
-    assert_eq!(got.metrics, want.metrics, "{label} metrics");
-    assert_eq!(
-        format!("{:?}", got.nic_turnaround),
-        format!("{:?}", want.nic_turnaround),
-        "{label} turnaround histogram"
-    );
-    assert_eq!(
-        format!("{:?}", got.per_round),
-        format!("{:?}", want.per_round),
-        "{label} per-round summary"
-    );
-    assert_eq!(
-        got.first_round_us.to_bits(),
-        want.first_round_us.to_bits(),
-        "{label} first round"
-    );
-    assert_eq!(got.steady, want.steady, "{label} reported period");
-}
-
 /// A skip starts at the boundary that proves the period: after the proof
 /// at round `from_round + rounds` only the verify period, the margin of
 /// one period and one round, and less than one more period run for real.
@@ -163,20 +106,17 @@ fn check(case: Case) -> bool {
     let got = e.run().unwrap_or_else(|err| panic!("{label}: {err}"));
     let want = e.trace(1).run().expect("reference run");
     assert!(want.fast_forward.is_none(), "{label}: traced run skipped");
-    assert_same_measurement(&got, &want, &label);
+    assert_eq!(got.digest(), want.digest(), "{label}");
+    assert_eq!(got.steady, want.steady, "{label} reported period");
     assert_skip_starts_at_the_proof(&got, case.rounds, &label);
 
-    let mut fast = case.cluster(false);
-    let mut full = case.cluster(true);
-    fast.run();
-    full.run();
-    assert_eq!(fast.events_fired(), full.events_fired(), "{label} events");
-    assert!(fast.world().notes == full.world().notes, "{label} notes");
-    assert_eq!(
-        counters(fast.world()),
-        counters(full.world()),
-        "{label} counters"
-    );
+    let [fast, full] = [false, true].map(|traced| {
+        let mut sim = case.cluster(traced);
+        sim.run();
+        sim
+    });
+    let digest = |sim: &ClusterSim| sim.world().output_digest(sim.events_fired(), |_, _| {});
+    assert_eq!(digest(&fast), digest(&full), "{label} cluster");
     assert_eq!(
         fast.world().fast_forward().is_some(),
         got.fast_forward.is_some(),
@@ -278,7 +218,8 @@ fn boundaries_inside_busy_horizons_are_exact() {
             .skew(25, 11);
         let got = e.run().unwrap_or_else(|err| panic!("{label}: {err}"));
         let want = e.trace(1).run().expect("reference run");
-        assert_same_measurement(&got, &want, &label);
+        assert_eq!(got.digest(), want.digest(), "{label}");
+        assert_eq!(got.steady, want.steady, "{label} reported period");
         assert!(got.fast_forward.is_some(), "{label}: nothing skipped");
         assert_skip_starts_at_the_proof(&got, 400, &label);
     }
@@ -373,14 +314,7 @@ fn no_period_is_claimed_under_faults_or_on_the_parallel_engine() {
     let parallel = e.parallel(2).run().unwrap();
     assert!(serial.fast_forward.is_some(), "the serial run skips");
     assert!(parallel.steady.is_none() && parallel.fast_forward.is_none());
-    assert_same_measurement(
-        &serial,
-        &Measurement {
-            steady: serial.steady,
-            ..parallel
-        },
-        "serial vs parallel(2)",
-    );
+    assert_eq!(serial.digest(), parallel.digest(), "serial vs parallel(2)");
 }
 
 /// The paper averages 100 000 consecutive barriers (§6). Fast-forward

@@ -1,7 +1,7 @@
 //! Golden-equivalence property test for the schedule-IR refactor.
 //!
-//! The fixture `tests/data/golden_barriers.txt` was captured from the
-//! pre-IR implementation — the hand-inlined PE/GB state machines in the
+//! The latency fixture `tests/data/golden_barriers.txt` was captured from
+//! the pre-IR implementation — the hand-inlined PE/GB state machines in the
 //! firmware extension and the dedicated host-baseline programs. This test
 //! re-runs every configuration (N ∈ 2..=32, GB tree dimension ∈ 1..=4,
 //! both the NIC-side and the host-side interpreter) through the compiled
@@ -10,92 +10,24 @@
 //! IR interpreters must be cost-model-identical to the code they replaced,
 //! not merely close. Any drift — an extra `exec` charge, a reordered send,
 //! a changed completion point — shows up as a bit-level f64 mismatch.
+//! The digest fixture `tests/data/golden_digests.txt` holds each run's
+//! output digest, so the same runs also pin every event count, per-node
+//! counter and note. Regenerate both (only when the cost model itself
+//! intentionally changes) with the command in `tests/common/golden.rs`.
 //!
-//! Regenerate (only when the cost model itself intentionally changes):
-//!
-//! ```text
-//! cargo run --release -p gmsim-bench --bin golden > tests/data/golden_barriers.txt
-//! ```
+//! [`Descriptor`]: nic_barrier_suite::barrier::Descriptor
 
-use nic_barrier_suite::testbed::{run_all_with, Algorithm, BarrierExperiment, Descriptor};
-
-const GOLDEN: &str = include_str!("data/golden_barriers.txt");
-
-struct Row {
-    family: &'static str,
-    n: usize,
-    dim: usize,
-    mean_us: f64,
-}
-
-fn parse_fixture() -> Vec<Row> {
-    GOLDEN
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let mut f = l.split_whitespace();
-            let family = f.next().expect("family");
-            let n = f.next().expect("n").parse().expect("n parses");
-            let dim = f.next().expect("dim").parse().expect("dim parses");
-            let mean_us = f.next().expect("mean").parse().expect("mean parses");
-            Row {
-                family: match family {
-                    "nic-pe" => "nic-pe",
-                    "host-pe" => "host-pe",
-                    "nic-gb" => "nic-gb",
-                    "host-gb" => "host-gb",
-                    other => panic!("unknown family {other}"),
-                },
-                n,
-                dim,
-                mean_us,
-            }
-        })
-        .collect()
-}
-
-fn algorithm(row: &Row) -> Algorithm {
-    match row.family {
-        "nic-pe" => Algorithm::Nic(Descriptor::Pe),
-        "host-pe" => Algorithm::Host(Descriptor::Pe),
-        "nic-gb" => Algorithm::Nic(Descriptor::gb(row.dim)),
-        "host-gb" => Algorithm::Host(Descriptor::gb(row.dim)),
-        _ => unreachable!(),
-    }
-}
+#[path = "common/golden.rs"]
+mod golden;
 
 #[test]
 fn ir_interpreters_reproduce_pre_refactor_latencies_exactly() {
-    let rows = parse_fixture();
-    assert_eq!(rows.len(), 310, "fixture shape changed");
-    let experiments: Vec<BarrierExperiment> = rows
-        .iter()
-        .map(|r| BarrierExperiment::new(r.n, algorithm(r)).rounds(40, 5))
-        .collect();
-    let measured = run_all_with(&experiments, |e| e.run().unwrap().mean_us);
-    let mut mismatches = Vec::new();
-    for (row, got) in rows.iter().zip(&measured) {
-        // Exact bit-for-bit equality: the schedule IR must be a pure
-        // refactor of the old state machines, with zero latency drift.
-        if row.mean_us != *got {
-            mismatches.push(format!(
-                "{} n={} dim={}: golden {:.17e} vs measured {:.17e}",
-                row.family, row.n, row.dim, row.mean_us, got
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} configurations drifted from the pre-IR capture:\n{}",
-        mismatches.len(),
-        rows.len(),
-        mismatches.join("\n")
-    );
+    golden::assert_reproduced("serial", |e| e);
 }
 
 #[test]
 fn fixture_covers_the_full_grid() {
-    let rows = parse_fixture();
+    let rows = golden::rows();
     for n in 2usize..=32 {
         for family in ["nic-pe", "host-pe"] {
             assert!(

@@ -6,12 +6,13 @@
 //! to the serial scheduler for any thread count. This suite pins that
 //! promise three ways:
 //!
-//! 1. The full 310-configuration golden fixture (the pre-IR capture that
-//!    `tests/golden_equivalence.rs` guards serially) re-run through the
-//!    parallel path with 2 workers, demanding exact f64 equality.
+//! 1. The full 310-configuration golden fixtures (the pre-IR latency
+//!    capture and the output digests that `tests/golden_equivalence.rs`
+//!    guards serially) re-run through the parallel path with 2 workers,
+//!    demanding exact equality.
 //! 2. A property matrix over algorithms × faults × teams × layout ×
-//!    tracing, comparing every `Measurement` component between serial and
-//!    t ∈ {2, 4, 8}.
+//!    tracing, comparing the output digest and the trace between serial
+//!    and t ∈ {2, 4, 8}.
 //! 3. The degenerate partitionings: a zero-lookahead fabric and a
 //!    one-node cluster must fall back to the serial engine rather than
 //!    deadlock or window incorrectly.
@@ -24,31 +25,9 @@ use nic_barrier_suite::gm::ids::GlobalPort;
 use nic_barrier_suite::myrinet::route::Vertex;
 use nic_barrier_suite::myrinet::topology::{LinkSpec, TopologyBuilder};
 use nic_barrier_suite::testbed::prelude::*;
-use nic_barrier_suite::testbed::run_all_with;
 
-const GOLDEN: &str = include_str!("data/golden_barriers.txt");
-
-fn parse_fixture() -> Vec<(Algorithm, usize, f64)> {
-    GOLDEN
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let mut f = l.split_whitespace();
-            let family = f.next().expect("family");
-            let n: usize = f.next().expect("n").parse().expect("n parses");
-            let dim: usize = f.next().expect("dim").parse().expect("dim parses");
-            let mean_us: f64 = f.next().expect("mean").parse().expect("mean parses");
-            let algorithm = match family {
-                "nic-pe" => Algorithm::Nic(Descriptor::Pe),
-                "host-pe" => Algorithm::Host(Descriptor::Pe),
-                "nic-gb" => Algorithm::Nic(Descriptor::gb(dim)),
-                "host-gb" => Algorithm::Host(Descriptor::gb(dim)),
-                other => panic!("unknown family {other}"),
-            };
-            (algorithm, n, mean_us)
-        })
-        .collect()
-}
+#[path = "common/golden.rs"]
+mod golden;
 
 /// The whole pre-refactor capture, replayed through the parallel engine.
 ///
@@ -57,103 +36,7 @@ fn parse_fixture() -> Vec<(Algorithm, usize, f64)> {
 /// exercises cross-LP windowing, not a serial fallback.
 #[test]
 fn golden_fixture_reproduced_bit_exactly_through_pdes() {
-    let rows = parse_fixture();
-    assert_eq!(rows.len(), 310, "fixture shape changed");
-    let experiments: Vec<BarrierExperiment> = rows
-        .iter()
-        .map(|&(algorithm, n, _)| {
-            BarrierExperiment::new(n, algorithm)
-                .rounds(40, 5)
-                .parallel(2)
-        })
-        .collect();
-    let measured = run_all_with(&experiments, |e| e.run().unwrap().mean_us);
-    let mut mismatches = Vec::new();
-    for ((&(_, n, golden), got), e) in rows.iter().zip(&measured).zip(&experiments) {
-        if golden != *got {
-            mismatches.push(format!(
-                "{} n={}: golden {:.17e} vs parallel {:.17e}",
-                e.algorithm.name(),
-                n,
-                golden,
-                got
-            ));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} configurations drifted under the parallel engine:\n{}",
-        mismatches.len(),
-        rows.len(),
-        mismatches.join("\n")
-    );
-}
-
-/// Compare every observable of two measurements, bit-for-bit where the
-/// field is floating point. `Summary` and `Histogram` expose no
-/// `PartialEq`, so their statistics are compared through accessors.
-fn assert_identical(serial: &Measurement, par: &Measurement, label: &str) {
-    let bits = |x: f64| x.to_bits();
-    assert_eq!(
-        bits(serial.mean_us),
-        bits(par.mean_us),
-        "{label}: mean_us {} vs {}",
-        serial.mean_us,
-        par.mean_us
-    );
-    assert_eq!(
-        bits(serial.first_round_us),
-        bits(par.first_round_us),
-        "{label}: first_round_us"
-    );
-    assert_eq!(serial.events, par.events, "{label}: events fired");
-    assert_eq!(serial.metrics, par.metrics, "{label}: metric counters");
-    assert_eq!(
-        serial.per_round.count(),
-        par.per_round.count(),
-        "{label}: per-round count"
-    );
-    assert_eq!(
-        bits(serial.per_round.mean()),
-        bits(par.per_round.mean()),
-        "{label}: per-round mean"
-    );
-    assert_eq!(
-        bits(serial.per_round.stddev()),
-        bits(par.per_round.stddev()),
-        "{label}: per-round stddev"
-    );
-    assert_eq!(
-        bits(serial.per_round.min()),
-        bits(par.per_round.min()),
-        "{label}: per-round min"
-    );
-    assert_eq!(
-        bits(serial.per_round.max()),
-        bits(par.per_round.max()),
-        "{label}: per-round max"
-    );
-    assert_eq!(
-        serial.nic_turnaround.total(),
-        par.nic_turnaround.total(),
-        "{label}: turnaround samples"
-    );
-    assert_eq!(
-        serial.nic_turnaround.mean().map(bits),
-        par.nic_turnaround.mean().map(bits),
-        "{label}: turnaround mean"
-    );
-    assert_eq!(
-        serial.nic_turnaround.underflow(),
-        par.nic_turnaround.underflow(),
-        "{label}: turnaround underflow"
-    );
-    assert_eq!(
-        serial.nic_turnaround.overflow(),
-        par.nic_turnaround.overflow(),
-        "{label}: turnaround overflow"
-    );
-    assert_eq!(serial.trace, par.trace, "{label}: structured trace");
+    golden::assert_reproduced("parallel(2)", |e| e.parallel(2));
 }
 
 /// Serial ≡ parallel(t) for t ∈ {2, 4, 8} across a configuration matrix
@@ -196,7 +79,8 @@ fn parallel_measurements_match_serial_across_configs() {
         let serial = base.run().unwrap();
         for threads in [2usize, 4, 8] {
             let par = base.parallel(threads).run().unwrap();
-            assert_identical(&serial, &par, &format!("{label} t={threads}"));
+            assert_eq!(serial.digest(), par.digest(), "{label} t={threads}");
+            assert_eq!(serial.trace, par.trace, "{label} t={threads}: trace");
         }
     }
 }
@@ -258,7 +142,8 @@ fn segmented_payload_streams_replay_bit_identically() {
     for (label, base) in &configs {
         let serial = base.run().unwrap();
         let par = base.parallel(2).run().unwrap();
-        assert_identical(&serial, &par, label);
+        assert_eq!(serial.digest(), par.digest(), "{label}");
+        assert_eq!(serial.trace, par.trace, "{label}: trace");
     }
 }
 
@@ -325,8 +210,9 @@ fn zero_lookahead_fabric_falls_back_to_serial() {
 
     let mut serial = ping_pong_cluster(2).topology(topology()).build();
     assert_eq!(serial.run(), RunOutcome::Quiescent);
-    let serial_events = serial.events_fired();
-    let serial_world = serial.into_world();
+    let serial_digest = serial
+        .world()
+        .output_digest(serial.events_fired(), |_, _| {});
 
     let mut par = ping_pong_cluster(2).topology(topology()).build_parallel(4);
     assert!(
@@ -335,8 +221,11 @@ fn zero_lookahead_fabric_falls_back_to_serial() {
     );
     assert_eq!(par.partitions(), 1);
     assert_eq!(par.run(), RunOutcome::Quiescent);
-    assert_eq!(par.events_fired(), serial_events);
-    assert_eq!(par.into_world().notes, serial_world.notes);
+    let events = par.events_fired();
+    assert_eq!(
+        par.into_world().output_digest(events, |_, _| {}),
+        serial_digest
+    );
 }
 
 /// One node is one partition: nothing to overlap, so the engine runs the

@@ -15,38 +15,23 @@ fn team_ids(seed: u64, n: usize) -> Vec<TeamId> {
         .collect()
 }
 
+/// The team id rides in every note's tag, so a team run's output digest
+/// differs from the global run's by design and this list stays: every
+/// figure the notes yield, the events and the summed counters must agree.
 fn assert_identical(global: &Measurement, team: &Measurement, what: &str) {
     assert_eq!(global.mean_us, team.mean_us, "{what}: mean");
+    assert_eq!(global.p99_us, team.p99_us, "{what}: p99");
     assert_eq!(
         global.first_round_us, team.first_round_us,
         "{what}: first round"
     );
+    assert_eq!(
+        format!("{:?}", global.per_round),
+        format!("{:?}", team.per_round),
+        "{what}: per-round summary"
+    );
     assert_eq!(global.events, team.events, "{what}: event count");
-    assert_eq!(
-        global.per_round.mean(),
-        team.per_round.mean(),
-        "{what}: per-round mean"
-    );
-    assert_eq!(
-        global.per_round.stddev(),
-        team.per_round.stddev(),
-        "{what}: per-round stddev"
-    );
-    for counter in [
-        Counter::PacketsSent,
-        Counter::FirmwareCycles,
-        Counter::BarrierCompletions,
-        Counter::LocalFlags,
-        Counter::CompletionDmas,
-        Counter::HostSends,
-        Counter::HostEvents,
-    ] {
-        assert_eq!(
-            global.metrics.get(counter),
-            team.metrics.get(counter),
-            "{what}: {counter:?}"
-        );
-    }
+    assert_eq!(global.metrics, team.metrics, "{what}: counters");
 }
 
 #[test]
