@@ -40,6 +40,11 @@ impl<K: Ord + Copy> SlotHeap<K> {
         self.heap.first()
     }
 
+    /// Every entry, in heap order (smallest first, the rest unsorted).
+    pub(crate) fn entries(&self) -> &[(K, u32)] {
+        &self.heap
+    }
+
     /// Insert `slot` under `key`. The slot must not be in the heap.
     pub(crate) fn push(&mut self, key: K, slot: u32) {
         let s = slot as usize;

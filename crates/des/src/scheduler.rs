@@ -223,26 +223,49 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     }
 
     /// Visit every pending event in firing order, `(at, seq)` ascending,
-    /// with its timestamp. `scratch` holds the sorted keys (reused across
-    /// calls, so a caller that keeps it allocates nothing in steady state).
+    /// with its timestamp. The wheel comes first, its occupied buckets in
+    /// absolute order from `bucket(now)` and each chain already sorted;
+    /// every far entry lies past the window, so only the far band is
+    /// sorted, in `scratch` (reused across calls, so a caller that keeps it
+    /// allocates nothing in steady state).
     pub fn visit_pending(
         &self,
         scratch: &mut Vec<(SimTime, u64, u32)>,
         mut f: impl FnMut(SimTime, &E),
     ) {
-        scratch.clear();
-        for (slot, ev) in self.events.iter().enumerate() {
-            if ev.is_some() {
-                let k = &self.keys[slot];
-                scratch.push((k.at, k.seq, slot as u32));
-            }
-        }
-        scratch.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        for &(at, _, slot) in scratch.iter() {
+        let mut visit = |slot: u32| {
             let ev = self.events[slot as usize]
                 .as_ref()
                 .expect("pending slot holds an event");
-            f(at, ev);
+            f(self.keys[slot as usize].at, ev);
+        };
+        // Word by word from the one holding `bucket(now)`, round the wheel
+        // and back to that word for the buckets below it.
+        let idx0 = (Self::bucket_of(self.now) & SLOT_MASK) as usize;
+        let (word0, below) = (idx0 / 64, !(!0u64 << (idx0 % 64)));
+        for i in 0..=BITMAP_WORDS {
+            let word_i = (word0 + i) % BITMAP_WORDS;
+            let mut bits = self.occupancy[word_i];
+            if i == 0 {
+                bits &= !below;
+            } else if i == BITMAP_WORDS {
+                bits &= below;
+            }
+            while bits != 0 {
+                let mut slot = self.wheel[word_i * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                while slot != NIL {
+                    visit(slot);
+                    slot = self.keys[slot as usize].next;
+                }
+            }
+        }
+        scratch.clear();
+        let far = self.far.entries().iter();
+        scratch.extend(far.map(|&((at, seq), slot)| (at, seq, slot)));
+        scratch.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        for &(_, _, slot) in scratch.iter() {
+            visit(slot);
         }
     }
 
@@ -870,6 +893,55 @@ mod tests {
         assert_eq!(sim.events_fired(), 10);
         sim.run();
         assert_eq!(sim.events_fired(), 14);
+    }
+
+    #[test]
+    fn visit_pending_walks_from_mid_word_across_the_wrap_then_the_far_band() {
+        let slots = WHEEL_SLOTS as u64;
+        let bucket = |b: u64| SimTime::from_ns(b * BUCKET_NS);
+        // One revolution in, `bucket(now)` is bit 37 of the bitmap's last
+        // word: buckets 0..27 ahead sit before the wrap, 27.. after it,
+        // and the window's last 37 back in that word, below now's bit.
+        let start = 2 * slots - 64 + 37;
+        let now = bucket(start) + SimTime::from_ns(5);
+        let mut sim = sim();
+        sim.scheduler_mut().schedule(now, Ev::Push(0));
+        assert!(sim.step());
+        let s = sim.scheduler_mut();
+        let mut model = Vec::new();
+        let mut ids = Vec::new();
+        let ahead = [0, 1, 26, 27, 28, 90, slots - 37, slots - 2, slots - 1];
+        let far = [slots, slots + 3, 3 * slots];
+        for &b in ahead.iter().chain(&far) {
+            // Latest first, so the chains link out of scheduling order;
+            // the last two tie.
+            for ns in [100, 7, 7] {
+                let v = model.len() as u32 + 1;
+                let at = bucket(start + b) + SimTime::from_ns(ns);
+                ids.push(s.schedule(at, Ev::Push(v)));
+                model.push((at, v));
+            }
+        }
+        // One cancel in a chain and one in the far band.
+        for v in [5, 32] {
+            assert!(s.cancel(ids[v as usize - 1]));
+            model.retain(|&(_, w)| w != v);
+        }
+        model.sort_unstable();
+        let want = model;
+        let mut seen = Vec::new();
+        s.visit_pending(&mut Vec::new(), |at, ev| {
+            let Ev::Push(v) = ev else { unreachable!() };
+            seen.push((at, *v));
+        });
+        assert_eq!(seen, want);
+        assert_eq!(
+            s.far_next_at(),
+            Some(bucket(start + slots) + SimTime::from_ns(7))
+        );
+        sim.run();
+        let fired: Vec<u32> = want.iter().map(|&(_, v)| v).collect();
+        assert_eq!(sim.world()[1..], fired, "the visit is the firing order");
     }
 
     #[test]

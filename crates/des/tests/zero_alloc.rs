@@ -5,9 +5,10 @@
 //! rescheduling typed events must perform **zero** heap allocations — and so
 //! must cancelling them: every tick also re-arms its lane's timeout, which
 //! cancels the previous one, alternately in the timer wheel and in the far
-//! heap (the shape of the GM firmware's per-connection RTO timer). This is
-//! the property the whole hot-path refactor exists to provide, so it is
-//! pinned exactly, not approximately.
+//! heap (the shape of the GM firmware's per-connection RTO timer), and so
+//! must the steady-state digest's walk of the pending events, which reuses
+//! one scratch buffer. This is the property the whole hot-path refactor
+//! exists to provide, so it is pinned exactly, not approximately.
 //!
 //! This file deliberately contains a single check and runs with
 //! `harness = false`: global allocator counts are process-wide, and any
@@ -99,16 +100,29 @@ fn steady_state_typed_scheduling_allocates_nothing() {
         sim.scheduler_mut()
             .schedule(SimTime::from_ns(lane), Tick::Fire { lane });
     }
-    // Warm-up: let the slab, the far heap and its position map reach their
-    // high-water mark.
+    // Warm-up: let the slab, the far heap, its position map and the
+    // visit's scratch buffer reach their high-water mark.
+    let mut scratch = Vec::new();
+    let mut visited = 0u64;
+    let mut visit = |sched: &Scheduler<World, Tick>| {
+        sched.visit_pending(&mut scratch, |_, _| visited += 1);
+    };
     for _ in 0..10_000 {
         assert!(sim.step());
+        visit(sim.scheduler());
     }
     let slab_before = sim.scheduler_mut().slab_capacity();
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    while sim.step() {}
+    let mut steps = 0u64;
+    while sim.step() {
+        steps += 1;
+        if steps.is_multiple_of(16) {
+            visit(sim.scheduler());
+        }
+    }
     let after = ALLOCS.load(Ordering::Relaxed);
+    assert!(visited > 0);
 
     // Every lane still in flight when the counter hits TOTAL drains without
     // rescheduling, so the queue fires LANES - 1 extra ticks, and then the

@@ -185,6 +185,12 @@ impl Cluster {
     pub fn fast_forward(&self) -> Option<FastForward> {
         self.steady.skipped()
     }
+
+    /// Records hashed by every steady-state digest of the run: detection's
+    /// cost, which [`steady::COST_RATIO`] bounds by the run's events.
+    pub fn digest_records(&self) -> u64 {
+        self.steady.hashed()
+    }
 }
 
 /// Where a firing event's effects go: the clock, future events, wire

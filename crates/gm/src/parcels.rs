@@ -22,7 +22,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 /// A parked payload of type `T`: an index into the [`Slab<T>`] that issued
-/// it. Valid until [`Slab::take`] consumes it.
+/// it. Valid until the event that carries it takes the payload back out.
 pub struct Handle<T> {
     slot: u32,
     of: PhantomData<fn() -> T>,

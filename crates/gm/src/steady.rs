@@ -21,11 +21,14 @@
 //!    ([`walk`](mod@gmsim_des::walk)). Times hash relative to the boundary,
 //!    go-back-N sequence numbers relative to their stream's next one,
 //!    rounds relative to the anchor's (`Rebase`). The same walk snapshots
-//!    every output counter at the first digest and turns the snapshot into
-//!    per-period deltas at the second. A digest is taken only once the
-//!    events fired since the previous one number at least [`COST_RATIO`]
-//!    times the records that one hashed, and only while a proof could
-//!    still leave a period to skip.
+//!    every nonzero output counter at the first digest and turns the
+//!    snapshot into per-period deltas at the second. The digests share one
+//!    budget over the whole run: [`COST_RATIO`] times the records hashed so
+//!    far, plus those reserved for the next base digest and its proof, may
+//!    not exceed the events fired so far plus those the candidate predicts
+//!    for the rounds left. A base digest is taken only while a proof could
+//!    still leave a period to skip; its proof, `p` boundaries later, is
+//!    then taken with no second check.
 //! 3. **Skip.** Equal digests prove a period of `rounds` rounds and `us`
 //!    microseconds ([`Period`]), and the engine skips right there: each
 //!    program runs `m` periods fewer ([`SteadyProgram::skip`]), each
@@ -54,10 +57,10 @@ use crate::token::SendToken;
 use gmsim_des::{Counter, SimTime, StateHasher, Visit};
 use std::hash::Hash;
 
-/// A digest is taken only once the events fired since the previous one
-/// number at least this many times the records the previous one hashed:
-/// hashing a record costs a small fraction of firing an event, so this
-/// keeps detection to a few percent of a run that never turns periodic.
+/// The records every digest of a run hashes, times this, stay within the
+/// run's events: hashing a record costs a small fraction of firing an
+/// event, so this keeps detection to a few percent of a run that never
+/// turns periodic.
 pub const COST_RATIO: u64 = 8;
 
 /// Longest candidate period, in round boundaries.
@@ -154,8 +157,8 @@ enum Phase {
     /// Looking for a candidate period.
     #[default]
     Watch,
-    /// Hashed and counters snapshotted at `base`; waiting for a boundary a
-    /// multiple of `p` later.
+    /// Hashed and counters snapshotted at `base`; waiting for the boundary
+    /// `p` later.
     Based { p: u64, base: Mark, digest: u128 },
     /// Skipped at `base`: the next `period` (boundaries, rounds, time) must
     /// repeat the proven one.
@@ -178,9 +181,9 @@ pub(crate) struct Detector {
     anchor: Option<GlobalPort>,
     last: Option<Mark>,
     boundaries: u64,
-    /// Events fired at the last digest and the records it hashed.
-    digest_fired: u64,
-    digest_items: u64,
+    /// Records hashed by every digest so far, and by the last one.
+    hashed: u64,
+    last_hashed: u64,
     buf: Buffers,
     /// Time and round offset of every note recorded from now on.
     shift: (SimTime, u64),
@@ -195,6 +198,10 @@ impl Detector {
 
     pub(crate) fn skipped(&self) -> Option<FastForward> {
         self.skipped
+    }
+
+    pub(crate) fn hashed(&self) -> u64 {
+        self.hashed
     }
 
     /// Record `sig` as boundary `b`'s and update the repeat counters.
@@ -228,10 +235,6 @@ impl Detector {
                 let (rounds, events) = sigs.fold((0, 0), |(r, e), s| (r + s.rounds, e + s.events));
                 (p as u64, rounds, events)
             })
-    }
-
-    fn budget_allows(&self, fired: u64) -> bool {
-        fired - self.digest_fired >= COST_RATIO * self.digest_items
     }
 }
 
@@ -347,31 +350,33 @@ fn boundary(cl: &mut Cluster, s: &mut ClusterSched, anchor: GlobalPort) {
     match std::mem::take(&mut det.phase) {
         Phase::Watch => {
             // Worth a digest only if the proof, the verify period, the
-            // margin and at least one skipped period still fit. The proof
-            // comes no sooner than the first multiple of the candidate
-            // whose events pay for the digest it follows.
-            let candidate = det.candidate(mark.boundary);
-            if let Some((p, span, events)) = candidate.filter(|_| det.budget_allows(mark.fired)) {
-                let wait = (COST_RATIO * records_at_least(cl, s)).div_ceil(events.max(1));
-                let proof = wait.max(1) * span;
-                if span > 0 && left >= 4 * span && left > 3 * proof {
-                    if let Some(digest) = take_digest(cl, s, round, false) {
-                        cl.steady.phase = Phase::Based {
-                            p,
-                            base: mark,
-                            digest,
-                        };
-                    }
-                }
+            // margin and at least one skipped period still fit, and if the
+            // run's events, fired and predicted by the candidate, pay for
+            // every digest so far plus this one and its proof: twice the
+            // records the last digest hashed, or a lower bound before it.
+            let Some((p, span, events)) = det.candidate(mark.boundary) else {
+                return;
+            };
+            if span == 0 || left < 4 * span {
+                return;
+            }
+            let run_events = mark.fired + events * left / span;
+            let (hashed, last) = (det.hashed, det.last_hashed);
+            let reserve = 2 * last.max(records_at_least(cl, s));
+            if COST_RATIO * (hashed + reserve) > run_events {
+                return;
+            }
+            if let Some(digest) = take_digest(cl, s, round, false) {
+                cl.steady.phase = Phase::Based {
+                    p,
+                    base: mark,
+                    digest,
+                };
             }
         }
         Phase::Based { p, base, digest } => {
-            let apart = mark.boundary - base.boundary;
-            if apart > 4 * MAX_PERIOD as u64 {
-                return;
-            }
             det.phase = Phase::Based { p, base, digest };
-            if !apart.is_multiple_of(p) || !det.budget_allows(mark.fired) {
+            if mark.boundary - base.boundary < p {
                 return;
             }
             match take_digest(cl, s, round, true) {
@@ -413,10 +418,10 @@ fn proven(cl: &mut Cluster, s: &mut ClusterSched, base: Mark, mark: Mark) {
         rounds: rounds * periods,
         events,
     });
-    let delta = std::mem::take(&mut det.buf.counters);
-    let mut next = delta.iter();
-    cl.walk_mut(&mut |c| *c += periods * next.next().expect("counters changed shape"));
-    drop(delta);
+    // The snapshot is freed here, before the notes grow.
+    grow(&std::mem::take(&mut det.buf.counters), periods, |f| {
+        cl.walk_mut(f)
+    });
     s.add_fired(events);
     for p in programs_mut(&mut cl.nodes) {
         p.skip(periods * rounds);
@@ -430,6 +435,19 @@ fn proven(cl: &mut Cluster, s: &mut ClusterSched, base: Mark, mark: Mark) {
             cl.notes.push(copy);
         }
     }
+}
+
+/// Grow every counter `walk_mut` hands over by `periods` times its delta
+/// over the proven period. The skip comes at the proving digest's instant,
+/// so a counter the base walk saw zero, and left out of `deltas`, holds
+/// its own delta.
+fn grow(deltas: &[(u32, u64)], periods: u64, walk_mut: impl FnOnce(&mut dyn FnMut(&mut u64))) {
+    let (mut next, mut at) = (deltas.iter().peekable(), 0);
+    walk_mut(&mut |c| {
+        let delta = next.next_if(|e| e.0 == at).map_or(*c, |e| e.1);
+        *c += periods * delta;
+        at += 1;
+    });
 }
 
 /// A lower bound on the records a digest of `cl` hashes: one per pending
@@ -453,26 +471,29 @@ fn min_left(nodes: &[Node]) -> u64 {
 
 /// The detector's reusable buffers: the signature of boundary `b` at
 /// `ring[b % len]`; `matched[p]`, the consecutive boundaries whose
-/// signature equals the one `p` earlier; a digest's sorted pending keys
-/// and ranked past link horizons; and every output counter at the base
-/// digest in walk order, which the proving digest turns into its delta.
+/// signature equals the one `p` earlier; a digest's sorted far-band keys
+/// and ranked past link horizons; every nonzero output counter at the
+/// base digest as `(walk index, value)`, which the proving digest turns
+/// into deltas in place; and the counters the base walk visited.
 #[derive(Default)]
 struct Buffers {
     ring: Vec<Sig>,
     matched: Vec<u32>,
     keys: Vec<(SimTime, u64, u32)>,
     ranks: Vec<SimTime>,
-    counters: Vec<u64>,
+    counters: Vec<(u32, u64)>,
+    walked: u32,
 }
 
-/// The detector's visitor: hashes future state, and either snapshots every
-/// counter or turns the snapshot into each counter's delta since.
+/// The detector's visitor: hashes future state, and either snapshots the
+/// nonzero counters or turns the snapshot into their deltas since.
 struct Snap<'a> {
     h: StateHasher,
-    counters: &'a mut Vec<u64>,
+    counters: &'a mut Vec<(u32, u64)>,
     delta: bool,
-    /// Counters visited so far.
-    at: usize,
+    /// Counters visited so far, and snapshot entries matched so far.
+    at: u32,
+    matched: usize,
 }
 
 impl Visit for Snap<'_> {
@@ -481,12 +502,16 @@ impl Visit for Snap<'_> {
     }
 
     fn counter(&mut self, _: Option<Counter>, value: u64) {
-        if !self.delta {
-            self.counters.push(value);
-        } else if let Some(c) = self.counters.get_mut(self.at) {
-            *c = value.wrapping_sub(*c);
-        }
+        let at = self.at;
         self.at += 1;
+        if !self.delta {
+            if value != 0 {
+                self.counters.push((at, value));
+            }
+        } else if let Some((_, c)) = self.counters.get_mut(self.matched).filter(|e| e.0 == at) {
+            *c = value.wrapping_sub(*c);
+            self.matched += 1;
+        }
     }
 }
 
@@ -497,8 +522,8 @@ fn take_digest(cl: &mut Cluster, s: &ClusterSched, anchor: u64, delta: bool) -> 
     let (value, items) = digest(cl, s, anchor, &mut buf, delta);
     let det = &mut cl.steady;
     det.buf = buf;
-    det.digest_fired = s.fired();
-    det.digest_items = items;
+    det.hashed += items;
+    det.last_hashed = items;
     value
 }
 
@@ -532,6 +557,7 @@ fn digest(
         counters: &mut buf.counters,
         delta,
         at: 0,
+        matched: 0,
     };
     let mut cx = Rebase::new(&cl.nodes, anchor, &mut buf.ranks);
     let h = &mut snap.h;
@@ -544,7 +570,8 @@ fn digest(
         cx.event(&cl.parcels, ev, h);
     });
     cl.walk(&mut cx, &mut snap);
-    let ok = cx.ok && snap.at == snap.counters.len();
+    let walked = std::mem::replace(&mut buf.walked, snap.at);
+    let ok = cx.ok && (!delta || snap.at == walked);
     (ok.then(|| snap.h.finish128()), snap.h.items())
 }
 
@@ -684,5 +711,33 @@ impl<'a> Rebase<'a> {
             ClusterEvent::ClosePort { node, port } => (node, port).hash(h),
             ClusterEvent::StartProgram { .. } => self.fail(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_skip_grows_each_counter_by_its_delta_even_from_zero() {
+        let mut counters = Vec::new();
+        let mut walk = |values: &[u64], delta| {
+            let mut snap = Snap {
+                h: StateHasher::new(SimTime::ZERO),
+                counters: &mut counters,
+                delta,
+                at: 0,
+                matched: 0,
+            };
+            for &v in values {
+                snap.counter(None, v);
+            }
+        };
+        walk(&[0, 5, 0, 7], false);
+        let mut values = [3, 9, 0, 7];
+        walk(&values, true);
+        assert_eq!(counters, [(1, 4), (3, 0)]);
+        grow(&counters, 10, |f| values.iter_mut().for_each(f));
+        assert_eq!(values, [33, 49, 0, 7]);
     }
 }

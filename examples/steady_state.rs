@@ -1,7 +1,7 @@
-//! The steady state of every cell of the benchmark's `paper_testbed` grid:
-//! the period the serial engine proves, the round that proves it, the
-//! rounds it skips, and how many of the run's events it actually
-//! simulated.
+//! The steady state of every cell of the benchmark's `paper_testbed` and
+//! `oversub_clos256` grids: the period the serial engine proves, the round
+//! that proves it, the rounds it skips, and how many of the run's events
+//! it actually simulated.
 //!
 //! Exits 1 if any cell stops fast-forwarding — a new piece of state that
 //! breaks periodicity (or a digest that misses a rebasing rule) would
@@ -10,8 +10,10 @@
 //! period and one round must cover the run. It also exits 1 if a cell
 //! proves its period after round [`MAX_PROOF`] or simulates more than
 //! [`MAX_SIMULATED`] of its rounds: with idle retransmission timers
-//! cancelled, every cell repeats from its first rounds, so a late proof
-//! means some state (a timer left pending, say) sets the period again.
+//! cancelled, every cell repeats every one or two rounds from its first
+//! ones, and the digests' budget pays for a proof one period after its
+//! base, so a late proof means some state (a timer left pending, say) sets
+//! the period again, or the digests wait for their events once more.
 //! Each cell also runs its traced twin, which skips nothing, and exits 1
 //! if the two output digests differ: a skip must leave the run as it was.
 //!
@@ -20,30 +22,46 @@
 //! ```
 
 use gmsim_lanai::NicModel;
-use gmsim_testbed::{Algorithm, BarrierExperiment, Descriptor};
+use gmsim_testbed::{Algorithm, BarrierExperiment, Descriptor, FabricSpec, RoutePolicy};
 use std::process::ExitCode;
 
-/// Rounds per cell and warm-up rounds, as the benchmark runs them.
-const ROUNDS: u64 = 1000;
-const WARMUP: u64 = 20;
-
 /// Latest round by which every cell must have proven its period.
-const MAX_PROOF: u64 = 40;
+const MAX_PROOF: u64 = 8;
 
-/// Most rounds of the [`ROUNDS`] a cell may simulate rather than skip.
-const MAX_SIMULATED: u64 = 64;
+/// Most of its rounds a cell may simulate rather than skip.
+const MAX_SIMULATED: u64 = 12;
 
 fn main() -> ExitCode {
     let (l43, l72) = (NicModel::LANAI_4_3, NicModel::LANAI_7_2);
+    let (nic, host) = (Algorithm::Nic, Algorithm::Host);
+    // Rounds as the benchmark runs them: 1000 on the paper's crossbar, 100
+    // on a 4:1 Clos of 16 leaves of 16 hosts and 4 spines, routed
+    // adaptively.
+    let paper = |alg: Algorithm, procs, nic: NicModel| {
+        let label = format!("{}@{procs} {}", alg.name(), nic.name);
+        (label, BarrierExperiment::new(procs, alg).nic(nic), 1000)
+    };
+    let clos = FabricSpec::Clos {
+        leaves: 16,
+        hosts_per_leaf: 16,
+        spines: 4,
+    };
+    let oversub = |alg: Algorithm| {
+        let e = BarrierExperiment::new(256, alg).fabric(clos, RoutePolicy::Adaptive);
+        (format!("{}@256 4:1 Clos", alg.name()), e, 100)
+    };
     let cells = [
-        (Algorithm::Nic(Descriptor::pe()), 16, l43),
-        (Algorithm::Host(Descriptor::pe()), 16, l43),
-        (Algorithm::Nic(Descriptor::gb(4)), 16, l43),
-        (Algorithm::Host(Descriptor::gb(4)), 16, l43),
-        (Algorithm::Nic(Descriptor::pe()), 8, l43),
-        (Algorithm::Host(Descriptor::pe()), 8, l43),
-        (Algorithm::Nic(Descriptor::pe()), 8, l72),
-        (Algorithm::Host(Descriptor::pe()), 8, l72),
+        paper(nic(Descriptor::pe()), 16, l43),
+        paper(host(Descriptor::pe()), 16, l43),
+        paper(nic(Descriptor::gb(4)), 16, l43),
+        paper(host(Descriptor::gb(4)), 16, l43),
+        paper(nic(Descriptor::pe()), 8, l43),
+        paper(host(Descriptor::pe()), 8, l43),
+        paper(nic(Descriptor::pe()), 8, l72),
+        paper(host(Descriptor::pe()), 8, l72),
+        oversub(nic(Descriptor::pe())),
+        oversub(host(Descriptor::pe())),
+        oversub(nic(Descriptor::gb(8))),
     ];
     println!(
         "{:<24} {:>10} {:>8} {:>11} {:>7} {:>9} {:>13} {:>11}",
@@ -53,11 +71,9 @@ fn main() -> ExitCode {
     let mut late = Vec::new();
     let mut slow = Vec::new();
     let mut differ = Vec::new();
-    for (alg, procs, nic) in cells {
-        let label = format!("{}@{procs} {}", alg.name(), nic.name);
-        let e = BarrierExperiment::new(procs, alg)
-            .nic(nic)
-            .rounds(ROUNDS, WARMUP);
+    for (label, e, rounds) in cells {
+        // Warm-up rounds as the benchmark's cells set them: 20 and 10.
+        let e = e.rounds(rounds, (rounds / 10).clamp(1, 20));
         let m = e.run().unwrap_or_else(|e| panic!("{label}: {e}"));
         let full = e.trace(1).run().unwrap_or_else(|e| panic!("{label}: {e}"));
         if full.digest() != m.digest() {
@@ -79,11 +95,11 @@ fn main() -> ExitCode {
             m.events
         );
         match (m.steady, m.fast_forward) {
-            (Some(p), Some(f)) if f.rounds + p.from_round + 3 * p.rounds + 1 < ROUNDS => {
+            (Some(p), Some(f)) if f.rounds + p.from_round + 3 * p.rounds + 1 < rounds => {
                 late.push(label)
             }
             (Some(p), Some(f))
-                if p.from_round + p.rounds > MAX_PROOF || ROUNDS - f.rounds > MAX_SIMULATED =>
+                if p.from_round + p.rounds > MAX_PROOF || rounds - f.rounds > MAX_SIMULATED =>
             {
                 slow.push(label)
             }

@@ -225,21 +225,53 @@ fn boundaries_inside_busy_horizons_are_exact() {
     }
 }
 
-/// The two cells a probe found not periodic must stay exact whether or
-/// not anything is skipped.
+/// Two cells whose round gaps vary from round to round must stay exact
+/// whether or not anything is skipped. Radix-3 dissemination at N = 100
+/// repeats every 6 rounds from round 46: it proves that period and skips.
+/// The 4 KiB d = 4 broadcast at 64 nodes proves none.
 #[test]
 fn known_non_periodic_cells_stay_exact() {
-    check(Case {
+    let dissemination = Case {
         rounds: 120,
         ..Case::new(Algorithm::Nic(Descriptor::dissemination_radix(3)), 100)
-    });
-    check(Case {
+    };
+    assert!(check(dissemination), "radix-3 dissemination skips");
+    let bcast = Case {
         rounds: 120,
         ..Case::new(
             Algorithm::Nic(Descriptor::bcast(4).with_payload(Payload::for_size(4096))),
             64,
         )
-    });
+    };
+    assert!(!check(bcast), "the 4 KiB broadcast skips nothing");
+    let m = bcast.experiment().run().unwrap();
+    assert_eq!(m.steady, None, "the 4 KiB broadcast proves no period");
+}
+
+/// A short run at scale: the whole-run digest budget pays for a proof one
+/// period after its base, so even 16 rounds of NIC-PE at 256 nodes on the
+/// benchmark's 4:1 Clos prove the true 2-round period and skip.
+#[test]
+fn short_nic_pe_run_at_256_nodes_skips_from_its_first_period() {
+    let clos = FabricSpec::Clos {
+        leaves: 16,
+        hosts_per_leaf: 16,
+        spines: 4,
+    };
+    let e = BarrierExperiment::new(256, Algorithm::Nic(Descriptor::pe()))
+        .rounds(16, 1)
+        .fabric(clos, RoutePolicy::Adaptive);
+    let got = e.run().unwrap();
+    let period = got.steady.expect("NIC-PE at 256 nodes is periodic");
+    assert_eq!((period.from_round, period.rounds), (5, 2));
+    let ff = got
+        .fast_forward
+        .expect("and 16 rounds leave repeats to skip");
+    assert!(ff.rounds >= 4, "skipped only {} of 16 rounds", ff.rounds);
+    let want = e.trace(1).run().unwrap();
+    assert_eq!(got.digest(), want.digest());
+    assert_eq!(got.steady, want.steady);
+    assert_skip_starts_at_the_proof(&got, 16, "NIC-PE@256, 16 rounds");
 }
 
 #[test]
