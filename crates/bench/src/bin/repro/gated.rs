@@ -471,7 +471,7 @@ fn team_pe(n: usize, teams: TeamSet) -> BarrierExperiment {
 /// number of concurrent teams; one NIC multiplexes every co-resident
 /// team, and contention shows up in p99 first. The isolated baseline
 /// anchors the chart *and* gates the team plumbing: one random team of
-/// every node, driven through the multi-team loop, must reproduce the
+/// every node, installed as a random team set, must reproduce the
 /// classic global barrier's mean bit for bit.
 pub fn multitenant(ctx: &mut Ctx) -> Result<(), StudyError> {
     let cells = multitenant_grid(ctx.smoke);

@@ -8,7 +8,7 @@
 //! boundary, never the full member list (§5.1).
 
 use crate::schedule::{self, Descriptor};
-use gmsim_gm::{CollectiveSchedule, CollectiveToken, GlobalPort, ReduceOp, TeamId};
+use gmsim_gm::{CollectiveSchedule, CollectiveToken, GlobalPort, TeamId};
 
 /// An ordered set of endpoints participating in collectives together.
 ///
@@ -92,67 +92,6 @@ impl BarrierGroup {
     pub fn token(&self, desc: Descriptor, rank: usize) -> CollectiveToken {
         CollectiveToken::new(self.compile(desc, rank))
     }
-
-    /// The PE barrier token for `rank`.
-    pub fn pe_token(&self, rank: usize) -> CollectiveToken {
-        self.token(Descriptor::Pe, rank)
-    }
-
-    /// The classic radix-2 dissemination barrier token for `rank`.
-    pub fn dissemination_token(&self, rank: usize) -> CollectiveToken {
-        self.token(Descriptor::dissemination(), rank)
-    }
-
-    /// The radix-`radix` dissemination barrier token for `rank`.
-    ///
-    /// # Panics
-    /// If `radix < 2` (via [`Descriptor::dissemination_radix`]); validate
-    /// with [`Descriptor::try_dissemination`] first when the radix is
-    /// user-supplied.
-    pub fn dissemination_radix_token(&self, rank: usize, radix: usize) -> CollectiveToken {
-        self.token(Descriptor::dissemination_radix(radix), rank)
-    }
-
-    /// The GB barrier token for `rank` with tree dimension `dim`.
-    pub fn gb_token(&self, rank: usize, dim: usize) -> CollectiveToken {
-        self.token(Descriptor::gb(dim), rank)
-    }
-
-    /// A NIC-broadcast token; `value` matters only at the root (rank 0).
-    pub fn broadcast_token(&self, rank: usize, dim: usize, value: u64) -> CollectiveToken {
-        self.token(Descriptor::bcast(dim), rank).with_value(value)
-    }
-
-    /// A NIC-reduce token contributing `value`; the result lands at rank 0.
-    pub fn reduce_token(
-        &self,
-        op: ReduceOp,
-        rank: usize,
-        dim: usize,
-        value: u64,
-    ) -> CollectiveToken {
-        self.token(Descriptor::reduce(op, dim), rank)
-            .with_value(value)
-    }
-
-    /// A NIC-allreduce token contributing `value`; every member receives
-    /// the result.
-    pub fn allreduce_token(
-        &self,
-        op: ReduceOp,
-        rank: usize,
-        dim: usize,
-        value: u64,
-    ) -> CollectiveToken {
-        self.token(Descriptor::allreduce(op, dim), rank)
-            .with_value(value)
-    }
-
-    /// A NIC-scan token contributing `value`; each member receives its
-    /// inclusive prefix under `op`.
-    pub fn scan_token(&self, op: ReduceOp, rank: usize, value: u64) -> CollectiveToken {
-        self.token(Descriptor::scan(op), rank).with_value(value)
-    }
 }
 
 /// A first-class communicator: a [`TeamId`] bound to an ordered member
@@ -233,30 +172,12 @@ impl Team {
     pub fn token(&self, desc: Descriptor, rank: usize) -> CollectiveToken {
         self.group.token(desc, rank).with_team(self.id)
     }
-
-    /// The PE barrier token for team rank `rank`.
-    pub fn pe_token(&self, rank: usize) -> CollectiveToken {
-        self.token(Descriptor::Pe, rank)
-    }
-
-    /// The GB barrier token for team rank `rank` with tree dimension `dim`.
-    pub fn gb_token(&self, rank: usize, dim: usize) -> CollectiveToken {
-        self.token(Descriptor::gb(dim), rank)
-    }
-
-    /// The radix-`radix` dissemination barrier token for team rank `rank`.
-    ///
-    /// # Panics
-    /// If `radix < 2` (via [`Descriptor::dissemination_radix`]).
-    pub fn dissemination_token(&self, rank: usize, radix: usize) -> CollectiveToken {
-        self.token(Descriptor::dissemination_radix(radix), rank)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmsim_gm::{CompletionKind, ScheduleStep, TokenCharge};
+    use gmsim_gm::{CompletionKind, ReduceOp, ScheduleStep, TokenCharge};
 
     #[test]
     fn one_per_node_ranks() {
@@ -276,7 +197,7 @@ mod tests {
     #[test]
     fn pe_token_has_log2_exchange_pairs() {
         let g = BarrierGroup::one_per_node(8, 1);
-        let t = g.pe_token(3);
+        let t = g.token(Descriptor::Pe, 3);
         assert_eq!(t.schedule.token_charge, TokenCharge::Light);
         // 3 exchanges, each a SendTo + RecvFrom, plus the completion.
         assert_eq!(t.schedule.steps.len(), 7);
@@ -316,13 +237,13 @@ mod tests {
             peers.dedup();
             peers
         };
-        let root = g.gb_token(0, 2);
+        let root = g.token(Descriptor::gb(2), 0);
         assert_eq!(root.schedule.token_charge, TokenCharge::Tree);
         assert_eq!(
             peers_of(&root),
             vec![GlobalPort::new(1, 1), GlobalPort::new(2, 1)]
         );
-        let mid = g.gb_token(1, 2);
+        let mid = g.token(Descriptor::gb(2), 1);
         assert_eq!(
             peers_of(&mid),
             vec![
@@ -331,19 +252,23 @@ mod tests {
                 GlobalPort::new(4, 1)
             ]
         );
-        let leaf = g.gb_token(5, 2);
+        let leaf = g.token(Descriptor::gb(2), 5);
         assert_eq!(peers_of(&leaf), vec![GlobalPort::new(2, 1)]);
     }
 
     #[test]
     fn value_tokens_carry_operands() {
         let g = BarrierGroup::one_per_node(4, 1);
-        assert_eq!(g.broadcast_token(0, 2, 42).value, 42);
-        let r = g.reduce_token(ReduceOp::Min, 3, 2, 9);
+        assert_eq!(g.token(Descriptor::bcast(2), 0).with_value(42).value, 42);
+        let r = g
+            .token(Descriptor::reduce(ReduceOp::Min, 2), 3)
+            .with_value(9);
         assert_eq!(r.value, 9);
-        let a = g.allreduce_token(ReduceOp::Sum, 1, 3, 5);
+        let a = g
+            .token(Descriptor::allreduce(ReduceOp::Sum, 3), 1)
+            .with_value(5);
         assert_eq!(a.value, 5);
-        let s = g.scan_token(ReduceOp::Sum, 2, 7);
+        let s = g.token(Descriptor::scan(ReduceOp::Sum), 2).with_value(7);
         assert_eq!(s.value, 7);
         assert!(s
             .schedule
@@ -355,7 +280,7 @@ mod tests {
     #[test]
     fn dissemination_token_runs_on_the_pe_path() {
         let g = BarrierGroup::one_per_node(6, 1);
-        let t = g.dissemination_token(2);
+        let t = g.token(Descriptor::dissemination(), 2);
         assert_eq!(
             t.schedule.token_charge,
             TokenCharge::Light,
@@ -384,12 +309,12 @@ mod tests {
     fn kary_dissemination_token_shrinks_rounds() {
         let g = BarrierGroup::one_per_node(9, 1);
         // radix 3 over 9 ranks: 2 rounds × 2 offsets × (send+recv) + done.
-        let t = g.dissemination_radix_token(0, 3);
+        let t = g.token(Descriptor::dissemination_radix(3), 0);
         assert_eq!(t.schedule.token_charge, TokenCharge::Light);
         assert_eq!(t.schedule.steps.len(), 9);
         // The radix-2 form of the same group needs 4 rounds (16 wire steps
         // minus skipped distances ≥ 9: dists 1,2,4,8 all < 9 → 8 + done).
-        let t2 = g.dissemination_token(0);
+        let t2 = g.token(Descriptor::dissemination(), 0);
         assert_eq!(t2.schedule.steps.len(), 9);
         // Same total here, but the radix-3 schedule has 2 dependent rounds
         // vs 4: check first-round fan-out instead.
@@ -418,7 +343,7 @@ mod tests {
         assert_eq!(team.member(2), GlobalPort::new(5, 1));
         assert_eq!(team.rank_of(GlobalPort::new(7, 1)), Some(3));
         assert_eq!(team.rank_of(GlobalPort::new(2, 1)), None);
-        let t = team.pe_token(0);
+        let t = team.token(Descriptor::Pe, 0);
         assert_eq!(t.team, TeamId(3));
         // Rank 0's first PE exchange partner is team rank 1 = node 3.
         let first_send = t
@@ -438,7 +363,10 @@ mod tests {
         let group = BarrierGroup::one_per_node(4, 1);
         let team = Team::global(group.clone());
         for rank in 0..4 {
-            assert_eq!(team.pe_token(rank), group.pe_token(rank));
+            assert_eq!(
+                team.token(Descriptor::Pe, rank),
+                group.token(Descriptor::Pe, rank)
+            );
         }
     }
 

@@ -52,6 +52,6 @@ pub use gmsim_gm::{ReduceOp, TeamId};
 pub use group::{BarrierGroup, Team};
 pub use host_baseline::HostBarrierLoop;
 pub use nic::{BarrierCosts, BarrierExtension, BarrierStats};
-pub use programs::{FuzzyBarrierLoop, MultiTeamBarrierLoop, NicBarrierLoop, NOTE_BARRIER_DONE};
+pub use programs::{NicBarrierLoop, NOTE_BARRIER_DONE};
 pub use schedule::{compile, Descriptor, DescriptorError};
 pub use unexpected::UnexpectedRecord;

@@ -935,6 +935,7 @@ pub fn stats_of(cluster: &gmsim_gm::Cluster, node: usize) -> BarrierStats {
 mod tests {
     use super::*;
     use crate::group::BarrierGroup;
+    use crate::Descriptor;
     use gmsim_gm::{GmConfig, Mcp, SendToken};
 
     /// Drive two MCPs by hand (no cluster): node 0 and node 1 both run a
@@ -960,14 +961,14 @@ mod tests {
         let mut outs0 = mcps[0].handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: group.pe_token(0),
+                token: group.token(Descriptor::Pe, 0),
             },
             SimTime::ZERO,
         );
         let outs1 = mcps[1].handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: group.pe_token(1),
+                token: group.token(Descriptor::Pe, 1),
             },
             SimTime::ZERO,
         );
@@ -1036,7 +1037,7 @@ mod tests {
         let outs = m.handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: group.pe_token(0),
+                token: group.token(Descriptor::Pe, 0),
             },
             SimTime::from_us(50),
         );
@@ -1110,7 +1111,7 @@ mod tests {
         m.handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: group.pe_token(0),
+                token: group.token(Descriptor::Pe, 0),
             },
             SimTime::ZERO,
         );
@@ -1280,7 +1281,7 @@ mod tests {
         m.handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: group.pe_token(0),
+                token: group.token(Descriptor::Pe, 0),
             },
             SimTime::ZERO,
         );
@@ -1314,14 +1315,14 @@ mod tests {
         m.handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: a.pe_token(0),
+                token: a.token(Descriptor::Pe, 0),
             },
             SimTime::ZERO,
         );
         m.handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: b.pe_token(0),
+                token: b.token(Descriptor::Pe, 0),
             },
             SimTime::ZERO,
         );
@@ -1385,7 +1386,7 @@ mod tests {
         m.handle_send_token(
             SendToken::Collective {
                 src_port: PortId(1),
-                token: a.pe_token(0),
+                token: a.token(Descriptor::Pe, 0),
             },
             SimTime::ZERO,
         );
@@ -1429,7 +1430,7 @@ mod tests {
             m.handle_send_token(
                 SendToken::Collective {
                     src_port: PortId(1),
-                    token: group.pe_token(0),
+                    token: group.token(Descriptor::Pe, 0),
                 },
                 SimTime::ZERO,
             );

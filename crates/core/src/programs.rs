@@ -59,60 +59,128 @@ fn digest_token(token: &CollectiveToken, h: &mut StateHasher) {
     (&*token.schedule, token.value, token.team).hash(h);
 }
 
-/// Runs `rounds` consecutive NIC-based collectives of any [`Descriptor`].
+/// Runs `rounds` consecutive NIC-based collectives of any [`Descriptor`]:
+/// the paper's benchmark loop, one per process.
+///
+/// One loop can drive several teams' jobs on *one* port — the host side
+/// of a multi-tenant node ([`Self::push`]). Each job posts its own
+/// team-stamped token; barrier completions carry the team id, so each job
+/// restarts and notes independently of the others, every note tagged with
+/// [`note_team_tag`].
+///
+/// With [`Self::compute`] it is §2.1's fuzzy barrier: "because the barrier
+/// algorithm is performed at the NIC, the processor is free to perform
+/// computation while polling for the barrier to complete". Overlapped, a
+/// round initiates the collective and then computes while the NIC
+/// synchronizes; blocking, it computes first and only then initiates.
+/// Comparing the two periods shows the hidden time.
 pub struct NicBarrierLoop {
-    /// The schedule is identical every round, so it is compiled once here
-    /// and the token cloned per round — an `Arc` bump, not a program copy.
+    /// The first job, inline: a one-team loop is one allocation.
+    first: Job,
+    more: Vec<Job>,
+    /// Host computation per round, and whether it overlaps the collective.
+    compute: Option<(SimTime, bool)>,
+}
+
+/// One team's stream of collectives on the loop's port. The schedule is
+/// identical every round, so it is compiled once and the token cloned per
+/// round — an `Arc` bump, not a program copy.
+struct Job {
     token: CollectiveToken,
     rounds: u64,
     round: u64,
 }
 
-impl NicBarrierLoop {
-    /// The loop for `rank` of `group`.
-    pub fn new(group: BarrierGroup, rank: usize, desc: Descriptor, rounds: u64) -> Self {
-        NicBarrierLoop {
-            token: group.token(desc, rank),
+impl Job {
+    fn new(team: &Team, rank: usize, desc: Descriptor, rounds: u64) -> Self {
+        Job {
+            token: team.token(desc, rank),
             rounds,
             round: 0,
         }
+    }
+}
+
+impl NicBarrierLoop {
+    /// The loop for `rank` of `group`.
+    pub fn new(group: BarrierGroup, rank: usize, desc: Descriptor, rounds: u64) -> Self {
+        Self::for_team(&Team::global(group), rank, desc, rounds)
     }
 
     /// The loop for team rank `rank` of `team`: the posted token is
     /// team-stamped and completions are noted under the team id.
     pub fn for_team(team: &Team, rank: usize, desc: Descriptor, rounds: u64) -> Self {
         NicBarrierLoop {
-            token: team.token(desc, rank),
-            rounds,
-            round: 0,
+            first: Job::new(team, rank, desc, rounds),
+            more: Vec::new(),
+            compute: None,
         }
     }
 
-    fn token(&self) -> CollectiveToken {
-        self.token.clone()
+    /// Also run `rounds` consecutive `desc` collectives for team rank
+    /// `rank` of `team`, next to the jobs already on this port. Only
+    /// barriers complete with their team's id, so a loop of several jobs
+    /// runs barriers only.
+    pub fn push(&mut self, team: &Team, rank: usize, desc: Descriptor, rounds: u64) {
+        self.more.push(Job::new(team, rank, desc, rounds));
+    }
+
+    /// Compute for `compute` every round, overlapped with the collective
+    /// (`overlap`, the fuzzy barrier) or before initiating it.
+    #[must_use]
+    pub fn compute(mut self, compute: SimTime, overlap: bool) -> Self {
+        self.compute = Some((compute, overlap));
+        self
+    }
+
+    fn jobs(&self) -> impl Iterator<Item = &Job> {
+        std::iter::once(&self.first).chain(&self.more)
+    }
+
+    fn jobs_mut(&mut self) -> impl Iterator<Item = &mut Job> {
+        std::iter::once(&mut self.first).chain(&mut self.more)
+    }
+}
+
+/// Initiate one round of `token`, with the loop's host computation.
+fn begin_round(token: &CollectiveToken, compute: Option<(SimTime, bool)>, ctx: &mut HostCtx) {
+    match compute {
+        None => ctx.start_collective(token.clone()),
+        Some((work, true)) => {
+            ctx.start_collective(token.clone());
+            ctx.compute(work);
+        }
+        Some((work, false)) => {
+            ctx.compute(work);
+            ctx.start_collective(token.clone());
+        }
     }
 }
 
 impl HostProgram for NicBarrierLoop {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        if self.rounds > 0 {
-            ctx.start_collective(self.token());
+        for job in self.jobs().filter(|j| j.rounds > 0) {
+            begin_round(&job.token, self.compute, ctx);
         }
     }
 
     fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
-        if matches!(
-            ev,
-            GmEvent::BarrierComplete { .. }
-                | GmEvent::BroadcastComplete { .. }
-                | GmEvent::ReduceComplete { .. }
-                | GmEvent::ScanComplete { .. }
-        ) {
-            ctx.note(note_team_tag(self.token.team, self.round));
-            self.round += 1;
-            if self.round < self.rounds {
-                ctx.start_collective(self.token());
-            }
+        let team = match ev {
+            GmEvent::BarrierComplete { team } => *team,
+            GmEvent::BroadcastComplete { .. }
+            | GmEvent::ReduceComplete { .. }
+            | GmEvent::ScanComplete { .. } => self.first.token.team,
+            _ => return,
+        };
+        let compute = self.compute;
+        let job = self
+            .jobs_mut()
+            .find(|j| j.token.team == team)
+            .expect("completion for a team this port never posted");
+        ctx.note(note_team_tag(team, job.round));
+        job.round += 1;
+        if job.round < job.rounds {
+            begin_round(&job.token, compute, ctx);
         }
     }
 
@@ -125,114 +193,30 @@ impl HostProgram for NicBarrierLoop {
     }
 }
 
-/// One collective in flight at a time, the same token every round: the
-/// round counter is all that moves.
+/// One collective in flight per job, the same token every round: the
+/// round counters are all that move. The first job's round is the loop's
+/// progress; every job's round hashes relative to the anchor's, so equal
+/// digests mean every job moved by the same number of rounds.
 impl SteadyProgram for NicBarrierLoop {
+    /// The first job's round, and a total that leaves the rounds of the
+    /// job closest to its end.
     fn progress(&self) -> (u64, u64) {
-        (self.round, self.rounds)
+        let left = self.jobs().map(|j| j.rounds - j.round).min().unwrap_or(0);
+        (self.first.round, self.first.round + left)
     }
 
     fn digest(&self, anchor: u64, h: &mut StateHasher) {
-        h.signed(self.round.wrapping_sub(anchor) as i64);
-        digest_token(&self.token, h);
+        (self.more.len(), self.compute).hash(h);
+        for job in self.jobs() {
+            h.signed(job.round.wrapping_sub(anchor) as i64);
+            digest_token(&job.token, h);
+        }
     }
 
     fn skip(&mut self, rounds: u64) {
-        self.rounds -= rounds;
-    }
-
-    fn shift_note(&self, tag: u64, rounds: u64) -> u64 {
-        shift_team_note(tag, rounds)
-    }
-}
-
-/// A fuzzy-barrier loop (§2.1): "because the barrier algorithm is performed
-/// at the NIC, the processor is free to perform computation while polling
-/// for the barrier to complete".
-///
-/// With `overlap = true` the program initiates the barrier, then computes
-/// for `compute` while the NIC synchronizes (the fuzzy barrier). With
-/// `overlap = false` it computes first and only then initiates — the
-/// blocking baseline. Comparing total runtimes shows the hidden time.
-pub struct FuzzyBarrierLoop {
-    /// Compiled once; cloned (cheaply) per round.
-    token: CollectiveToken,
-    rounds: u64,
-    round: u64,
-    compute: SimTime,
-    overlap: bool,
-}
-
-impl FuzzyBarrierLoop {
-    /// The loop for `rank` of `group`, with per-round `compute` work.
-    pub fn new(
-        group: BarrierGroup,
-        rank: usize,
-        rounds: u64,
-        compute: SimTime,
-        overlap: bool,
-    ) -> Self {
-        FuzzyBarrierLoop {
-            token: group.pe_token(rank),
-            rounds,
-            round: 0,
-            compute,
-            overlap,
+        for job in self.jobs_mut() {
+            job.rounds -= rounds;
         }
-    }
-
-    fn begin_round(&self, ctx: &mut HostCtx) {
-        if self.overlap {
-            // Fuzzy: initiate, then compute while the NIC runs the barrier.
-            ctx.start_collective(self.token.clone());
-            ctx.compute(self.compute);
-        } else {
-            // Blocking: compute, then synchronize.
-            ctx.compute(self.compute);
-            ctx.start_collective(self.token.clone());
-        }
-    }
-}
-
-impl HostProgram for FuzzyBarrierLoop {
-    fn on_start(&mut self, ctx: &mut HostCtx) {
-        if self.rounds > 0 {
-            self.begin_round(ctx);
-        }
-    }
-
-    fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
-        if matches!(ev, GmEvent::BarrierComplete { .. }) {
-            ctx.note(note_tag(self.round));
-            self.round += 1;
-            if self.round < self.rounds {
-                self.begin_round(ctx);
-            }
-        }
-    }
-
-    fn steady(&self) -> Option<&dyn SteadyProgram> {
-        Some(self)
-    }
-
-    fn steady_mut(&mut self) -> Option<&mut dyn SteadyProgram> {
-        Some(self)
-    }
-}
-
-impl SteadyProgram for FuzzyBarrierLoop {
-    fn progress(&self) -> (u64, u64) {
-        (self.round, self.rounds)
-    }
-
-    fn digest(&self, anchor: u64, h: &mut StateHasher) {
-        h.signed(self.round.wrapping_sub(anchor) as i64);
-        digest_token(&self.token, h);
-        (self.compute, self.overlap).hash(h);
-    }
-
-    fn skip(&mut self, rounds: u64) {
-        self.rounds -= rounds;
     }
 
     fn shift_note(&self, tag: u64, rounds: u64) -> u64 {
@@ -279,77 +263,6 @@ impl HostProgram for OneShotCollective {
         self.result = Some(value);
         debug_assert!(value < (1 << 32), "note encoding truncates the value");
         ctx.note(NOTE_COLLECTIVE_VALUE | value);
-    }
-}
-
-/// Drives several teams' barrier loops concurrently on *one* port — the
-/// host side of a multi-tenant node. Each job posts its own team-stamped
-/// token; completions carry the team id, so each job restarts and notes
-/// independently of the others. Every note is tagged with
-/// [`note_team_tag`] so the driver can attribute rounds to jobs.
-#[derive(Default)]
-pub struct MultiTeamBarrierLoop {
-    jobs: Vec<TeamJob>,
-}
-
-struct TeamJob {
-    team: TeamId,
-    token: CollectiveToken,
-    rounds: u64,
-    round: u64,
-}
-
-impl MultiTeamBarrierLoop {
-    /// An empty driver; add jobs with [`Self::push`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `rounds` consecutive `desc` collectives for team rank `rank`
-    /// of `team`.
-    pub fn push(&mut self, team: &Team, rank: usize, desc: Descriptor, rounds: u64) {
-        self.jobs.push(TeamJob {
-            team: team.id(),
-            token: team.token(desc, rank),
-            rounds,
-            round: 0,
-        });
-    }
-
-    /// Number of jobs registered.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True when no jobs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-}
-
-impl HostProgram for MultiTeamBarrierLoop {
-    fn on_start(&mut self, ctx: &mut HostCtx) {
-        for job in &self.jobs {
-            if job.rounds > 0 {
-                ctx.start_collective(job.token.clone());
-            }
-        }
-    }
-
-    fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
-        let GmEvent::BarrierComplete { team } = ev else {
-            return;
-        };
-        let job = self
-            .jobs
-            .iter_mut()
-            .find(|j| j.team == *team)
-            .expect("completion for a team this port never posted");
-        ctx.note(note_team_tag(job.team, job.round));
-        job.round += 1;
-        if job.round < job.rounds {
-            ctx.start_collective(job.token.clone());
-        }
     }
 }
 

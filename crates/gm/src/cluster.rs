@@ -62,12 +62,17 @@ pub struct Node {
     /// The NIC firmware (MCP + extension).
     pub mcp: Mcp,
     pub(crate) programs: Vec<Option<Box<dyn HostProgram>>>,
+    /// The first port that posted a send with no send token left. GM would
+    /// block that process; the simulator drops the send and leaves the
+    /// diagnosis to whoever runs the cluster.
+    pub starved: Option<PortId>,
 }
 
 gmsim_des::walk! {
     pub(crate) fn walk(cx: &mut Rebase) for Node {
         host: walk(cx),
         mcp: walk(cx),
+        starved: state,
         programs: state(h => {
             h.item();
             for slot in programs {
@@ -604,6 +609,7 @@ impl ClusterBuilder {
                     host: Host::new(node, &self.config),
                     mcp: Mcp::new(core, ext),
                     programs: (0..8).map(|_| None).collect(),
+                    starved: None,
                 }
             })
             .collect();
@@ -774,6 +780,16 @@ fn start_program<S: EventSink>(node: NodeId, port: PortId, ctx: &mut NodeCtx, si
     *ctx.action_scratch = actions;
 }
 
+/// Take one of `port`'s send tokens, or record the port as starved and
+/// tell the caller to drop the send.
+fn take_send_token(node: &mut Node, port: PortId) -> bool {
+    let ok = node.mcp.core.port_mut(port).take_send_token();
+    if !ok {
+        node.starved.get_or_insert(port);
+    }
+    ok
+}
+
 /// Interpret the actions a program emitted during one callback, draining
 /// the buffer so it can be reused.
 fn apply_actions<S: EventSink>(
@@ -792,8 +808,9 @@ fn apply_actions<S: EventSink>(
                 tag,
                 notify,
             } => {
-                let ok = ctx.node(node).mcp.core.port_mut(port).take_send_token();
-                assert!(ok, "send tokens exhausted on {node:?}{port:?}");
+                if !take_send_token(ctx.node(node), port) {
+                    continue;
+                }
                 let at = ctx.node(node).host.reserve_send(now);
                 let token = sink.parcels().tokens.park(SendToken::Data {
                     src_port: port,
@@ -813,8 +830,9 @@ fn apply_actions<S: EventSink>(
                     .core
                     .port_mut(port)
                     .provide_barrier_buffer();
-                let ok = ctx.node(node).mcp.core.port_mut(port).take_send_token();
-                assert!(ok, "send tokens exhausted on {node:?}{port:?}");
+                if !take_send_token(ctx.node(node), port) {
+                    continue;
+                }
                 let at = ctx.node(node).host.reserve_send(now);
                 let token = sink.parcels().tokens.park(SendToken::Collective {
                     src_port: port,

@@ -10,7 +10,7 @@ use gmsim_gm::cluster::ClusterBuilder;
 use gmsim_gm::{GlobalPort, GmConfig, NodeId, TeamId};
 use gmsim_lanai::NicModel;
 use nic_barrier::nic::stats_of;
-use nic_barrier::programs::{decode_team_note, MultiTeamBarrierLoop};
+use nic_barrier::programs::{decode_team_note, NicBarrierLoop};
 use nic_barrier::{BarrierExtension, BarrierGroup, Descriptor, Team};
 use std::collections::HashMap;
 
@@ -31,19 +31,24 @@ fn run_overlapping_teams() -> gmsim_gm::cluster::Cluster {
     let team_a = Team::new(TEAM_A, group(&members_a));
     let team_b = Team::new(TEAM_B, group(&members_b));
 
-    let mut loops: Vec<MultiTeamBarrierLoop> =
-        (0..4).map(|_| MultiTeamBarrierLoop::new()).collect();
-    for (rank, &node) in members_a.iter().enumerate() {
-        loops[node].push(&team_a, rank, Descriptor::Pe, ROUNDS_A);
-    }
-    for (rank, &node) in members_b.iter().enumerate() {
-        loops[node].push(&team_b, rank, Descriptor::Pe, ROUNDS_B);
+    let mut loops: Vec<Option<NicBarrierLoop>> = (0..4).map(|_| None).collect();
+    for (team, members, rounds) in [
+        (&team_a, members_a, ROUNDS_A),
+        (&team_b, members_b, ROUNDS_B),
+    ] {
+        for (rank, &node) in members.iter().enumerate() {
+            match &mut loops[node] {
+                Some(barrier_loop) => barrier_loop.push(team, rank, Descriptor::Pe, rounds),
+                slot => *slot = Some(NicBarrierLoop::for_team(team, rank, Descriptor::Pe, rounds)),
+            }
+        }
     }
 
     let mut b = ClusterBuilder::new(4)
         .config(GmConfig::paper_host(NicModel::LANAI_4_3))
         .extension(BarrierExtension::factory());
     for (node, barrier_loop) in loops.into_iter().enumerate() {
+        let barrier_loop = barrier_loop.expect("every node serves a team");
         // Staggered starts: each node joins later than the last, so the
         // teams' first rounds interleave maximally adversarially.
         b = b.program(

@@ -364,31 +364,23 @@ impl MpiProcess {
                 }
                 MpiOp::Barrier => {
                     ctx.compute(self.config.call_overhead);
-                    match self.config.barrier {
-                        BarrierBinding::NicPe => {
-                            let token =
-                                self.stamp(self.active_group().pe_token(self.active_rank()));
-                            ctx.start_collective(token);
-                            self.blocked = Blocked::NicCollective;
-                            return;
-                        }
-                        BarrierBinding::NicGb { dim } => {
-                            let token =
-                                self.stamp(self.active_group().gb_token(self.active_rank(), dim));
-                            ctx.start_collective(token);
-                            self.blocked = Blocked::NicCollective;
-                            return;
-                        }
+                    let nic = match self.config.barrier {
+                        BarrierBinding::NicPe => Some(Descriptor::Pe),
+                        BarrierBinding::NicGb { dim } => Some(Descriptor::gb(dim)),
                         BarrierBinding::NicDissemination { radix } => {
-                            let token = self.stamp(
-                                self.active_group()
-                                    .dissemination_radix_token(self.active_rank(), radix),
-                            );
+                            Some(Descriptor::dissemination_radix(radix))
+                        }
+                        BarrierBinding::HostPe => None,
+                    };
+                    match nic {
+                        Some(desc) => {
+                            let rank = self.active_rank();
+                            let token = self.stamp(self.active_group().token(desc, rank));
                             ctx.start_collective(token);
                             self.blocked = Blocked::NicCollective;
                             return;
                         }
-                        BarrierBinding::HostPe => {
+                        None => {
                             let team = self.active_team();
                             let counter = self.barrier_rounds.entry(team).or_default();
                             let round = *counter;

@@ -1,10 +1,9 @@
 //! Declarative barrier experiments.
 //!
-//! [`BarrierExperiment`] is the one builder for every measured run. The
-//! runs differ only in the host programs it installs: one barrier loop per
-//! process ([`NicBarrierLoop`] or [`HostBarrierLoop`]), one
-//! [`MultiTeamBarrierLoop`] per node for seeded random teams, or the §2.1
-//! [`FuzzyBarrierLoop`]. Validation, the cluster, the checks and the
+//! [`BarrierExperiment`] is the one builder for every measured run. It
+//! installs one barrier loop per endpoint: a [`NicBarrierLoop`] running
+//! every team job of that endpoint, with §2.1's fuzzy compute if asked,
+//! or a [`HostBarrierLoop`]. Validation, the cluster, the checks and the
 //! aggregation into one [`Measurement`] are shared.
 
 use gmsim_des::{Histogram, MetricSet, RunOutcome, SimRng, SimTime, Summary, TraceRecord, Tracer};
@@ -14,10 +13,10 @@ use gmsim_gm::{FastForward, GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram,
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::{FabricSpec, FaultPlan, InvalidFabric, RoutePolicy};
 use nic_barrier::nic::{TURNAROUND_BINS, TURNAROUND_BIN_US};
-use nic_barrier::programs::{decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
+use nic_barrier::programs::decode_team_note;
 use nic_barrier::{
-    BarrierCosts, BarrierExtension, BarrierGroup, Descriptor, DescriptorError, FuzzyBarrierLoop,
-    HostBarrierLoop, Team, TeamId,
+    BarrierCosts, BarrierExtension, BarrierGroup, Descriptor, DescriptorError, HostBarrierLoop,
+    NicBarrierLoop, Team, TeamId,
 };
 use std::fmt;
 
@@ -173,8 +172,8 @@ pub enum ExperimentError {
         procs_per_node: usize,
     },
     /// Options no host program runs together: random teams run only NIC
-    /// barriers, one process per node; the fuzzy compute loop runs only
-    /// NIC-PE over the global team; background traffic needs port 2 free.
+    /// barriers without fuzzy compute, one process per node; fuzzy compute
+    /// runs only NIC collectives; background traffic needs port 2 free.
     Unsupported {
         /// The rejected combination.
         what: &'static str,
@@ -228,6 +227,16 @@ pub enum ExperimentError {
         capacity: usize,
         /// Nodes the experiment needs.
         nodes: usize,
+    },
+    /// A process posted a send with none of its port's send tokens left.
+    /// GM would block it until an ACK returned one; the simulator drops
+    /// the send and ends the run here. A deeper pool
+    /// ([`BarrierExperiment::send_token_pool`]) lets such a run through.
+    SendTokensExhausted {
+        /// The lowest-numbered node with a starved port.
+        node: u32,
+        /// That node's first starved port.
+        port: u8,
     },
     /// A round completed on fewer processes than participate.
     IncompleteRound {
@@ -299,6 +308,9 @@ impl fmt::Display for ExperimentError {
                 f,
                 "fabric attaches {capacity} hosts but the cluster needs {nodes}"
             ),
+            ExperimentError::SendTokensExhausted { node, port } => {
+                write!(f, "node {node} port {port} ran out of send tokens")
+            }
             ExperimentError::IncompleteRound {
                 round,
                 completed,
@@ -624,13 +636,12 @@ impl BarrierExperiment {
             }
         }
         let random = matches!(self.teams, TeamSet::Random { .. });
-        // The multi-team loop counts only barrier completions.
+        // Only barrier completions name their team, so a loop of several
+        // teams' jobs runs barriers only.
         let barrier = matches!(
             desc,
             Descriptor::Pe | Descriptor::Gb { .. } | Descriptor::Dissemination { .. }
         );
-        let fuzzy_ok = self.algorithm == Algorithm::Nic(Descriptor::Pe)
-            && self.teams == TeamSet::Whole(TeamId::GLOBAL);
         for (rejected, what) in [
             (
                 random && !self.algorithm.is_nic(),
@@ -642,8 +653,8 @@ impl BarrierExperiment {
             ),
             (random && packed, "random teams with packed processes"),
             (
-                self.compute.is_some() && !fuzzy_ok,
-                "fuzzy compute with anything but NIC-PE over the global team",
+                self.compute.is_some() && (random || !self.algorithm.is_nic()),
+                "fuzzy compute with a host algorithm or random teams",
             ),
             (
                 self.background && packed,
@@ -709,9 +720,10 @@ impl BarrierExperiment {
             .collect()
     }
 
-    /// Install the host programs: one barrier loop per process for a
-    /// whole-cluster team, or one [`MultiTeamBarrierLoop`] per node driving
-    /// all of that node's random-team memberships on port 1.
+    /// Install the host programs: one barrier loop per endpoint, in
+    /// `(node, port)` order, each drawing its start skew in turn. A NIC
+    /// loop runs the endpoint's rank of every team it belongs to, in team
+    /// order.
     fn install(&self, mut builder: ClusterBuilder, teams: &[Team]) -> ClusterBuilder {
         let mut rng = SimRng::new(self.seed);
         let mut start = || {
@@ -721,42 +733,31 @@ impl BarrierExperiment {
                 SimTime::from_us(rng.below(self.max_skew_us + 1))
             }
         };
-        if let TeamSet::Whole(_) = self.teams {
-            let team = &teams[0];
-            for rank in 0..team.len() {
-                let program: Box<dyn HostProgram> = match (self.compute, self.algorithm) {
-                    (Some((us, overlap)), _) => Box::new(FuzzyBarrierLoop::new(
-                        team.group().clone(),
-                        rank,
-                        self.rounds,
-                        SimTime::from_us(us),
-                        overlap,
-                    )),
-                    (None, Algorithm::Nic(desc)) => {
-                        Box::new(NicBarrierLoop::for_team(team, rank, desc, self.rounds))
+        let mut ranks: Vec<(GlobalPort, &Team, usize)> = teams
+            .iter()
+            .flat_map(|team| (0..team.len()).map(move |rank| (team.member(rank), team, rank)))
+            .collect();
+        ranks.sort_by_key(|&(port, ..)| port);
+        for endpoint in ranks.chunk_by(|a, b| a.0 == b.0) {
+            let (port, team, rank) = endpoint[0];
+            let program: Box<dyn HostProgram> = match self.algorithm {
+                Algorithm::Nic(desc) => {
+                    let mut barrier_loop = NicBarrierLoop::for_team(team, rank, desc, self.rounds);
+                    for &(_, team, rank) in &endpoint[1..] {
+                        barrier_loop.push(team, rank, desc, self.rounds);
                     }
-                    (None, Algorithm::Host(desc)) => {
-                        Box::new(HostBarrierLoop::for_team(team, rank, desc, self.rounds))
+                    match self.compute {
+                        Some((us, overlap)) => {
+                            Box::new(barrier_loop.compute(SimTime::from_us(us), overlap))
+                        }
+                        None => Box::new(barrier_loop),
                     }
-                };
-                builder = builder.program(team.member(rank), program, start());
-            }
-        } else {
-            let mut loops: Vec<MultiTeamBarrierLoop> = (0..self.procs)
-                .map(|_| MultiTeamBarrierLoop::new())
-                .collect();
-            for team in teams {
-                for rank in 0..team.len() {
-                    let node = team.member(rank).node.0;
-                    loops[node].push(team, rank, self.algorithm.descriptor(), self.rounds);
                 }
-            }
-            for (node, barrier_loop) in loops.into_iter().enumerate() {
-                if !barrier_loop.is_empty() {
-                    let port = GlobalPort::new(node, 1);
-                    builder = builder.program(port, Box::new(barrier_loop), start());
+                Algorithm::Host(desc) => {
+                    Box::new(HostBarrierLoop::for_team(team, rank, desc, self.rounds))
                 }
-            }
+            };
+            builder = builder.program(port, program, start());
         }
         let nodes = self.node_count();
         if self.background && nodes > 1 {
@@ -776,8 +777,8 @@ impl BarrierExperiment {
     ///
     /// # Errors
     /// Configuration errors ([`BarrierExperiment::validate`]) are returned
-    /// before anything runs; [`ExperimentError::Hung`],
-    /// [`ExperimentError::PeerUnreachable`] and
+    /// before anything runs; [`ExperimentError::SendTokensExhausted`],
+    /// [`ExperimentError::Hung`], [`ExperimentError::PeerUnreachable`] and
     /// [`ExperimentError::IncompleteRound`] report a simulation that
     /// failed to synchronize.
     pub fn run(&self) -> Result<Measurement, ExperimentError> {
@@ -806,6 +807,14 @@ impl BarrierExperiment {
         let teams = self.team_list();
         let builder = self.install(builder, &teams);
         let (outcome, events, cluster) = run_cluster(builder, self.parallel);
+        // A dropped send explains whatever went wrong after it.
+        let mut nodes = cluster.nodes.iter().enumerate();
+        if let Some((node, port)) = nodes.find_map(|(i, n)| n.starved.map(|p| (i, p))) {
+            return Err(ExperimentError::SendTokensExhausted {
+                node: node as u32,
+                port: port.0,
+            });
+        }
         if outcome != RunOutcome::Quiescent {
             return Err(ExperimentError::Hung { outcome });
         }
@@ -830,7 +839,7 @@ impl BarrierExperiment {
         for note in &cluster.notes {
             if let Some((team, round)) = decode_team_note(note.tag) {
                 // Random team ids run 1..=count; a whole-cluster team owns
-                // every note (the fuzzy loop notes under the global id).
+                // every note.
                 let t = match self.teams {
                     TeamSet::Whole(_) => 0,
                     TeamSet::Random { .. } => team.0 as usize - 1,
@@ -1547,18 +1556,71 @@ mod tests {
         let m = base.compute(40, true).run().unwrap();
         assert!(m.events > 0);
         assert_eq!(m.teams.len(), 1);
+        // Any whole team runs the fuzzy loop, under its own id.
+        let team = base.compute(40, true).team(TeamId(3)).run().unwrap();
+        assert_eq!(team.teams[0].id, TeamId(3));
+        assert_eq!(team.mean_us.to_bits(), m.mean_us.to_bits());
         for e in [
-            base.compute(40, true).team(TeamId(3)),
             BarrierExperiment {
                 algorithm: Algorithm::Host(Descriptor::Pe),
                 ..base.compute(40, false)
             },
+            base.compute(40, true).team(TeamSet::Random {
+                count: 2,
+                min: 2,
+                max: 4,
+            }),
         ] {
             assert!(
                 matches!(e.validate(), Err(ExperimentError::Unsupported { .. })),
                 "{e:?}"
             );
         }
+    }
+
+    #[test]
+    fn zero_compute_is_the_plain_loop_for_any_descriptor_and_team() {
+        let gb = BarrierExperiment::new(16, Algorithm::Nic(Descriptor::gb(4))).rounds(60, 10);
+        let pe = BarrierExperiment::new(8, Algorithm::Nic(Descriptor::Pe))
+            .rounds(60, 10)
+            .team(TeamId(3));
+        for plain in [gb, pe] {
+            let fuzzy = plain.compute(0, true).run().unwrap();
+            assert_eq!(fuzzy.digest(), plain.run().unwrap().digest(), "{plain:?}");
+        }
+    }
+
+    #[test]
+    fn overlap_hides_compute_inside_a_gb_barrier() {
+        let gb = BarrierExperiment::new(16, Algorithm::Nic(Descriptor::gb(4))).rounds(60, 10);
+        let overlapped = gb.compute(40, true).run().unwrap().mean_us;
+        let blocking = gb.compute(40, false).run().unwrap().mean_us;
+        assert!(
+            overlapped < blocking,
+            "fuzzy {overlapped:.1} must beat blocking {blocking:.1}"
+        );
+    }
+
+    /// Host reduce and scan let leaves run rounds ahead of their parents,
+    /// so unacked sends pile up past GM's 16 send tokens: a typed error on
+    /// either engine, never a panic. A short run, or a deeper pool, stays
+    /// within it.
+    #[test]
+    fn send_token_starvation_is_a_typed_error() {
+        use nic_barrier::ReduceOp;
+        let scan = BarrierExperiment::new(32, Algorithm::Host(Descriptor::scan(ReduceOp::Sum)));
+        let reduce =
+            BarrierExperiment::new(16, Algorithm::Host(Descriptor::reduce(ReduceOp::Sum, 2)))
+                .layout(ProcessLayout::Packed { procs_per_node: 2 });
+        for (e, node, port) in [(scan, 2, 1), (reduce, 0, 2)] {
+            let e = e.rounds(200, 20);
+            let want = ExperimentError::SendTokensExhausted { node, port };
+            assert_eq!(e.run().unwrap_err(), want, "{e:?}");
+            assert_eq!(e.parallel(2).run().unwrap_err(), want, "{e:?} parallel");
+            assert!(e.send_token_pool(64).run().is_ok(), "{e:?} with 64 tokens");
+        }
+        let short = scan.rounds(20, 2).run().unwrap();
+        assert!((short.mean_us - 151.751).abs() < 1e-6, "{}", short.mean_us);
     }
 
     #[test]

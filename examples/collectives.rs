@@ -12,7 +12,7 @@
 //! ```
 
 use nic_barrier_suite::barrier::programs::{OneShotCollective, NOTE_COLLECTIVE_VALUE};
-use nic_barrier_suite::barrier::{BarrierExtension, BarrierGroup, ReduceOp};
+use nic_barrier_suite::barrier::{BarrierExtension, BarrierGroup, Descriptor, ReduceOp};
 use nic_barrier_suite::des::SimTime;
 use nic_barrier_suite::gm::cluster::{ClusterBuilder, ClusterSim};
 use nic_barrier_suite::gm::{CollectiveToken, GmConfig};
@@ -64,7 +64,11 @@ fn main() {
 
     // --- NIC broadcast: rank 0 pushes 424242 to everyone -----------------
     let sim = run((0..NODES)
-        .map(|r| group.broadcast_token(r, DIM, if r == 0 { 424_242 } else { 0 }))
+        .map(|r| {
+            group
+                .token(Descriptor::bcast(DIM), r)
+                .with_value(if r == 0 { 424_242 } else { 0 })
+        })
         .collect());
     let vals = values(&sim);
     println!("broadcast results: {vals:?}");
@@ -76,7 +80,11 @@ fn main() {
 
     // --- NIC reduce: sum of rank*rank lands at the root -------------------
     let sim = run((0..NODES)
-        .map(|r| group.reduce_token(ReduceOp::Sum, r, DIM, (r * r) as u64))
+        .map(|r| {
+            group
+                .token(Descriptor::reduce(ReduceOp::Sum, DIM), r)
+                .with_value((r * r) as u64)
+        })
         .collect());
     let expect: u64 = (0..NODES as u64).map(|r| r * r).sum();
     let root = values(&sim)
@@ -91,7 +99,11 @@ fn main() {
 
     // --- NIC allreduce: everyone learns the max -------------------------
     let sim = run((0..NODES)
-        .map(|r| group.allreduce_token(ReduceOp::Max, r, DIM, 1_000 + r as u64 * 7))
+        .map(|r| {
+            group
+                .token(Descriptor::allreduce(ReduceOp::Max, DIM), r)
+                .with_value(1_000 + r as u64 * 7)
+        })
         .collect());
     let vals = values(&sim);
     let expect = 1_000 + (NODES as u64 - 1) * 7;

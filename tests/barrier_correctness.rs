@@ -187,9 +187,9 @@ struct AlternatingLoop {
 impl AlternatingLoop {
     fn token(&self) -> nic_barrier_suite::gm::CollectiveToken {
         if self.round.is_multiple_of(2) {
-            self.group.pe_token(self.rank)
+            self.group.token(Descriptor::Pe, self.rank)
         } else {
-            self.group.gb_token(self.rank, 2)
+            self.group.token(Descriptor::gb(2), self.rank)
         }
     }
 }

@@ -3,7 +3,7 @@
 //! skews and fault injection.
 
 use nic_barrier_suite::barrier::programs::{OneShotCollective, NOTE_COLLECTIVE_VALUE};
-use nic_barrier_suite::barrier::{BarrierExtension, BarrierGroup, ReduceOp};
+use nic_barrier_suite::barrier::{BarrierExtension, BarrierGroup, Descriptor, ReduceOp};
 use nic_barrier_suite::des::{RunOutcome, SimTime};
 use nic_barrier_suite::gm::cluster::{ClusterBuilder, ClusterSim};
 use nic_barrier_suite::gm::{CollectiveToken, GmConfig};
@@ -53,7 +53,11 @@ fn broadcast_delivers_root_value_everywhere() {
         for dim in [1usize, 2, 3] {
             let group = BarrierGroup::one_per_node(n, 1);
             let tokens = (0..n)
-                .map(|r| group.broadcast_token(r, dim, if r == 0 { 5555 } else { 0 }))
+                .map(|r| {
+                    group
+                        .token(Descriptor::bcast(dim), r)
+                        .with_value(if r == 0 { 5555 } else { 0 })
+                })
                 .collect();
             let sim = run_collective(n, tokens, &[], None);
             let vals = results(&sim);
@@ -77,7 +81,11 @@ fn reduce_sum_min_max_are_correct() {
     ] {
         let group = BarrierGroup::one_per_node(n, 1);
         let tokens = (0..n)
-            .map(|r| group.reduce_token(op, r, 2, contribs[r]))
+            .map(|r| {
+                group
+                    .token(Descriptor::reduce(op, 2), r)
+                    .with_value(contribs[r])
+            })
             .collect();
         let sim = run_collective(n, tokens, &[], None);
         let root = results(&sim)
@@ -94,7 +102,11 @@ fn allreduce_delivers_global_value_to_all() {
         for dim in [1usize, 2, 4] {
             let group = BarrierGroup::one_per_node(n, 1);
             let tokens = (0..n)
-                .map(|r| group.allreduce_token(ReduceOp::Sum, r, dim, r as u64 + 1))
+                .map(|r| {
+                    group
+                        .token(Descriptor::allreduce(ReduceOp::Sum, dim), r)
+                        .with_value(r as u64 + 1)
+                })
                 .collect();
             let sim = run_collective(n, tokens, &[], None);
             let expect: u64 = (1..=n as u64).sum();
@@ -117,7 +129,7 @@ fn scan_delivers_inclusive_prefixes() {
         for op in [ReduceOp::Sum, ReduceOp::Max] {
             let group = BarrierGroup::one_per_node(n, 1);
             let tokens = (0..n)
-                .map(|r| group.scan_token(op, r, contribs[r]))
+                .map(|r| group.token(Descriptor::scan(op), r).with_value(contribs[r]))
                 .collect();
             let sim = run_collective(n, tokens, &[], None);
             let vals = results(&sim);
@@ -140,7 +152,11 @@ fn scan_correct_under_skew_and_drops() {
     let skews = [400u64, 0, 90, 610, 20, 300, 150];
     let group = BarrierGroup::one_per_node(n, 1);
     let tokens = (0..n)
-        .map(|r| group.scan_token(ReduceOp::Sum, r, 1 << r))
+        .map(|r| {
+            group
+                .token(Descriptor::scan(ReduceOp::Sum), r)
+                .with_value(1 << r)
+        })
         .collect();
     let sim = run_collective(n, tokens, &skews, Some((0.10, 3)));
     let vals = results(&sim);
@@ -156,7 +172,11 @@ fn collectives_correct_under_skew() {
     let skews = [500u64, 0, 120, 340, 60, 210];
     let group = BarrierGroup::one_per_node(n, 1);
     let tokens = (0..n)
-        .map(|r| group.allreduce_token(ReduceOp::Max, r, 2, 10 + r as u64))
+        .map(|r| {
+            group
+                .token(Descriptor::allreduce(ReduceOp::Max, 2), r)
+                .with_value(10 + r as u64)
+        })
         .collect();
     let sim = run_collective(n, tokens, &skews, None);
     let vals = results(&sim);
@@ -170,7 +190,11 @@ fn collectives_correct_under_drops() {
     for seed in [1u64, 2] {
         let group = BarrierGroup::one_per_node(n, 1);
         let tokens = (0..n)
-            .map(|r| group.allreduce_token(ReduceOp::Sum, r, 2, 1 << r))
+            .map(|r| {
+                group
+                    .token(Descriptor::allreduce(ReduceOp::Sum, 2), r)
+                    .with_value(1 << r)
+            })
             .collect();
         let sim = run_collective(n, tokens, &[], Some((0.15, seed)));
         let vals = results(&sim);
@@ -185,7 +209,11 @@ fn reduce_root_gets_result_even_when_root_is_late() {
     let n = 4;
     let group = BarrierGroup::one_per_node(n, 1);
     let tokens = (0..n)
-        .map(|r| group.reduce_token(ReduceOp::Sum, r, 3, 100 + r as u64))
+        .map(|r| {
+            group
+                .token(Descriptor::reduce(ReduceOp::Sum, 3), r)
+                .with_value(100 + r as u64)
+        })
         .collect();
     // Root starts last: every gather is an "unexpected" early arrival that
     // the record must hold (with its value!) until the root's token lands.
@@ -203,7 +231,11 @@ fn broadcast_value_waits_for_late_receiver() {
     let n = 3;
     let group = BarrierGroup::one_per_node(n, 1);
     let tokens = (0..n)
-        .map(|r| group.broadcast_token(r, 2, if r == 0 { 77 } else { 0 }))
+        .map(|r| {
+            group
+                .token(Descriptor::bcast(2), r)
+                .with_value(if r == 0 { 77 } else { 0 })
+        })
         .collect();
     // Node 2 posts its token long after the root broadcast: the value is
     // recorded against its port and consumed when the token arrives.

@@ -15,6 +15,7 @@ use gmsim_lanai::NicModel;
 use gmsim_testbed::prelude::FaultPlan;
 use gmsim_testbed::{
     Algorithm, BarrierExperiment, Descriptor, FabricSpec, Measurement, ProcessLayout, RoutePolicy,
+    TeamSet,
 };
 use nic_barrier::{BarrierExtension, BarrierGroup, HostBarrierLoop, NicBarrierLoop, Team, TeamId};
 use std::collections::BTreeSet;
@@ -272,6 +273,29 @@ fn short_nic_pe_run_at_256_nodes_skips_from_its_first_period() {
     assert_eq!(got.digest(), want.digest());
     assert_eq!(got.steady, want.steady);
     assert_skip_starts_at_the_proof(&got, 16, "NIC-PE@256, 16 rounds");
+}
+
+/// Random teams run one NIC loop per node holding every team's job there.
+/// Without background traffic such a run proves its period and skips like
+/// a whole-cluster one: a proof means every job moved by the same rounds.
+#[test]
+fn random_team_runs_report_their_period_and_stay_exact() {
+    for (label, count, min, max) in [
+        ("one team of every node", 1, 16, 16),
+        // Two teams of 10–12 of 16 nodes share at least 4 NICs.
+        ("two overlapping teams", 2, 10, 12),
+    ] {
+        let e = BarrierExperiment::new(16, Algorithm::Nic(Descriptor::pe()))
+            .team(TeamSet::Random { count, min, max })
+            .rounds(400, 10);
+        let got = e.run().unwrap();
+        let want = e.trace(1).run().unwrap();
+        assert!(got.steady.is_some(), "{label}: no period");
+        assert!(got.fast_forward.is_some(), "{label}: nothing skipped");
+        assert_eq!(got.digest(), want.digest(), "{label}");
+        assert_eq!(got.steady, want.steady, "{label}");
+        assert_skip_starts_at_the_proof(&got, 400, label);
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use nic_barrier_suite::barrier::nic::{pkt, record_stats_of, stats_of, BarrierExtension};
 use nic_barrier_suite::barrier::programs::{decode_note, note_tag};
-use nic_barrier_suite::barrier::BarrierGroup;
+use nic_barrier_suite::barrier::{BarrierGroup, Descriptor};
 use nic_barrier_suite::des::{RunOutcome, SimTime};
 use nic_barrier_suite::gm::cluster::ClusterBuilder;
 use nic_barrier_suite::gm::{GmConfig, GmEvent, HostCtx, HostProgram};
@@ -25,7 +25,7 @@ struct DoomedInitiator {
 
 impl HostProgram for DoomedInitiator {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        ctx.start_collective(self.group.pe_token(self.rank));
+        ctx.start_collective(self.group.token(Descriptor::Pe, self.rank));
         // Die before the barrier can possibly complete: close the port.
         ctx.compute(self.die_after);
         ctx.close_port();
@@ -42,7 +42,7 @@ struct Replacement {
 
 impl HostProgram for Replacement {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        ctx.start_collective(self.group.pe_token(self.rank));
+        ctx.start_collective(self.group.token(Descriptor::Pe, self.rank));
     }
     fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
         if matches!(ev, GmEvent::BarrierComplete { .. }) && !self.done {

@@ -137,7 +137,7 @@ struct SenderThenBarrier {
 impl HostProgram for SenderThenBarrier {
     fn on_start(&mut self, ctx: &mut HostCtx) {
         ctx.send(self.peer, 256, 777); // data first
-        ctx.start_collective(self.group.pe_token(0)); // then the barrier
+        ctx.start_collective(self.group.token(Descriptor::Pe, 0)); // then the barrier
     }
     fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
         if matches!(ev, GmEvent::BarrierComplete { .. }) {
@@ -152,7 +152,7 @@ struct ReceiverInBarrier {
 }
 impl HostProgram for ReceiverInBarrier {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        ctx.start_collective(self.group.pe_token(1));
+        ctx.start_collective(self.group.token(Descriptor::Pe, 1));
     }
     fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
         match ev {
