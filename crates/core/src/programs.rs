@@ -297,6 +297,33 @@ mod tests {
         assert_eq!(shift_team_note(12345, 100), 12345, "foreign tags stay");
     }
 
+    /// A skip builds the note `j` periods on by adding `j` one-period
+    /// steps, so shifting must be additive in rounds.
+    #[test]
+    fn shifting_a_note_is_additive_in_rounds() {
+        let foreign = [12345, NOTE_COLLECTIVE_VALUE | 7];
+        for tag in [
+            note_tag(0),
+            note_team_tag(TeamId(9), 41),
+            foreign[0],
+            foreign[1],
+        ] {
+            let step = shift_team_note(tag, 1).wrapping_sub(tag);
+            for (a, b) in [(0, 0), (1, 2), (2, 98), (995, 4)] {
+                let twice = shift_team_note(shift_team_note(tag, a), b);
+                assert_eq!(
+                    twice,
+                    shift_team_note(tag, a + b),
+                    "{tag:#x} by {a} then {b}"
+                );
+                assert_eq!(twice, tag.wrapping_add((a + b) * step), "{tag:#x}");
+            }
+        }
+        for tag in foreign {
+            assert_eq!(shift_team_note(tag, 7), tag, "foreign tags stay");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "team id too large")]
     fn team_note_rejects_ids_past_16_bits() {

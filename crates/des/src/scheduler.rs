@@ -26,19 +26,21 @@
 //! microseconds of `now` (firmware cycles, wire hops, host overheads); only
 //! retransmission timers and horizon sentinels sit further out. The
 //! ordering layer exploits that: a **bucketed timer wheel** of
-//! [`WHEEL_SLOTS`] buckets, each [`BUCKET_NS`] wide (a ~2 ms window sliding
-//! with `now`), absorbs the near-future band with O(1) insertion, while a
-//! binary heap holds the far-future remainder. Popping compares the wheel's
-//! earliest entry with the heap's top and takes the global `(time, seq)`
-//! minimum, so the fired order is **bit-identical** to the plain-heap
-//! scheduler — ties still fire FIFO by sequence number, which the golden
-//! 310-latency gate pins exactly. An occupancy bitmap (one bit per bucket)
-//! makes the scan from `now`'s bucket to the next non-empty one a
-//! word-wise skip. Far-heap entries move into the wheel once their bucket
-//! enters the window; each fired event checks only the heap top for that.
-//! Bucket chains are doubly linked, so a cancel unlinks a wheel entry in
-//! O(1); the far heap keeps each slot's position, so a cancel removes any
-//! of its entries in O(log n).
+//! [`WHEEL_SLOTS`] buckets, each [`BUCKET_NS`] wide (a ~2.1 ms window
+//! sliding with `now`), absorbs the near-future band with O(1) insertion,
+//! while a 4-ary `SlotHeap` holds the far-future remainder. Popping
+//! compares the wheel's earliest entry with the heap's top and takes the
+//! global `(time, seq)` minimum, so the fired order is **bit-identical**
+//! to the plain-heap scheduler — ties still fire FIFO by sequence number,
+//! which the golden 310-latency gate pins exactly. Not only horizon
+//! sentinels and backed-off timers land in the heap: see [`WHEEL_SLOTS`]
+//! for the base-RTO timers of a backed-up SEND queue. An occupancy bitmap
+//! (one bit per bucket) makes the scan from `now`'s bucket to the next
+//! non-empty one a word-wise skip. Far-heap entries move into the wheel
+//! once their bucket enters the window; each fired event checks only the
+//! heap top for that. Bucket chains are doubly linked, so a cancel unlinks
+//! a wheel entry in O(1); the far heap keeps each slot's position, so a
+//! cancel removes any of its entries in O(log n).
 
 use crate::heap::SlotHeap;
 use crate::time::SimTime;
@@ -68,11 +70,18 @@ const BUCKET_SHIFT: u32 = 7;
 pub const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
 
 /// Number of wheel buckets (a power of two). With 128 ns buckets this spans
-/// a ~2.1 ms sliding window — orders of magnitude beyond any per-event
+/// a 2.097 ms sliding window — orders of magnitude beyond any per-event
 /// delay in the barrier models, and wide enough that a retransmission timer
-/// armed one 2 ms RTO ahead lands in the wheel, where arming and cancelling
-/// it is O(1). Only backed-off or grace-extended timers and horizon
-/// sentinels fall through to the far heap.
+/// armed one 2 ms RTO ahead of `now` lands in the wheel, where arming and
+/// cancelling it is O(1). Backed-off or grace-extended timers and horizon
+/// sentinels fall through to the far heap, and so does a base-RTO timer
+/// armed for a send queued more than ~97 µs behind a backlog: the 16-round
+/// NIC-PE at 1024 nodes arms 5 120 of those a round, 2.117–2.128 ms ahead:
+/// 40 960 far-heap pushes, each popped or cancelled later, per
+/// fast-forwarded run and 81 920 per full one. 256 ns buckets would double
+/// the window and catch them, but `gmbench`'s `scale_clos` ran no faster
+/// with them on a 2-core VM (1.3% slower in the median of 6 alternating
+/// pairs, behind in 5), so the window stays.
 pub const WHEEL_SLOTS: usize = 1 << 14;
 
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;

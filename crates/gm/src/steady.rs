@@ -10,31 +10,47 @@
 //!
 //! 1. **Boundaries.** The first endpoint that records a note is the
 //!    *anchor*; every event in which it records one is a round boundary.
-//!    Each boundary costs one constant-size signature (round gap, events,
-//!    rounds and notes since the last boundary, pending events, the
-//!    offset of the far timer band), and a period `p` of boundaries
-//!    becomes a candidate once the last `p` signatures repeat the `p`
-//!    before them.
-//! 2. **Digest.** A candidate is confirmed by a 128-bit [`StateHasher`]
-//!    digest at two boundaries a multiple of `p` apart: the pending events
-//!    by payload, then the cluster's state walk
-//!    ([`walk`](mod@gmsim_des::walk)). Times hash relative to the boundary,
-//!    go-back-N sequence numbers relative to their stream's next one,
-//!    rounds relative to the anchor's (`Rebase`). The same walk snapshots
-//!    every nonzero output counter at the first digest and turns the
-//!    snapshot into per-period deltas at the second. The digests share one
-//!    budget over the whole run: [`COST_RATIO`] times the records hashed so
-//!    far, plus those reserved for the next base digest and its proof, may
-//!    not exceed the events fired so far plus those the candidate predicts
-//!    for the rounds left. A base digest is taken only while a proof could
-//!    still leave a period to skip; its proof, `p` boundaries later, is
-//!    then taken with no second check.
+//!    Each boundary after the first costs one constant-size signature
+//!    (round gap, events, rounds and notes since the last boundary,
+//!    pending events, the offset of the far timer band), and a period `p`
+//!    of boundaries becomes a candidate once the last `p` signatures
+//!    repeat the `p` before them.
+//! 2. **Digest.** A period is proven by equal 128-bit [`StateHasher`]
+//!    digests at two boundaries: the pending events by payload, then the
+//!    cluster's state walk ([`walk`](mod@gmsim_des::walk)). Times hash
+//!    relative to the boundary, go-back-N sequence numbers relative to
+//!    their stream's next one, rounds relative to the anchor's (`Rebase`).
+//!    The same walk snapshots every nonzero output counter, and the proof
+//!    turns the base's snapshot into per-period deltas. The first signed
+//!    boundary (the anchor's round 2) takes a *speculative* base, proved
+//!    at the first later boundary with the same signature: most runs
+//!    repeat from their first rounds, so a 2-round period proves at round
+//!    4. A refuted speculative digest is the next speculative base. The
+//!    candidate rule takes over wherever it would take a base of its own:
+//!    it keeps the speculative base if its candidate's proof is still to
+//!    come and hashes its own otherwise, `p` boundaries before its proof,
+//!    so a base that never repeats cannot hold back a longer period. A
+//!    kept base that fails leaves the rule resting until its own base's
+//!    proof would have been due. The digests share one budget over the
+//!    whole run: [`COST_RATIO`] times the records charged so far, plus
+//!    those reserved for the next base and its proof, may not exceed the
+//!    events fired so far plus those predicted for the rounds left (by the
+//!    candidate, or by the last round before one forms). The speculative
+//!    base is charged with the next digest, whose admission it does not
+//!    count against, so one that never repeats leaves the candidate rule
+//!    its first base. A base is taken only while a proof could still
+//!    leave a period to
+//!    skip. A candidate's proof is then taken with no second check; a
+//!    speculative one, whose period was a guess, only if its period still
+//!    leaves one.
 //! 3. **Skip.** Equal digests prove a period of `rounds` rounds and `us`
 //!    microseconds ([`Period`]), and the engine skips right there: each
 //!    program runs `m` periods fewer ([`SteadyProgram::skip`]), each
 //!    counter grows by `m` deltas, the scheduler counts the skipped events
 //!    as fired, and the proving period's notes are appended `m` times,
-//!    copy `j` shifted by `j` periods. Later notes are shifted by `m`
+//!    copy `j` shifted by `j` periods: one [`SteadyProgram::shift_note`]
+//!    call per note gives its one-period step, and copy `j` adds `j`
+//!    steps and `j` spans. Later notes are shifted by `m`
 //!    periods; the clock is not, so the final `Simulation::now()` reads
 //!    `m` periods early, which no collector reads.
 //! 4. **Verify.** `m` leaves every program one period plus one round. The
@@ -92,6 +108,12 @@ pub trait SteadyProgram {
 
     /// `tag`, a note this program recorded, as the same note `rounds`
     /// rounds later.
+    ///
+    /// Shifting must be additive in rounds: each round adds the same
+    /// (wrapping) step to a tag, so shifting by `a` and then by `b` is
+    /// shifting by `a + b`, and a tag that names no round stays as it is.
+    /// A skip relies on it: it calls this once per note of the proving
+    /// period and builds the note `j` periods later by adding `j` steps.
     fn shift_note(&self, tag: u64, rounds: u64) -> u64;
 }
 
@@ -150,6 +172,16 @@ impl Mark {
     }
 }
 
+/// When a base digest's proof is due.
+#[derive(Clone, Copy)]
+enum Due {
+    /// `p` boundaries after the base: the candidate rule's period.
+    After(u64),
+    /// At the first later boundary with this signature, the base's own: a
+    /// speculative base, taken before any candidate could be.
+    Repeat(Sig),
+}
+
 #[derive(Clone, Copy, Default)]
 enum Phase {
     /// No steady state can be proven (or nothing can be skipped).
@@ -158,8 +190,8 @@ enum Phase {
     #[default]
     Watch,
     /// Hashed and counters snapshotted at `base`; waiting for the boundary
-    /// `p` later.
-    Based { p: u64, base: Mark, digest: u128 },
+    /// its proof is due at.
+    Based { due: Due, base: Mark, digest: u128 },
     /// Skipped at `base`: the next `period` (boundaries, rounds, time) must
     /// repeat the proven one.
     Verify {
@@ -181,9 +213,14 @@ pub(crate) struct Detector {
     anchor: Option<GlobalPort>,
     last: Option<Mark>,
     boundaries: u64,
-    /// Records hashed by every digest so far, and by the last one.
+    /// Records hashed by every digest so far, and by the last one charged
+    /// to the budget.
     hashed: u64,
     last_hashed: u64,
+    /// The speculative base's records, not charged until the next digest.
+    unpaid: u64,
+    /// The candidate rule takes no base before this boundary.
+    rest: u64,
     buf: Buffers,
     /// Time and round offset of every note recorded from now on.
     shift: (SimTime, u64),
@@ -335,56 +372,149 @@ fn boundary(cl: &mut Cluster, s: &mut ClusterSched, anchor: GlobalPort) {
     let Some(last) = det.last.replace(mark) else {
         return;
     };
-    det.push_sig(
-        mark.boundary,
-        Sig {
-            gap: (now - last.at).as_ns(),
-            events: mark.fired - last.fired,
-            rounds: round - last.round,
-            notes: (mark.notes - last.notes) as u64,
-            pending: s.pending() as u64,
-            far: s.far_next_at().map_or(u64::MAX, |t| (t - now).as_ns()),
-        },
-    );
+    let sig = Sig {
+        gap: (now - last.at).as_ns(),
+        events: mark.fired - last.fired,
+        rounds: round - last.round,
+        notes: (mark.notes - last.notes) as u64,
+        pending: s.pending() as u64,
+        far: s.far_next_at().map_or(u64::MAX, |t| (t - now).as_ns()),
+    };
+    det.push_sig(mark.boundary, sig);
     let left = rounds.saturating_sub(round);
-    match std::mem::take(&mut det.phase) {
+    match std::mem::take(&mut cl.steady.phase) {
         Phase::Watch => {
-            // Worth a digest only if the proof, the verify period, the
-            // margin and at least one skipped period still fit, and if the
-            // run's events, fired and predicted by the candidate, pay for
-            // every digest so far plus this one and its proof: twice the
-            // records the last digest hashed, or a lower bound before it.
-            let Some((p, span, events)) = det.candidate(mark.boundary) else {
-                return;
+            // Before any candidate can form, the first signed boundary
+            // takes a speculative base: most runs repeat from there.
+            let due = match wants_base(cl, s, mark, left) {
+                Some(p) => Due::After(p),
+                None if mark.boundary == 1
+                    && affords(
+                        cl,
+                        mark.fired,
+                        left,
+                        (sig.rounds, sig.events),
+                        new_base(cl, s),
+                    ) =>
+                {
+                    Due::Repeat(sig)
+                }
+                None => return,
             };
-            if span == 0 || left < 4 * span {
-                return;
-            }
-            let run_events = mark.fired + events * left / span;
-            let (hashed, last) = (det.hashed, det.last_hashed);
-            let reserve = 2 * last.max(records_at_least(cl, s));
-            if COST_RATIO * (hashed + reserve) > run_events {
-                return;
-            }
-            if let Some(digest) = take_digest(cl, s, round, false) {
-                cl.steady.phase = Phase::Based {
-                    p,
-                    base: mark,
-                    digest,
-                };
-            }
+            based(cl, s, round, due, mark);
         }
-        Phase::Based { p, base, digest } => {
-            det.phase = Phase::Based { p, base, digest };
+        Phase::Based {
+            due: Due::After(p),
+            base,
+            digest,
+        } => {
+            cl.steady.phase = Phase::Based {
+                due: Due::After(p),
+                base,
+                digest,
+            };
             if mark.boundary - base.boundary < p {
                 return;
             }
-            match take_digest(cl, s, round, true) {
+            match take_digest(cl, s, round, true, false) {
                 Some(d) if d == digest => proven(cl, s, base, mark),
                 _ => cl.steady.phase = Phase::Watch,
             }
         }
-        phase => det.phase = phase,
+        Phase::Based {
+            due: Due::Repeat(want),
+            base,
+            digest,
+        } => {
+            let wanted = wants_base(cl, s, mark, left);
+            let mut spec = Some((base, digest, want));
+            if sig == want && left <= 2 * (round - base.round) {
+                // A proof here could leave no period to skip.
+                spec = None;
+            } else if sig == want {
+                match take_digest(cl, s, round, true, false) {
+                    Some(d) if d == digest => return proven(cl, s, base, mark),
+                    // Refuted: the fresh digest is the next base, if the
+                    // candidate rule takes it or the budget pays its proof.
+                    d => {
+                        if d.is_some() {
+                            snapshot(cl, round);
+                        }
+                        let proof = cl.steady.last_hashed;
+                        let paid = affords(cl, mark.fired, left, (sig.rounds, sig.events), proof);
+                        spec = d
+                            .filter(|_| wanted.is_some() || paid)
+                            .map(|d| (mark, d, sig));
+                    }
+                }
+            }
+            // The candidate rule takes over where it would take a base of
+            // its own: it keeps this one if its period's proof is still to
+            // come, and hashes its own otherwise. A kept base proves early,
+            // but if it fails, the rule rests until its own base's proof
+            // would have been due.
+            cl.steady.phase = match (wanted, spec) {
+                (Some(p), Some((base, digest, _))) if mark.boundary - base.boundary < p => {
+                    cl.steady.rest = mark.boundary + p + 1;
+                    Phase::Based {
+                        due: Due::After(p),
+                        base,
+                        digest,
+                    }
+                }
+                (Some(p), _) => return based(cl, s, round, Due::After(p), mark),
+                (None, Some((base, digest, want))) => Phase::Based {
+                    due: Due::Repeat(want),
+                    base,
+                    digest,
+                },
+                (None, None) => Phase::Watch,
+            };
+        }
+        phase => cl.steady.phase = phase,
+    }
+}
+
+/// The period of the candidate the rule would take a base digest for at
+/// `mark`, with `left` rounds left: one whose proof the budget pays for.
+fn wants_base(cl: &Cluster, s: &ClusterSched, mark: Mark, left: u64) -> Option<u64> {
+    if mark.boundary < cl.steady.rest {
+        return None;
+    }
+    let (p, span, events) = cl.steady.candidate(mark.boundary)?;
+    affords(cl, mark.fired, left, (span, events), new_base(cl, s)).then_some(p)
+}
+
+/// Worth a digest only if the proof, the verify period, the margin and at
+/// least one skipped period of `span` rounds still fit the `left` rounds,
+/// and if the run's events, `fired` so far and `events` per `span` rounds
+/// for the rest, pay for every digest charged so far plus `reserve` more
+/// records.
+fn affords(cl: &Cluster, fired: u64, left: u64, (span, events): (u64, u64), reserve: u64) -> bool {
+    span > 0
+        && left >= 4 * span
+        && COST_RATIO * (cl.steady.hashed - cl.steady.unpaid + reserve)
+            <= fired + events * left / span
+}
+
+/// The records a new base and its proof reserve: twice what the last
+/// charged digest hashed, or a lower bound before the first.
+fn new_base(cl: &Cluster, s: &ClusterSched) -> u64 {
+    2 * cl.steady.last_hashed.max(records_at_least(cl, s))
+}
+
+/// Take a base digest at `mark`, its proof due as `due`; stays watching
+/// if the state cannot be hashed. A speculative base is charged with the
+/// next digest, whose admission it does not count against: one that never
+/// repeats leaves the candidate rule its first base.
+fn based(cl: &mut Cluster, s: &ClusterSched, anchor: u64, due: Due, mark: Mark) {
+    let speculative = matches!(due, Due::Repeat(_));
+    if let Some(digest) = take_digest(cl, s, anchor, false, speculative) {
+        cl.steady.phase = Phase::Based {
+            due,
+            base: mark,
+            digest,
+        };
     }
 }
 
@@ -418,23 +548,44 @@ fn proven(cl: &mut Cluster, s: &mut ClusterSched, base: Mark, mark: Mark) {
         rounds: rounds * periods,
         events,
     });
-    // The snapshot is freed here, before the notes grow.
-    grow(&std::mem::take(&mut det.buf.counters), periods, |f| {
+    // The buffers are freed here, before the notes grow.
+    grow(&std::mem::take(&mut det.buf).counters, periods, |f| {
         cl.walk_mut(f)
     });
     s.add_fired(events);
     for p in programs_mut(&mut cl.nodes) {
         p.skip(periods * rounds);
     }
+    // Copy `j` of a note of the proving period is that note `j` periods
+    // later: `j` spans later, its tag `j` one-period steps on, since
+    // shifting is additive in rounds ([`SteadyProgram::shift_note`]).
+    let steps: Vec<u64> = cl.notes[base.notes..mark.notes]
+        .iter()
+        .map(|n| {
+            shifted(&cl.nodes, n, SimTime::ZERO, rounds)
+                .tag
+                .wrapping_sub(n.tag)
+        })
+        .collect();
     // Pushed one by one, so the notes grow through the same capacities
     // as in a full run and the peak heap stays the same.
     for j in 1..=periods {
-        for i in base.notes..mark.notes {
-            let note = cl.notes[i];
-            let copy = shifted(&cl.nodes, &note, span * j, rounds * j);
+        for (i, step) in (base.notes..).zip(&steps) {
+            let mut copy = cl.notes[i];
+            copy.at += span * j;
+            copy.tag = copy.tag.wrapping_add(j.wrapping_mul(*step));
             cl.notes.push(copy);
         }
     }
+    debug_assert!(
+        (base.notes..mark.notes)
+            .zip(cl.notes.len() - steps.len()..)
+            .all(|(i, last)| {
+                let want = shifted(&cl.nodes, &cl.notes[i], span * periods, rounds * periods);
+                cl.notes[last] == want
+            }),
+        "a program's shift_note is not additive in rounds"
+    );
 }
 
 /// Grow every counter `walk_mut` hands over by `periods` times its delta
@@ -515,15 +666,44 @@ impl Visit for Snap<'_> {
     }
 }
 
+/// Snapshot the counters afresh, without hashing: a refuted proof's
+/// instant becomes the next base, and its walk turned the last snapshot
+/// into deltas. One snapshot at a time keeps the heap peak of a digest.
+fn snapshot(cl: &mut Cluster, anchor: u64) {
+    let mut buf = std::mem::take(&mut cl.steady.buf);
+    let (counters, mut at) = (&mut buf.counters, 0);
+    counters.clear();
+    let mut cx = Rebase::new(&cl.nodes, anchor, &mut buf.ranks);
+    cl.walk(&mut cx, &mut |_: Option<Counter>, value| {
+        if value != 0 {
+            counters.push((at, value));
+        }
+        at += 1;
+    });
+    cl.steady.buf = buf;
+}
+
 /// Take a digest at the current boundary, with the counter snapshot (or,
-/// with `delta`, the deltas since it), and charge it to the budget.
-fn take_digest(cl: &mut Cluster, s: &ClusterSched, anchor: u64, delta: bool) -> Option<u128> {
+/// with `delta`, the deltas since it), and count it: a `speculative` base
+/// is left unpaid, any other digest charges itself and what is unpaid.
+fn take_digest(
+    cl: &mut Cluster,
+    s: &ClusterSched,
+    anchor: u64,
+    delta: bool,
+    speculative: bool,
+) -> Option<u128> {
     let mut buf = std::mem::take(&mut cl.steady.buf);
     let (value, items) = digest(cl, s, anchor, &mut buf, delta);
     let det = &mut cl.steady;
     det.buf = buf;
     det.hashed += items;
-    det.last_hashed = items;
+    if speculative {
+        det.unpaid = items;
+    } else {
+        det.unpaid = 0;
+        det.last_hashed = items;
+    }
     value
 }
 

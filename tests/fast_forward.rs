@@ -99,9 +99,9 @@ fn assert_skip_starts_at_the_proof(m: &Measurement, rounds: u64, label: &str) {
     }
 }
 
-/// Run `case` fast-forwarded and in full, at both levels; true if the
-/// fast-forwarded runs skipped anything.
-fn check(case: Case) -> bool {
+/// Run `case` fast-forwarded and in full, at both levels; the
+/// fast-forwarded measurement.
+fn check(case: Case) -> Measurement {
     let label = format!("{case:?}");
     let e = case.experiment();
     let got = e.run().unwrap_or_else(|err| panic!("{label}: {err}"));
@@ -123,7 +123,7 @@ fn check(case: Case) -> bool {
         got.fast_forward.is_some(),
         "{label}: the two assemblies disagree on skipping"
     );
-    got.fast_forward.is_some()
+    got
 }
 
 fn collectives() -> Vec<Descriptor> {
@@ -148,7 +148,7 @@ fn every_collective_and_placement_is_exact_under_fast_forward() {
         for desc in collectives() {
             for alg in [Algorithm::Nic(desc), Algorithm::Host(desc)] {
                 cases += 1;
-                skipped += check(Case::new(alg, procs)) as usize;
+                skipped += check(Case::new(alg, procs)).fast_forward.is_some() as usize;
             }
         }
     }
@@ -228,15 +228,20 @@ fn boundaries_inside_busy_horizons_are_exact() {
 
 /// Two cells whose round gaps vary from round to round must stay exact
 /// whether or not anything is skipped. Radix-3 dissemination at N = 100
-/// repeats every 6 rounds from round 46: it proves that period and skips.
-/// The 4 KiB d = 4 broadcast at 64 nodes proves none.
+/// repeats every 6 rounds: it proves that period from round 46 and skips.
+/// Its round-2 speculative base never repeats, so the candidate rule takes
+/// its own base there, as it would with no speculative base at all. The
+/// 4 KiB d = 4 broadcast at 64 nodes proves none.
 #[test]
 fn known_non_periodic_cells_stay_exact() {
     let dissemination = Case {
         rounds: 120,
         ..Case::new(Algorithm::Nic(Descriptor::dissemination_radix(3)), 100)
     };
-    assert!(check(dissemination), "radix-3 dissemination skips");
+    let m = check(dissemination);
+    assert!(m.fast_forward.is_some(), "radix-3 dissemination skips");
+    let period = m.steady.expect("radix-3 dissemination is periodic");
+    assert_eq!((period.from_round, period.rounds), (46, 6));
     let bcast = Case {
         rounds: 120,
         ..Case::new(
@@ -244,14 +249,40 @@ fn known_non_periodic_cells_stay_exact() {
             64,
         )
     };
-    assert!(!check(bcast), "the 4 KiB broadcast skips nothing");
-    let m = bcast.experiment().run().unwrap();
+    let m = check(bcast);
+    assert!(
+        m.fast_forward.is_none(),
+        "the 4 KiB broadcast skips nothing"
+    );
     assert_eq!(m.steady, None, "the 4 KiB broadcast proves no period");
 }
 
-/// A short run at scale: the whole-run digest budget pays for a proof one
-/// period after its base, so even 16 rounds of NIC-PE at 256 nodes on the
-/// benchmark's 4:1 Clos prove the true 2-round period and skip.
+/// NIC dissemination at N = 16 repeats every 16 rounds, but every round's
+/// signature equals the one before, so refuted 1-round candidates spend
+/// most of the digest budget before the 16-round one forms. The
+/// speculative digests may not hold that proof back: from round 33, at
+/// 240 rounds (where the budget is tight) as at 1000.
+#[test]
+fn a_long_period_proves_where_the_candidate_rule_proves_it() {
+    for rounds in [240, 1000] {
+        let case = Case {
+            rounds,
+            ..Case::new(Algorithm::Nic(Descriptor::dissemination()), 16)
+        };
+        let m = check(case);
+        let period = m.steady.expect("NIC dissemination at 16 is periodic");
+        assert_eq!(
+            (period.from_round, period.rounds),
+            (33, 16),
+            "{rounds} rounds"
+        );
+        assert!(m.fast_forward.is_some(), "{rounds} rounds: nothing skipped");
+    }
+}
+
+/// A short run at scale: the state repeats from round 2, so the
+/// speculative base there proves the true 2-round period at round 4 and
+/// 16 rounds of NIC-PE at 256 nodes on the benchmark's 4:1 Clos skip 8.
 #[test]
 fn short_nic_pe_run_at_256_nodes_skips_from_its_first_period() {
     let clos = FabricSpec::Clos {
@@ -264,15 +295,75 @@ fn short_nic_pe_run_at_256_nodes_skips_from_its_first_period() {
         .fabric(clos, RoutePolicy::Adaptive);
     let got = e.run().unwrap();
     let period = got.steady.expect("NIC-PE at 256 nodes is periodic");
-    assert_eq!((period.from_round, period.rounds), (5, 2));
+    assert_eq!((period.from_round, period.rounds), (2, 2));
     let ff = got
         .fast_forward
         .expect("and 16 rounds leave repeats to skip");
-    assert!(ff.rounds >= 4, "skipped only {} of 16 rounds", ff.rounds);
+    assert!(ff.rounds >= 8, "skipped only {} of 16 rounds", ff.rounds);
     let want = e.trace(1).run().unwrap();
     assert_eq!(got.digest(), want.digest());
     assert_eq!(got.steady, want.steady);
     assert_skip_starts_at_the_proof(&got, 16, "NIC-PE@256, 16 rounds");
+}
+
+/// The benchmark's 16-round NIC-PE at 1024 nodes: a digest hashes 28-39k
+/// records against about 44k events a round, so the budget pays for
+/// about two digests, and they must be the speculative base at round 2
+/// and its proof at round 4.
+#[test]
+fn short_nic_pe_run_at_1024_nodes_proves_with_its_first_two_digests() {
+    let e = BarrierExperiment::new(1024, Algorithm::Nic(Descriptor::pe())).rounds(16, 1);
+    let got = e.run().unwrap();
+    let period = got.steady.expect("NIC-PE at 1024 nodes is periodic");
+    assert_eq!((period.from_round, period.rounds), (2, 2));
+    let ff = got
+        .fast_forward
+        .expect("and 16 rounds leave repeats to skip");
+    assert_eq!(ff.rounds, 8, "skipped rounds of 16");
+    let want = e.trace(1).run().unwrap();
+    assert_eq!(got.digest(), want.digest());
+    assert_eq!(got.steady, want.steady);
+}
+
+/// Short runs whose state repeats only after round 2, where the digest
+/// budget pays for a few digests: the speculative base may not cost them
+/// the proof the candidate rule finds alone. Its digest is charged with
+/// the next one, but that one's admission does not count it (10 rounds of
+/// NIC-PE at 6 nodes with skewed starts; the payload study's 8-round
+/// 64 KiB allreduce at 64 nodes). A kept base that fails leaves the rule
+/// resting until its own base's proof would have been due (40 rounds of
+/// NIC-PE at 28 nodes, whose signatures drift between rounds 8 and 15).
+#[test]
+fn a_speculative_base_never_costs_a_tight_budget_its_proof() {
+    let nic = Algorithm::Nic;
+    let allreduce = Descriptor::allreduce(ReduceOp::Sum, 2)
+        .with_payload(Payload::pipelined(64 * 1024, Payload::DEFAULT_SEG_BYTES));
+    for (label, e, want) in [
+        (
+            "NIC-PE@6, 10 rounds, skewed",
+            BarrierExperiment::new(6, nic(Descriptor::pe()))
+                .rounds(10, 2)
+                .skew(5, 0),
+            (4, 1),
+        ),
+        (
+            "64 KiB allreduce@64, 8 rounds",
+            BarrierExperiment::new(64, nic(allreduce)).rounds(8, 2),
+            (4, 1),
+        ),
+        (
+            "NIC-PE@28, 40 rounds",
+            BarrierExperiment::new(28, nic(Descriptor::pe())).rounds(40, 5),
+            (16, 2),
+        ),
+    ] {
+        let got = e.run().unwrap();
+        let period = got.steady.unwrap_or_else(|| panic!("{label}: no period"));
+        assert_eq!((period.from_round, period.rounds), want, "{label}");
+        assert!(got.fast_forward.is_some(), "{label}: nothing skipped");
+        let full = e.trace(1).run().unwrap();
+        assert_eq!(got.digest(), full.digest(), "{label}");
+    }
 }
 
 /// Random teams run one NIC loop per node holding every team's job there.
